@@ -20,6 +20,7 @@ the JIT hot-loop speedup regresses run-over-run; see
 """
 
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -164,6 +165,12 @@ def measure_speedup(run_with_device, arch_name="P100", repeat=5,
 
 
 def append_bench_entry(entry):
+    """Append *entry*, stamped with the time, run id and the host facts
+    (Python version, core count) that decide whether two entries are
+    comparable (see ``tools/check_perf_regression.py``)."""
+    entry = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+             "python": platform.python_version(), "nproc": os.cpu_count(),
+             "run_id": new_run_id(), **entry}
     document = {"benchmark": "simulator_fast_path", "runs": []}
     if BENCH_ARTIFACT.exists():
         try:
@@ -215,9 +222,6 @@ def test_fast_path_speedup_gate():
     assert fast_run.kernel_time_ms == reference_run.kernel_time_ms
 
     append_bench_entry({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "python": platform.python_version(),
-        "run_id": new_run_id(),
         "gate": "dispatch",
         "hot_loop": {"fast_s": fast_s, "reference_s": reference_s,
                      "speedup": hot_speedup},
@@ -304,9 +308,6 @@ def test_jit_speedup_gate():
     assert jit_run.kernel_time_ms == dispatch_run.kernel_time_ms
 
     append_bench_entry({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "python": platform.python_version(),
-        "run_id": new_run_id(),
         "gate": "jit",
         "hot_loop": {"jit_s": jit_s, "oracle_s": oracle_s,
                      "speedup": hot_speedup},
@@ -413,9 +414,6 @@ def test_population_batch_gate():
     clone_speedup = clone_solo_s / clone_batched_s
 
     append_bench_entry({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "python": platform.python_version(),
-        "run_id": new_run_id(),
         "gate": "population_batch",
         "simcov_grid": {"batched_s": grid_batched_s, "solo_s": grid_solo_s,
                         "speedup": grid_speedup},
@@ -517,9 +515,6 @@ def test_memory_pricing_gate():
             > jit_result.counters["global_transactions"])
 
     append_bench_entry({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "python": platform.python_version(),
-        "run_id": new_run_id(),
         "gate": "memory_pricing",
         "mem_loop": {"jit_s": jit_s, "oracle_s": oracle_s,
                      "speedup": oracle_speedup},

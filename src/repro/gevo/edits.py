@@ -7,12 +7,16 @@ move, replace, swap -- or replaces one operand of an instruction with
 another value already present in the kernel.
 
 Edits address instructions by their stable *uid*, so the same edit list can
-be replayed on a fresh clone of the original module (which is how fitness
+be replayed on a fresh fork of the original module (which is how fitness
 evaluation, edit minimization and the epistasis analysis all work).
 Applying an edit can fail -- for example the targeted instruction was
 removed by an earlier edit -- in which case :class:`~repro.errors.EditError`
-is raised and the caller decides whether to skip the edit or invalidate the
-individual.
+is raised, the module is left as it was, and the caller decides whether to
+skip the edit or invalidate the individual.  An edit checks all its
+preconditions before it takes write access to a block through
+:func:`_writable_block`, which is what lets a variant forked with
+:meth:`~repro.ir.function.Module.fork` share every kernel it does not write
+with the original.
 
 Terminators (``br`` / ``condbr`` / ``ret``) are *pinned*: they may not be
 deleted, moved, replaced or copied.  This keeps every variant structurally
@@ -43,6 +47,12 @@ def _check_not_pinned(instruction: Instruction, edit: "Edit", action: str) -> No
         raise EditError(f"cannot {action} pinned instruction {instruction.opcode!r}", edit)
 
 
+def _writable_block(module: Module, function: Function, block: BasicBlock) -> BasicBlock:
+    """*block* of *function* as *module* may change it: a function the module
+    borrows is cloned first (:meth:`Module.writable`), at the same indices."""
+    return module.writable(function.name).blocks[block.label]
+
+
 class Edit(abc.ABC):
     """Base class of all GEVO edits."""
 
@@ -51,7 +61,9 @@ class Edit(abc.ABC):
 
     @abc.abstractmethod
     def apply(self, module: Module) -> None:
-        """Apply the edit to *module* in place; raise :class:`EditError` on failure."""
+        """Apply the edit to *module* in place, writing only blocks obtained
+        from :func:`_writable_block` once every precondition holds; on
+        failure raise :class:`EditError` and leave *module* unchanged."""
 
     @abc.abstractmethod
     def key(self) -> Tuple:
@@ -94,10 +106,9 @@ class InstructionDelete(Edit):
         self.target_uid = int(target_uid)
 
     def apply(self, module: Module) -> None:
-        _, block, index = _locate(module, self.target_uid, self)
-        instruction = block.instructions[index]
-        _check_not_pinned(instruction, self, "delete")
-        del block.instructions[index]
+        function, block, index = _locate(module, self.target_uid, self)
+        _check_not_pinned(block.instructions[index], self, "delete")
+        del _writable_block(module, function, block).instructions[index]
 
     def key(self) -> Tuple:
         return (self.kind, self.target_uid)
@@ -119,8 +130,8 @@ class InstructionCopy(Edit):
         _, source_block, source_index = _locate(module, self.source_uid, self)
         source = source_block.instructions[source_index]
         _check_not_pinned(source, self, "copy")
-        _, dest_block, dest_index = _locate(module, self.before_uid, self)
-        dest_block.insert(dest_index, source.duplicate())
+        function, dest_block, dest_index = _locate(module, self.before_uid, self)
+        _writable_block(module, function, dest_block).insert(dest_index, source.duplicate())
 
     def key(self) -> Tuple:
         return (self.kind, self.source_uid, self.before_uid)
@@ -141,17 +152,13 @@ class InstructionMove(Edit):
     def apply(self, module: Module) -> None:
         if self.source_uid == self.before_uid:
             raise EditError("cannot move an instruction before itself", self)
-        _, source_block, source_index = _locate(module, self.source_uid, self)
-        source = source_block.instructions[source_index]
-        _check_not_pinned(source, self, "move")
-        del source_block.instructions[source_index]
-        try:
-            _, dest_block, dest_index = _locate(module, self.before_uid, self)
-        except EditError:
-            # Restore before propagating so a failed move is a no-op.
-            source_block.insert(source_index, source)
-            raise
-        dest_block.insert(dest_index, source)
+        source_function, source_block, source_index = _locate(module, self.source_uid, self)
+        _check_not_pinned(source_block.instructions[source_index], self, "move")
+        dest_function, dest_block, _ = _locate(module, self.before_uid, self)
+        source_block = _writable_block(module, source_function, source_block)
+        dest_block = _writable_block(module, dest_function, dest_block)
+        source = source_block.instructions.pop(source_index)
+        dest_block.insert(dest_block.index_of_uid(self.before_uid), source)
 
     def key(self) -> Tuple:
         return (self.kind, self.source_uid, self.before_uid)
@@ -180,13 +187,13 @@ class InstructionReplace(Edit):
         _, source_block, source_index = _locate(module, self.source_uid, self)
         source = source_block.instructions[source_index]
         _check_not_pinned(source, self, "use as replacement")
-        _, target_block, target_index = _locate(module, self.target_uid, self)
+        function, target_block, target_index = _locate(module, self.target_uid, self)
         target = target_block.instructions[target_index]
         _check_not_pinned(target, self, "replace")
         replacement = source.duplicate()
         if replacement.dest is not None and target.dest is not None:
             replacement.dest = target.dest
-        target_block.instructions[target_index] = replacement
+        _writable_block(module, function, target_block).instructions[target_index] = replacement
 
     def key(self) -> Tuple:
         return (self.kind, self.target_uid, self.source_uid)
@@ -207,14 +214,13 @@ class InstructionSwap(Edit):
     def apply(self, module: Module) -> None:
         if self.first_uid == self.second_uid:
             raise EditError("cannot swap an instruction with itself", self)
-        _, first_block, first_index = _locate(module, self.first_uid, self)
-        _, second_block, second_index = _locate(module, self.second_uid, self)
-        first = first_block.instructions[first_index]
-        second = second_block.instructions[second_index]
-        _check_not_pinned(first, self, "swap")
-        _check_not_pinned(second, self, "swap")
-        first_block.instructions[first_index] = second
-        second_block.instructions[second_index] = first
+        first_function, first_block, first_index = _locate(module, self.first_uid, self)
+        second_function, second_block, second_index = _locate(module, self.second_uid, self)
+        _check_not_pinned(first_block.instructions[first_index], self, "swap")
+        _check_not_pinned(second_block.instructions[second_index], self, "swap")
+        first = _writable_block(module, first_function, first_block).instructions
+        second = _writable_block(module, second_function, second_block).instructions
+        first[first_index], second[second_index] = second[second_index], first[first_index]
 
     def key(self) -> Tuple:
         return (self.kind, self.first_uid, self.second_uid)
@@ -239,11 +245,11 @@ class OperandReplace(Edit):
         self.new_value = as_value(new_value)
 
     def apply(self, module: Module) -> None:
-        _, block, index = _locate(module, self.target_uid, self)
-        instruction = block.instructions[index]
-        if not 0 <= self.operand_index < len(instruction.operands):
+        function, block, index = _locate(module, self.target_uid, self)
+        if not 0 <= self.operand_index < len(block.instructions[index].operands):
             raise EditError(
                 f"operand index {self.operand_index} out of range for uid={self.target_uid}", self)
+        instruction = _writable_block(module, function, block).instructions[index]
         instruction.replace_operand(self.operand_index, self.new_value)
 
     def key(self) -> Tuple:

@@ -1,7 +1,7 @@
 """Individuals (genomes) and edit-list application.
 
 An :class:`Individual` is an ordered list of :class:`~repro.gevo.edits.Edit`
-objects plus cached evaluation results.  Applying a genome clones the
+objects plus cached evaluation results.  Applying a genome forks the
 original module and replays the edits in order; edits that no longer apply
 (for example, a later edit references an instruction an earlier edit
 removed) are skipped by default, matching GEVO's tolerant behaviour, and
@@ -23,7 +23,7 @@ _individual_ids = itertools.count(1)
 
 @dataclass
 class AppliedGenome:
-    """Result of replaying an edit list onto a fresh module clone."""
+    """Result of replaying an edit list onto a fork of the original module."""
 
     module: Module
     applied: List[Edit]
@@ -35,12 +35,18 @@ class AppliedGenome:
 
 
 def apply_edits(original: Module, edits: Sequence[Edit], *, strict: bool = False) -> AppliedGenome:
-    """Clone *original* and apply *edits* in order.
+    """Fork *original* and apply *edits* in order.
+
+    The variant is a copy-on-write :meth:`~repro.ir.function.Module.fork`:
+    every kernel no applied edit writes stays the original's object, with
+    its cached decoding and compiled segments, and the original never
+    changes.  Mutate a variant only through :meth:`Edit.apply`, which
+    clones a kernel before its first write.
 
     With ``strict=False`` (the default, GEVO's behaviour) inapplicable edits
     are skipped and recorded; with ``strict=True`` the first failure raises.
     """
-    module = original.clone()
+    module = original.fork()
     applied: List[Edit] = []
     skipped: List[Tuple[Edit, str]] = []
     for edit in edits:

@@ -124,9 +124,10 @@ class Segment:
         self.static_cycles = 0.0
         self.counter_totals: List[tuple] = []
         self.exact = True
-        #: Exec-compiled ``(full-mask, masked)`` whole-segment function pair
-        #: (see :mod:`repro.gpu.jitted`), attached lazily by the JIT tier
-        #: and only for ``exact`` segments; the dispatch tier never calls it.
+        #: JIT record whose ``(full-mask, masked)`` whole-segment kernels
+        #: compile on first call (see :mod:`repro.gpu.jitted`), attached by
+        #: the JIT tier and only for ``exact`` segments; the dispatch tier
+        #: never calls it.
         self.jit_fns = None
 
     def finalize(self) -> None:
@@ -161,7 +162,7 @@ class ControlStep:
         self.false_target: Optional[str] = None
         self.reconvergence: Optional[str] = None
         self.condition: Optional[Callable] = None
-        #: Exec-compiled single-instruction function pair used when this
+        #: JIT record of a single-instruction kernel pair used when this
         #: BR/CONDBR/RET step is dispatched on its own -- a block with no
         #: preceding straight-line segment, or a mid-block resume landing
         #: on the terminator (see :func:`repro.gpu.jitted.attach_jit`);
@@ -200,10 +201,10 @@ class DecodedFunction:
         self.blocks = blocks
         self.postdominators = postdominators
         self.warp_size = warp_size
-        #: Set once :func:`repro.gpu.jitted.attach_jit` has compiled the
-        #: exact segments; lives (and dies) with the decoded program in
-        #: ``Function.cached_decoding``, so a mutation that re-decodes the
-        #: function also recompiles its segments.
+        #: Set once :func:`repro.gpu.jitted.attach_jit` has given the exact
+        #: segments their JIT records; lives (and dies) with the decoded
+        #: program in ``Function.cached_decoding``, so a mutation that
+        #: re-decodes the function also recompiles its segments.
         self.jit_ready = False
 
 

@@ -46,17 +46,23 @@ Python function per activation shape (fully active warp / partial mask):
   counter bumps aggregate into one flush per segment (sound because
   every latency is an integer, so float64 sums reorder exactly).
 
-Compilation is content-addressed twice over.  Generated functions take
-every clone-varying value (instruction objects, uids, constants, branch
-targets) through one bound tuple, so a *structural key* of the segment
--- opcodes, operand shapes, register names, baked costs -- maps to a
-cached ``(factory, plan)`` pair: re-JITting the structurally identical
-variants a GEVO population is full of costs a key probe plus one factory
-call per segment, with no source generation, ``compile`` or ``exec``.
-The compiled segments live on the decoded program, which is cached per
-function through :meth:`repro.ir.function.Function.cached_decoding`; a
-GEVO mutation invalidates exactly the touched function's decoding and
-therefore its compiled segments.
+Compilation is lazy and content-addressed.  :func:`attach_jit` compiles
+nothing: each activation shape of a segment compiles on its first
+execution and then replaces its first-call stub, so a shape that never
+runs (most segments of most kernels never see a partial mask) is never
+generated.  Generated functions take every clone-varying value
+(instruction objects, uids, constants, branch targets) through one bound
+tuple, so a *structural key* of the segment and shape -- opcodes, operand
+shapes, register names, baked costs -- maps to a cached ``(factory,
+plan)`` pair: re-JITting the structurally identical variants a GEVO
+population is full of costs a key probe plus one factory call per
+executed shape, with no source generation, ``compile`` or ``exec``.  The
+kernels live on the decoded program, which is cached per function through
+:meth:`repro.ir.function.Function.cached_decoding`.  GEVO variants borrow
+every kernel their edits do not write from the original module
+(:meth:`repro.ir.function.Module.fork`), so they reuse its decoding and
+compiled kernels; a write clones exactly the touched function, which then
+decodes and compiles afresh.
 
 A compiled segment runs only in the case the dispatch tier's batch
 branch recognises -- entry at the segment start, exact aggregated costs,
@@ -104,11 +110,12 @@ _INT = np.int64
 _FLOAT = np.float64
 
 #: Process-wide keys for the per-launch bound-profile cache
-#: (:attr:`ProfileCollector.jit_bindings`); every compiled segment gets one.
+#: (:attr:`ProfileCollector.jit_bindings`); every JIT record gets one,
+#: shared by its two kernels.
 _SEGMENT_KEYS = itertools.count()
 
-#: Structural-key cache: segment shape -> (full factory, full plan,
-#: masked factory, masked plan).  See the module docstring.
+#: Structural-key cache: (segment signature, full mask?) -> (factory,
+#: plan).  See the module docstring.
 _SEGMENT_CACHE: Dict[tuple, tuple] = {}
 _SEGMENT_CACHE_LIMIT = 8192
 
@@ -1115,49 +1122,64 @@ def _build_factory(source: str):
 
 
 def compile_segment(segment: Segment, warp_size: int, label: str,
-                    arch: GpuArch,
-                    terminator: Optional[ControlStep] = None) -> Tuple:
-    """Compile one exact segment into its JIT record:
-    ``(full-mask kernel, masked kernel, instruction count, combined)``,
-    where *combined* records whether the block terminator was folded in
-    (the interpreter then treats the call as the control transfer)."""
-    signature = _segment_signature(segment, terminator, warp_size,
-                                   _pricing_signature(arch))
+                    arch: GpuArch, terminator: Optional[ControlStep],
+                    full: bool, seg_key: int):
+    """Compile one activation shape -- *full* warp or partial mask -- of
+    one exact segment into its kernel.  *seg_key* keys the segment's bound
+    profiles (:attr:`ProfileCollector.jit_bindings`); both shapes of one
+    segment share it."""
+    signature = (_segment_signature(segment, terminator, warp_size,
+                                    _pricing_signature(arch)), full)
     cached = _SEGMENT_CACHE.get(signature)
     if cached is None:
         if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_LIMIT:
             _SEGMENT_CACHE.clear()
-        full_source, full_plan = _SegmentCompiler(
-            segment, warp_size, True, arch, terminator).generate()
-        masked_source, masked_plan = _SegmentCompiler(
-            segment, warp_size, False, arch, terminator).generate()
-        cached = (_build_factory(full_source), full_plan,
-                  _build_factory(masked_source), masked_plan)
-        _SEGMENT_CACHE[signature] = cached
-    full_factory, full_plan, masked_factory, masked_plan = cached
+        source, plan = _SegmentCompiler(segment, warp_size, full, arch,
+                                        terminator).generate()
+        cached = _SEGMENT_CACHE[signature] = (_build_factory(source), plan)
+    factory, plan = cached
+    return factory(_resolve_plan(plan, segment, terminator, label, warp_size,
+                                 seg_key))
+
+
+def _jit_record(segment: Segment, warp_size: int, label: str, arch: GpuArch,
+                terminator: Optional[ControlStep]) -> list:
+    """The JIT record of one step: ``[full-mask kernel, masked kernel,
+    instruction count, combined]``, where *combined* records whether the
+    block terminator is folded in (the interpreter then treats the call as
+    the control transfer).  Each kernel slot starts as a first call that
+    compiles its shape through :func:`compile_segment`, stores the kernel
+    in its slot and runs it, so later executions call the kernel directly
+    and a shape that never runs is never generated."""
     seg_key = next(_SEGMENT_KEYS)
-    return (
-        full_factory(_resolve_plan(full_plan, segment, terminator, label,
-                                   warp_size, seg_key)),
-        masked_factory(_resolve_plan(masked_plan, segment, terminator, label,
-                                     warp_size, seg_key)),
-        len(segment.body) + (1 if terminator is not None else 0),
-        terminator is not None,
-    )
+
+    def first_call(slot: int):
+        def compile_and_run(*args):
+            kernel = record[slot] = compile_segment(
+                segment, warp_size, label, arch, terminator, slot == 0, seg_key)
+            return kernel(*args)
+        return compile_and_run
+
+    record = [first_call(0), first_call(1),
+              len(segment.body) + (1 if terminator is not None else 0),
+              terminator is not None]
+    return record
 
 
 def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
-    """Compile every exact segment of *decoded* in place (idempotent).
+    """Give every exact segment of *decoded* a JIT record (idempotent).
 
-    A segment directly followed by its block's ``br``/``condbr``/``ret``
-    terminator is compiled together with it (the mega-closure form), and
-    every such control step additionally gets a *single-instruction*
-    compilation of its own -- an empty segment with the terminator folded
-    in -- so blocks with no preceding straight-line segment (loop latches,
-    header tests, bare returns) and mid-block resumes landing on the
-    terminator execute compiled too; barriers keep going through the
-    dispatch loop.  *arch* supplies the memory pricing the generated
-    source bakes in (covered by the structural cache key).
+    Nothing is compiled here: each record's two activation shapes compile
+    on their first execution (:func:`_jit_record`).  A segment directly
+    followed by its block's ``br``/``condbr``/``ret`` terminator is
+    compiled together with it (the mega-closure form), and every such
+    control step additionally gets a *single-instruction* record of its
+    own -- an empty segment with the terminator folded in -- so blocks with
+    no preceding straight-line segment (loop latches, header tests, bare
+    returns) and mid-block resumes landing on the terminator execute
+    compiled too; barriers keep going through the dispatch loop.  *arch*
+    supplies the memory pricing the generated source bakes in (covered by
+    the structural cache key).
     """
     warp_size = decoded.warp_size
     for label, block in decoded.blocks.items():
@@ -1173,8 +1195,8 @@ def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
                             and following.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
                             and float(following.static_cost).is_integer()):
                         terminator = following
-                    step.jit_fns = compile_segment(step, warp_size, label,
-                                                   arch, terminator)
+                    step.jit_fns = _jit_record(step, warp_size, label, arch,
+                                               terminator)
                 index += len(step.body)
                 continue
             if (step.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
@@ -1184,14 +1206,14 @@ def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
                 # folded terminator's pc_after equal the step's own index,
                 # so the compiled RET leaves top.pc exactly where the
                 # dispatch loop's plain path does.
-                step.jit_fns = compile_segment(Segment(index), warp_size,
-                                               label, arch, step)
+                step.jit_fns = _jit_record(Segment(index), warp_size, label,
+                                           arch, step)
             index += 1
     decoded.jit_ready = True
 
 
 def jit_function(function: Function, arch: GpuArch) -> DecodedFunction:
-    """Decode *function* and compile its segments, memoised with the same
+    """Decode *function* and attach its JIT records, memoised with the same
     fingerprint scheme as :func:`~repro.gpu.decoded.decode_function` --
     a GEVO mutation invalidates exactly the touched function's decoding,
     and the compiled segments die with it."""

@@ -3,16 +3,17 @@
 A :class:`Module` holds one or more :class:`Function` objects (GPU kernels).
 Each function has an ordered collection of :class:`BasicBlock` objects, a
 parameter list, and shared-memory array declarations.  The containers offer
-the lookup and cloning operations GEVO needs: finding an instruction by
-uid, inserting/removing instructions, and deep-copying a module so that an
-edit list can be applied without disturbing the original.
+the lookup and copying operations GEVO needs: finding an instruction by
+uid, inserting/removing instructions, deep-copying a module, and forking a
+copy-on-write variant so that an edit list can be applied without
+disturbing the original.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import IRError
 from .instructions import Instruction
@@ -256,6 +257,8 @@ class Module:
         self.name = name
         self.functions: Dict[str, Function] = {}
         self._function_order: List[str] = []
+        #: Functions still shared with the module this one was forked from.
+        self._borrowed: Set[str] = set()
 
     def add_function(self, function: Function) -> Function:
         if function.name in self.functions:
@@ -295,6 +298,28 @@ class Module:
         for name in self._function_order:
             new.add_function(self.functions[name].clone())
         return new
+
+    def fork(self) -> "Module":
+        """A copy-on-write copy that borrows every function of this module.
+
+        Borrowed functions are this module's own objects, so they keep its
+        cached decodings (:meth:`Function.cached_decoding`); the fork clones
+        one only when it first writes it through :meth:`writable`.  Write a
+        fork only through :meth:`writable`, and leave this module unchanged
+        while forks borrow from it.
+        """
+        new = Module(self.name)
+        new.functions = dict(self.functions)
+        new._function_order = list(self._function_order)
+        new._borrowed = set(self._function_order)
+        return new
+
+    def writable(self, name: str) -> Function:
+        """Function *name* for writing, cloned first if it is borrowed."""
+        if name in self._borrowed:
+            self._borrowed.discard(name)
+            self.functions[name] = self.functions[name].clone()
+        return self.get_function(name)
 
     def __repr__(self) -> str:
         return f"<Module {self.name} functions={list(self._function_order)}>"

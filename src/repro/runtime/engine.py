@@ -194,16 +194,16 @@ _worker_telemetry: Telemetry = NULL_TELEMETRY
 
 
 def _prewarm_worker_caches(adapter, module) -> None:
-    """Pre-decode (and JIT-compile) *module* for the adapter's interpreter tier.
+    """Pre-decode *module* for the adapter's interpreter tier.
 
     The per-function decode cache is a ``WeakKeyDictionary`` of unpicklable
     artifacts, so it never travels to pool workers: without this, every
-    worker re-decodes the original module (and re-fills the process-wide
-    JIT factory cache) on its first evaluation.  Decoding once in the
-    initializer makes the baseline/unmodified-module evaluations hit a
-    warm cache and seeds the structural JIT cache every variant of the
-    batch shares.  Purely an optimization: any failure is ignored and the
-    first evaluation decodes on demand instead.
+    worker decodes the original module on its first evaluation.  Decoding
+    once in the initializer gives the original's kernels -- which every
+    variant borrows except the ones its edits write -- their decodings and
+    JIT records up front.  It compiles nothing: a JIT kernel compiles on
+    its first execution.  Purely an optimization: any failure is ignored
+    and the first evaluation decodes on demand instead.
     """
     arch = getattr(adapter, "arch", None)
     functions = getattr(module, "functions", None)

@@ -11,11 +11,14 @@ ROADMAP calls for next:
   adapter and the original module are shared by reference, which makes
   this the right executor for small populations and cheap workloads
   where :class:`ParallelExecutor`'s per-task IPC dominates.  Safe
-  because every evaluation clones the module
-  (:func:`~repro.gevo.genome.apply_edits`) and
-  :meth:`~repro.gpu.simulator.GpuDevice.launch` keeps all mutable
-  launch state local, so concurrent evaluations never share mutable
-  structures.  When one evaluation raises, in-flight siblings are
+  because every evaluation forks the module
+  (:func:`~repro.gevo.genome.apply_edits`), which never writes the
+  original, and :meth:`~repro.gpu.simulator.GpuDevice.launch` keeps all
+  mutable launch state local.  The shared structures evaluations do
+  write -- the decode caches of the original's kernels and their JIT
+  kernel slots (:mod:`repro.gpu.jitted`) -- only ever receive identical
+  decodings and kernels, so a race costs a duplicate build, never a
+  result.  When one evaluation raises, in-flight siblings are
   cancelled (queued tasks never start; already-running threads finish
   but their results are discarded) and the batch surfaces one
   :class:`~repro.errors.ExecutorError`.

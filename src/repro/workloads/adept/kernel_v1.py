@@ -61,8 +61,8 @@ def _round_up_to_warp(threads: int, warp_size: int = 32) -> int:
 #: same ``Function`` objects) lets the simulator's per-function decode and
 #: JIT caches hit across driver constructions -- ``for_version`` in a
 #: search loop stops paying IR-build + decode per evaluation.  Callers
-#: must treat the shared module as immutable; GEVO already clones before
-#: applying edits.
+#: must treat the shared module as immutable; GEVO forks it and clones a
+#: kernel before writing it.
 _KERNEL_CACHE: Dict[tuple, AdeptKernel] = {}
 
 

@@ -382,9 +382,10 @@ def build_simcov_kernels() -> SimCovKernels:
     """Build the eight-kernel SIMCoV module and its edit-target map.
 
     Memoized: the builder takes no arguments and the module is immutable
-    (GEVO clones before editing), so repeated driver constructions reuse
-    the same ``Function`` objects and hit the simulator's decode/JIT
-    caches instead of rebuilding and re-decoding the IR.
+    (GEVO forks it and clones a kernel before writing it), so repeated
+    driver constructions reuse the same ``Function`` objects and hit the
+    simulator's decode/JIT caches instead of rebuilding and re-decoding
+    the IR.
     """
     global _KERNELS
     if _KERNELS is None:

@@ -541,6 +541,75 @@ def test_jit_cache_invalidated_by_edits():
                              kernel_name="saxpy_wasteful")
 
 
+def record_compiled_shapes(monkeypatch):
+    """Record the ``full`` flag of every segment kernel compiled from now on."""
+    from repro.gpu import jitted
+
+    shapes = []
+    compile_segment = jitted.compile_segment
+
+    def recording(segment, warp_size, label, arch, terminator, full, seg_key):
+        shapes.append(full)
+        return compile_segment(segment, warp_size, label, arch, terminator,
+                               full, seg_key)
+
+    monkeypatch.setattr(jitted, "compile_segment", recording)
+    return shapes
+
+
+def _toy_args(elements, seed):
+    rng = np.random.default_rng(seed)
+    return {"x": rng.normal(size=elements), "y": rng.normal(size=elements),
+            "out": np.zeros(elements), "n": elements}
+
+
+def test_full_warp_launch_builds_no_masked_kernel(monkeypatch):
+    """JIT kernels compile on first execution, one activation shape at a
+    time: a launch whose warps are all fully active compiles no masked
+    kernel."""
+    shapes = record_compiled_shapes(monkeypatch)
+    GpuDevice(get_arch("P100"), fast_path="jit").launch(
+        build_toy_kernel().module, 2, 64, _toy_args(128, 21),
+        kernel_name="saxpy_wasteful")
+    assert shapes and all(shapes)
+
+
+def test_masked_shape_first_run_on_later_launch_equivalent(monkeypatch):
+    """A masked kernel first compiled on a later launch of an already
+    JIT-ed function (here: a partial final warp after a full-warp launch)
+    still agrees bit-for-bit with the other tiers."""
+    shapes = record_compiled_shapes(monkeypatch)
+    module = build_toy_kernel().module
+    arch = get_arch("P100")
+    GpuDevice(arch, fast_path="jit").launch(module, 2, 64, _toy_args(128, 23),
+                                            kernel_name="saxpy_wasteful")
+    assert shapes and all(shapes)
+    shapes.clear()
+    assert_equivalent_launch(module, 3, 64, _toy_args(150, 23), arch,
+                             kernel_name="saxpy_wasteful")
+    assert False in shapes
+
+
+def test_variant_borrows_untouched_kernel_decodings():
+    """A GEVO variant keeps the original's kernels its edits do not write,
+    so ``jit_function`` hands it the original's decoding objects; only the
+    written kernel decodes afresh."""
+    from repro.gevo.edits import InstructionDelete
+    from repro.gpu import jit_function
+    from repro.workloads.simcov import build_simcov_kernels
+
+    module = build_simcov_kernels().module
+    arch = get_arch("P100")
+    written = "simcov_spread_virions"
+    target = next(inst.uid for inst in module.get_function(written).instructions()
+                  if not inst.info.pinned)
+    variant = apply_edits(module, [InstructionDelete(target)]).module
+    for name in module.function_order():
+        shared = (jit_function(variant.get_function(name), arch)
+                  is jit_function(module.get_function(name), arch))
+        assert shared == (name != written), name
+
+
 # --------------------------------------------------------------------------- arch-aware pricing
 def _build_geometry_module():
     """Shared stride-2 + scattered global addressing: prices differently

@@ -123,6 +123,23 @@ class TestContainers:
         assert inst.operands[0] == Const(1)
         assert clone_inst.uid == inst.uid
 
+    def test_module_fork_is_copy_on_write(self):
+        module = Module("m")
+        for name in ("a", "b"):
+            func = module.add_function(Function(name))
+            func.add_block(BasicBlock("entry")).append(Instruction("ret"))
+        fork = module.fork()
+        assert fork.function_order() == ("a", "b")
+        assert fork.get_function("a") is module.get_function("a")
+        written = fork.writable("a")
+        assert written is not module.get_function("a")
+        assert fork.writable("a") is written  # cloned once, then owned
+        assert fork.get_function("a") is written
+        assert fork.get_function("b") is module.get_function("b")
+        written.blocks["entry"].insert(0, Instruction("nop"))
+        assert module.get_function("a").instruction_count() == 1
+        assert module.writable("a") is module.get_function("a")  # owns all
+
     def test_instruction_count(self):
         func = Function("k")
         block = func.add_block(BasicBlock("entry"))

@@ -107,6 +107,56 @@ class TestParity:
                 == result.history.best_fitness_series())
         assert serial_result.best.edit_keys() == result.best.edit_keys()
 
+    def test_threads_sharing_a_cold_original_match_serial(self):
+        """Variants borrow every kernel their edits do not write, so threads
+        race on the original's decode cache and first-call JIT slots (a
+        partial final warp adds masked kernels); each thread's results must
+        still equal a serial evaluation on a separate build."""
+        import sys
+        import threading
+
+        from repro.gevo import apply_edits
+        from repro.gevo.edits import InstructionDelete
+
+        def evaluate_all(adapter, order):
+            # Deletes of absent uids are skipped: those variants are pure forks.
+            edits = toy_discovered_edits(adapter.kernel)
+            sets = [[InstructionDelete(-k)] for k in range(1, 7)] + [[e] for e in edits]
+            original = adapter.original_module()
+            results = {}
+            for index in order(range(len(sets))):
+                result = adapter.evaluate(apply_edits(original, sets[index]).module)
+                results[index] = (result.valid, result.runtime_ms, [
+                    (case.name, case.passed, case.runtime_ms, case.message)
+                    for case in result.cases])
+            return results
+
+        expected = evaluate_all(ToyWorkloadAdapter(elements=200), list)
+        shared = ToyWorkloadAdapter(elements=200)  # nothing decoded yet
+        outcomes, errors = [], []
+
+        def worker(reverse):
+            try:
+                outcomes.append(evaluate_all(
+                    shared, lambda indices: sorted(indices, reverse=reverse)))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(n % 2 == 1,))
+                   for n in range(6)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert outcomes == [expected] * len(threads)
+
     def test_single_item_batches_stay_serial(self, adapter):
         # The <=1 fast path must not regress results either.
         baseline = EvaluationEngine(adapter).baseline()

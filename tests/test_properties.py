@@ -6,15 +6,23 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import EditError
 from repro.gevo import EditGenerator, apply_edits
+from repro.gevo.edits import InstructionDelete, OperandReplace, edit_from_dict
 from repro.gpu import bank_conflicts, coalesced_transactions
 from repro.gpu.rng import counter_uniform
 from repro.ir import Const, Reg, as_value
 from repro.ir.parser import parse_instruction
-from repro.ir.printer import format_instruction
+from repro.ir.printer import format_instruction, format_module
 from repro.ir.verifier import verify_module
 from repro.workloads import build_toy_kernel
-from repro.workloads.adept import ScoringScheme, alignment_score, wavefront_alignment_score
+from repro.workloads.adept import (
+    ScoringScheme,
+    alignment_score,
+    build_adept_v1,
+    wavefront_alignment_score,
+)
+from repro.workloads.simcov import build_simcov_kernels
 
 # --------------------------------------------------------------------------- strategies
 dna = st.text(alphabet="ACGT", min_size=1, max_size=16)
@@ -211,3 +219,104 @@ class TestEditRobustness:
         first_ops = [inst.opcode for inst in first.module.instructions()]
         second_ops = [inst.opcode for inst in second.module.instructions()]
         assert first_ops == second_ops
+
+
+#: Originals the forked-apply property runs on: one kernel (toy), two
+#: (ADEPT-V1: main + reduce) and eight (SimCov), so cross-kernel moves
+#: and swaps occur.
+FORK_ORIGINALS = {
+    "toy": lambda: build_toy_kernel().module,
+    "adept-v1": lambda: build_adept_v1(32, 24).module,
+    "simcov": lambda: build_simcov_kernels().module,
+}
+
+#: The uid fields whose instruction's function an edit writes.
+WRITTEN_UIDS = {
+    "delete": ("target_uid",),
+    "copy": ("before_uid",),
+    "move": ("source_uid", "before_uid"),
+    "replace": ("target_uid",),
+    "swap": ("first_uid", "second_uid"),
+    "operand": ("target_uid",),
+}
+
+
+@st.composite
+def edit_lists(draw):
+    """An original module and an edit list from its ``EditGenerator``,
+    mixed with edits that cannot apply: repeats of earlier edits (a repeated
+    delete has lost its target), edits with one uid pointing nowhere (the
+    other uid still locates, so a cross-kernel move or swap fails midway),
+    deletes of pinned terminators and out-of-range operand indices."""
+    name = draw(st.sampled_from(sorted(FORK_ORIGINALS)))
+    module = FORK_ORIGINALS[name]()
+    generator = EditGenerator(module, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    pinned = [inst.uid for inst in module.instructions() if inst.info.pinned]
+    edits = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        roll = draw(st.integers(min_value=0, max_value=7))
+        edit = generator.random_edit()
+        if roll == 0 and edits:
+            edit = draw(st.sampled_from(edits))
+        elif roll in (1, 2) and edit is not None:
+            data = edit.to_dict()
+            data[draw(st.sampled_from(sorted(k for k in data if k.endswith("_uid"))))] = -1
+            edit = edit_from_dict(data)
+        elif roll == 3:
+            edit = InstructionDelete(draw(st.sampled_from(pinned)))
+        elif roll == 4 and edit is not None and edit.kind == "operand":
+            edit = OperandReplace(edit.target_uid, 99, edit.new_value)
+        if edit is not None:
+            edits.append(edit)
+    return module, edits
+
+
+def replay(module, edits):
+    """Apply *edits* one by one to *module* and return the applied edits,
+    the skipped ones with their messages, and the functions the applied
+    ones wrote.  Every skipped edit must leave *module* as it found it:
+    same text and, for a fork, the same borrowed functions."""
+    applied, skipped, written = [], [], set()
+    for edit in edits:
+        functions, text = dict(module.functions), format_module(module)
+        hits = (module.find_instruction(getattr(edit, field))
+                for field in WRITTEN_UIDS[edit.kind])
+        targets = {hit[0].name for hit in hits if hit is not None}
+        try:
+            edit.apply(module)
+        except EditError as error:
+            skipped.append((edit, str(error)))
+            assert module.functions == functions
+            assert format_module(module) == text
+        else:
+            applied.append(edit)
+            written |= targets
+    return applied, skipped, written
+
+
+class TestForkedApplyProperties:
+    """``apply_edits`` forks the original copy-on-write: the variant equals
+    a replay on a deep clone, the original never changes, skipped edits
+    leave a fork as they found it, and every kernel no applied edit wrote
+    is still the original's object."""
+
+    @given(case=edit_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_fork_matches_deep_clone_replay(self, case):
+        original, edits = case
+        before = format_module(original)
+        variant = apply_edits(original, edits)
+        assert format_module(original) == before
+
+        replayed = original.clone()
+        applied, skipped, written = replay(replayed, edits)
+        assert format_module(variant.module) == format_module(replayed)
+        assert variant.applied == applied
+        assert variant.skipped == skipped
+
+        borrowed = {name for name, function in variant.module.functions.items()
+                    if function is original.functions[name]}
+        assert borrowed == set(original.functions) - written
+        replay(original.fork(), edits)
+        for edit in edits:  # alone, too: an earlier write hides a stray clone
+            replay(original.fork(), [edit])

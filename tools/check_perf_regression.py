@@ -23,7 +23,10 @@ Usage::
 ``--check jit:hot_loop --check memory_pricing:mem_loop``); the exit code
 is non-zero when *any* pair regressed.  A missing file, an empty
 document, or a trajectory without ``runs`` is never an error -- there is
-simply nothing to compare yet.
+simply nothing to compare yet.  Neither is a pair taken on different
+hosts: when the two entries differ in, or lack, their core count
+(``nproc``) or Python version, the pair is reported "not comparable" and
+passes.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+#: Entry fields two runs must share (and record) to be compared.
+HOST_FIELDS = ("nproc", "python")
 
 
 def load_runs(path: Path) -> list:
@@ -59,7 +65,8 @@ def speedups(runs: list, gate: str, metric: str) -> list:
             stamp = run.get("timestamp", "?")
             if run.get("run_id"):
                 stamp = f"{stamp} run {run['run_id']}"
-            values.append((stamp, float(section["speedup"])))
+            host = tuple(run.get(field) for field in HOST_FIELDS)
+            values.append((stamp, float(section["speedup"]), host))
     return values
 
 
@@ -70,7 +77,12 @@ def check_pair(runs: list, gate: str, metric: str, threshold: float) -> int:
         print(f"{len(values)} {gate!r} run(s) in trajectory; "
               "nothing to compare yet")
         return 0
-    (previous_stamp, previous), (latest_stamp, latest) = values[-2], values[-1]
+    (previous_stamp, previous, previous_host), (latest_stamp, latest, latest_host) = (
+        values[-2], values[-1])
+    if None in previous_host or previous_host != latest_host:
+        print(f"{gate} {metric}: not comparable -- {'/'.join(HOST_FIELDS)} "
+              f"{previous_host} ({previous_stamp}) vs {latest_host} ({latest_stamp})")
+        return 0
     drop = (previous - latest) / previous if previous > 0 else 0.0
     print(f"{gate} {metric} speedup: "
           f"{previous:.2f}x ({previous_stamp}) -> {latest:.2f}x ({latest_stamp}) "
