@@ -55,6 +55,7 @@ from .interpreter import (
     STEP_SEGMENT,
 )
 from .rng import counter_uniform
+from .warp import scalar_dtype
 
 _INT = np.int64
 _FLOAT = np.float64
@@ -1073,10 +1074,10 @@ def stack_launch_rows(
             values = [float(per_row_args[row][name]) for row in range(total)]
         except (KeyError, TypeError, ValueError):
             raise BatchAbort(f"scalar argument {name!r} missing or non-numeric")
-        integral = [value == int(value) for value in values]
-        if any(integral) and not all(integral):
+        dtypes = {scalar_dtype(value) for value in values}
+        if len(dtypes) > 1:
             raise BatchAbort(f"scalar {name!r} mixes integral and fractional rows")
-        dtype = np.int64 if integral[0] else np.float64
+        dtype, = dtypes
         first = values[0]
         if all(value == first for value in values):
             shared = np.full(lanes, first, dtype=dtype)

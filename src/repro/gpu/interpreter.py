@@ -205,6 +205,8 @@ class WarpExecutor:
         max_instructions = self.max_instructions
         stack = warp.stack
         jit = self._jit
+        count_nonzero = np.count_nonzero
+        warp_size = self.warp_size
         price = cost_model.price_access
         profiles = profiler.instructions if profile_enabled else None
         while True:
@@ -253,7 +255,7 @@ class WarpExecutor:
                             # cached on the stack entry by object identity.
                             if mask is not top.mask_obj:
                                 top.mask_obj = mask
-                                top.mask_full = bool(mask.all())
+                                top.mask_full = count_nonzero(mask) == warp_size
                             (jit_fns[0] if top.mask_full else jit_fns[1])(
                                 self, warp, top, mask, counters, profiles)
                             if jit_fns[3]:
@@ -356,7 +358,7 @@ class WarpExecutor:
                         mask = top.mask
                         if mask is not top.mask_obj:
                             top.mask_obj = mask
-                            top.mask_full = bool(mask.all())
+                            top.mask_full = count_nonzero(mask) == warp_size
                         (jit_fns[0] if top.mask_full else jit_fns[1])(
                             self, warp, top, mask, counters, profiles)
                         transferred = True

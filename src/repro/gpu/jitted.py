@@ -951,17 +951,19 @@ class _SegmentCompiler:
         """Inline the ``div``/``rem`` handler: active-lane zero trap, then
         the runtime dtype dispatch (operands of the segment's executor are
         always plain arrays, so the handler's ``np.asarray`` is a no-op;
-        its ``active_mask`` is exactly this segment's ``mask``)."""
+        its ``active_mask`` is exactly this segment's ``mask``).  The trap
+        test counts zero lanes: on one warp a count is several times
+        cheaper than ``ndarray.any``."""
         numerator, denominator = operands
-        active = self.temp("_da")
+        zero = self.temp("_z")
+        self.emit(f"{zero} = {denominator} == 0")
         if self.full:
-            self.emit(f"if ({denominator} == 0).any():")
+            self.emit(f"if _np_cnz({zero}):")
         else:
-            self.emit(f"{active} = {denominator}[mask]")
-            self.emit(f"if {active}.size and ({active} == 0).any():")
+            self.emit(f"if _np_cnz({zero} & mask):")
         self.emit(f"    ex._trap(\"division by zero\", {inst_var})")
         safe = self.temp("_sf")
-        self.emit(f"{safe} = _np_where({denominator} == 0, 1, {denominator})")
+        self.emit(f"{safe} = _np_where({zero}, 1, {denominator})")
         if opcode == "div":
             self.emit(f"if {numerator}.dtype.kind == \"f\" "
                       f"or {denominator}.dtype.kind == \"f\":")
@@ -998,10 +1000,13 @@ class _SegmentCompiler:
         not_taken = self.temp("_nt")
         if self.full:
             # mask is all-true: taken == cond, not_taken == ~cond, and the
-            # two uniform outcomes resolve from cond alone.
-            self.emit(f"if {cond}.all():")
+            # two uniform outcomes resolve from one count of cond (the
+            # warp size is part of the structural key, so it is baked).
+            count = self.temp("_n")
+            self.emit(f"{count} = _np_cnz({cond})")
+            self.emit(f"if {count} == {self.warp_size}:")
             self.emit(f"    top.pc = {pc_true}")
-            self.emit(f"elif not {cond}.any():")
+            self.emit(f"elif not {count}:")
             self.emit(f"    top.pc = {pc_false}")
             self.emit("else:")
             self.emit(f"    {taken} = {cond}")
@@ -1011,9 +1016,9 @@ class _SegmentCompiler:
         else:
             self.emit(f"{taken} = mask & {cond}")
             self.emit(f"{not_taken} = mask & ~{cond}")
-            self.emit(f"if not {not_taken}.any():")
+            self.emit(f"if not _np_cnz({not_taken}):")
             self.emit(f"    top.pc = {pc_true}")
-            self.emit(f"elif not {taken}.any():")
+            self.emit(f"elif not _np_cnz({taken}):")
             self.emit(f"    top.pc = {pc_false}")
             self.emit("else:")
             self._emit_divergence(pc_true, pc_false, taken, not_taken,

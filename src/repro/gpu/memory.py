@@ -22,7 +22,7 @@ boundary check is removed on a large grid (Section VI-D).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -34,6 +34,15 @@ from ..ir.function import Function
 #: output and fail validation, rather than silently succeeding the way a
 #: zero fill would.
 SHARED_POISON = float("nan")
+
+# Bound once: every executed memory instruction validates its index
+# vector, so the finiteness test counts instead of calling ``np.all`` and
+# the extrema call the ufunc reductions without ``ndarray.min/max``'s
+# Python wrappers.
+_count_nonzero = np.count_nonzero
+_isfinite = np.isfinite
+_min_reduce = np.minimum.reduce
+_max_reduce = np.maximum.reduce
 
 GLOBAL_SPACE = "global"
 SHARED_SPACE = "shared"
@@ -80,7 +89,7 @@ class BufferHandle:
         """
         idx = np.asarray(indices)
         if idx.dtype.kind == "f":
-            if not np.all(np.isfinite(idx)):
+            if _count_nonzero(_isfinite(idx)) != idx.size:
                 raise KernelTrap(
                     f"non-finite index into {self.space} buffer {self.name!r}",
                     instruction=instruction,
@@ -88,8 +97,8 @@ class BufferHandle:
         idx = idx.astype(np.int64, copy=False)
         if not idx.size:
             return idx, 0, -1
-        lo = int(idx.min())
-        hi = int(idx.max())
+        lo = int(_min_reduce(idx))
+        hi = int(_max_reduce(idx))
         if lo < 0 or hi >= self.size:
             bad = lo if lo < 0 else hi
             raise KernelTrap(
@@ -135,15 +144,15 @@ class ArenaBufferHandle(BufferHandle):
     def check_bounds_stats(self, indices: np.ndarray, instruction=None):
         idx = np.asarray(indices)
         if idx.dtype.kind == "f":
-            if not np.all(np.isfinite(idx)):
+            if _count_nonzero(_isfinite(idx)) != idx.size:
                 raise KernelTrap(
                     f"non-finite index into global buffer {self.name!r}",
                     instruction=instruction)
         idx = idx.astype(np.int64, copy=False) + self.offset
         if not idx.size:
             return idx, 0, -1
-        lo = int(idx.min())
-        hi = int(idx.max())
+        lo = int(_min_reduce(idx))
+        hi = int(_max_reduce(idx))
         if lo < 0 or hi >= self.arena.shape[0]:
             raise KernelTrap(
                 f"illegal memory access: buffer {self.name!r} index "
@@ -162,8 +171,10 @@ class GlobalMemory:
       bounds checking (any out-of-bounds access traps);
     * ``unified_arena=True`` packs all buffers into one float64 arena with
       guard regions, reproducing the CUDA single-address-space behaviour
-      that the SIMCoV boundary-check study relies on.  Host arrays are
-      copied in at bind time and copied back by :meth:`sync_back`.
+      that the SIMCoV boundary-check study relies on.  :meth:`bind` only
+      reserves each buffer's offset; :meth:`finalize_arena` allocates the
+      arena once, copies each host array in once and builds the handles,
+      and :meth:`sync_back` copies the results back.
     """
 
     def __init__(self, unified_arena: bool = False, guard_elements: int = 24):
@@ -171,68 +182,54 @@ class GlobalMemory:
         self.unified_arena = unified_arena
         self.guard_elements = int(guard_elements)
         self._arena: np.ndarray = np.zeros(0, dtype=np.float64)
-        self._host_arrays: Dict[str, np.ndarray] = {}
+        #: Arena mode: name -> (offset, host array) of each bound buffer,
+        #: and the end of the last one (the tail guard follows it).
+        self._layout: Dict[str, Tuple[int, np.ndarray]] = {}
+        self._arena_end = 0
 
-    def bind(self, name: str, array: np.ndarray) -> BufferHandle:
-        """Bind a host array as a global buffer (device-resident, in place)."""
+    def bind(self, name: str, array: np.ndarray) -> None:
+        """Bind a host array as a global buffer (device-resident, in place).
+
+        :meth:`get` returns its handle; in arena mode, once
+        :meth:`finalize_arena` has laid the arena out.
+        """
         if not isinstance(array, np.ndarray):
             raise LaunchError(
                 f"buffer argument {name!r} must be a numpy array, got {type(array)!r}"
             )
         arr = array if array.ndim == 1 else array.reshape(-1)
         if self.unified_arena:
-            handle = self._bind_in_arena(name, arr)
+            offset = self._arena_end + self.guard_elements
+            self._layout[name] = (offset, arr)
+            self._arena_end = offset + arr.shape[0]
         else:
-            handle = BufferHandle(name, GLOBAL_SPACE, arr)
-        self._buffers[name] = handle
-        return handle
-
-    def _bind_in_arena(self, name: str, array: np.ndarray) -> ArenaBufferHandle:
-        offset = self._arena.shape[0] + self.guard_elements
-        new_size = offset + array.shape[0]
-        grown = np.zeros(new_size, dtype=np.float64)
-        grown[: self._arena.shape[0]] = self._arena
-        grown[offset:offset + array.shape[0]] = array.astype(np.float64)
-        self._arena = grown
-        self._host_arrays[name] = array
-        # Rebuild existing handles against the grown arena so every handle
-        # shares the same backing storage.
-        for existing_name, existing in list(self._buffers.items()):
-            if isinstance(existing, ArenaBufferHandle):
-                rebuilt = ArenaBufferHandle(existing_name, self._arena,
-                                            existing.offset, existing.logical_size)
-                self._buffers[existing_name] = rebuilt
-        return ArenaBufferHandle(name, self._arena, offset, array.shape[0])
+            self._buffers[name] = BufferHandle(name, GLOBAL_SPACE, arr)
 
     def finalize_arena(self) -> None:
-        """Append the tail guard region once every buffer is bound."""
+        """Lay the arena out once every buffer is bound: a zero-filled guard
+        region before each buffer and after the last, each host array copied
+        in at its offset, one handle per buffer."""
         if not self.unified_arena:
             return
-        grown = np.zeros(self._arena.shape[0] + self.guard_elements, dtype=np.float64)
-        grown[: self._arena.shape[0]] = self._arena
-        self._arena = grown
-        for name, handle in list(self._buffers.items()):
-            if isinstance(handle, ArenaBufferHandle):
-                self._buffers[name] = ArenaBufferHandle(name, self._arena,
-                                                        handle.offset, handle.logical_size)
+        arena = np.zeros(self._arena_end + self.guard_elements, dtype=np.float64)
+        for name, (offset, host) in self._layout.items():
+            arena[offset:offset + host.shape[0]] = host
+            self._buffers[name] = ArenaBufferHandle(name, arena, offset,
+                                                    host.shape[0])
+        self._arena = arena
 
     def sync_back(self) -> None:
         """Copy arena contents back into the host arrays (arena mode only)."""
         if not self.unified_arena:
             return
-        for name, host in self._host_arrays.items():
-            handle = self._buffers[name]
-            if isinstance(handle, ArenaBufferHandle):
-                host[...] = handle.logical_view().astype(host.dtype)
+        for name, (_, host) in self._layout.items():
+            host[...] = self._buffers[name].logical_view().astype(host.dtype)
 
     def get(self, name: str) -> BufferHandle:
         try:
             return self._buffers[name]
         except KeyError:
             raise LaunchError(f"no global buffer bound for parameter {name!r}") from None
-
-    def names(self) -> Iterable[str]:
-        return self._buffers.keys()
 
     def total_bytes(self) -> int:
         if self.unified_arena:
@@ -337,7 +334,7 @@ def conflicts_from_stats(idx: np.ndarray, lo: int, hi: int, num_banks: int) -> i
     n = idx.size
     if n <= 1:
         return 1
-    if hi - lo == n - 1 and bool((idx[1:] == idx[:-1] + 1).all()):
+    if hi - lo == n - 1 and _count_nonzero(idx[1:] == idx[:-1] + 1) == n - 1:
         # n consecutive addresses: each bank is hit ceil(n / num_banks) times.
         return -(-n // num_banks)
     # Equivalent to np.unique(..., return_counts=True)[1].max(): the zero

@@ -152,15 +152,15 @@ class GpuDevice:
         global_memory = GlobalMemory(unified_arena=self.unified_memory_arena,
                                      guard_elements=self.arena_guard_elements)
         scalar_bindings: Dict[str, float] = {}
+        buffer_names: List[str] = []
         for param in function.params:
             if param.kind == "buffer":
                 global_memory.bind(param.name, args[param.name])
+                buffer_names.append(param.name)
             else:
                 scalar_bindings[param.name] = float(args[param.name])
         global_memory.finalize_arena()
-        global_bindings = {name: global_memory.get(name)
-                           for name in function.param_names()
-                           if name in set(global_memory.names())}
+        global_bindings = {name: global_memory.get(name) for name in buffer_names}
 
         tier = self.interpreter_tier
         if tier == "oracle":

@@ -42,7 +42,7 @@ class StackEntry:
     pc: ProgramCounter
     mask: np.ndarray
     reconvergence: Optional[str]
-    #: JIT-tier cache of ``bool(mask.all())``: masks are immutable and
+    #: JIT-tier cache of "every lane active": masks are immutable and
     #: rebound on every change, so fullness is memoised by object identity
     #: (``mask_obj is mask``) instead of re-reducing per segment execution.
     mask_obj: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -92,18 +92,24 @@ class ThreadIdentity:
         return values
 
 
+def scalar_dtype(value: float) -> type:
+    """The scalar-parameter dtype rule: a finite integral value becomes
+    int64 lanes, everything else -- fractional, ``±inf``, ``nan`` --
+    float64.  Shared by the solo launch and the batched row stacking."""
+    return np.int64 if float(value).is_integer() else np.float64
+
+
 def broadcast_scalar_arrays(scalar_bindings: Dict[str, float],
                             warp_size: int) -> Dict[str, np.ndarray]:
     """Read-only per-lane broadcast arrays for scalar kernel parameters.
 
-    The single home of the scalar dtype rule (integral values become
-    int64 lanes, everything else float64); the device caches the result
-    per distinct scalar tuple and shares it across warps and launches --
+    Applies :func:`scalar_dtype`; the device caches the result per
+    distinct scalar tuple and shares it across warps and launches --
     safe because register writes rebind, never mutate in place.
     """
     arrays: Dict[str, np.ndarray] = {}
     for name, value in scalar_bindings.items():
-        dtype = np.int64 if float(value) == int(value) else np.float64
+        dtype = scalar_dtype(value)
         array = np.full(warp_size, value, dtype=dtype)
         array.flags.writeable = False
         arrays[name] = array
@@ -169,7 +175,7 @@ class WarpState:
             self.stack.append(StackEntry(pc=(self.entry_label, 0),
                                          mask=initial_mask,
                                          reconvergence=None))
-        if not np.any(self.identity.valid):
+        if not np.count_nonzero(self.identity.valid):
             self.status = WarpStatus.DONE
             self.stack.clear()
 
@@ -186,7 +192,7 @@ class WarpState:
         self.exited_mask |= mask
         for entry in self.stack:
             entry.mask = entry.mask & ~mask
-        while self.stack and not np.any(self.stack[-1].mask):
+        while self.stack and not np.count_nonzero(self.stack[-1].mask):
             self.stack.pop()
         if not self.stack:
             self.status = WarpStatus.DONE

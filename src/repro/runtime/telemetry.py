@@ -373,12 +373,13 @@ def emit_module_hotspots(telemetry: Telemetry, adapter, module, *,
                          label: str, top: int = 10) -> bool:
     """Profile one in-process evaluation of *module* and emit its hotspots.
 
-    Runs ``adapter.evaluate(module)`` on the adapter's own device (which
-    records a :class:`~repro.gpu.profiler.ProfileCollector` per launch)
-    and emits a ``profile.hotspots`` event with the top instructions by
-    attributed cycles.  Strictly opt-in -- callers invoke this once per
-    run/leg when tracing is on, so the extra evaluation never taxes an
-    untraced run.  Best-effort: adapters without an in-process device
+    Runs ``adapter.evaluate(module)`` on the adapter's own device with
+    profiling turned on for that one evaluation (adapter devices run
+    without it: this is the only reader of launch profiles during a
+    search), then restores the flag and emits a ``profile.hotspots``
+    event with the top instructions by attributed cycles.  Strictly
+    opt-in -- callers invoke this once per run/leg when tracing is on, so
+    the extra evaluation never taxes an untraced run.  Best-effort: adapters without an in-process device
     (or a trapped evaluation) simply emit nothing.
     """
     if not telemetry.enabled:

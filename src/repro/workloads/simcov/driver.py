@@ -50,8 +50,11 @@ class SimCovDriver:
     def __init__(self, kernels: Optional[SimCovKernels] = None,
                  device: Optional[GpuDevice] = None, arch: GpuArch = P100):
         self.kernels = kernels or build_simcov_kernels()
+        # Searches never read launch profiles (emit_module_hotspots turns
+        # profiling on for its one evaluation).
         self.device = device or GpuDevice(
-            arch, unified_memory_arena=True, arena_guard_elements=ARENA_GUARD_ELEMENTS)
+            arch, profile=False, unified_memory_arena=True,
+            arena_guard_elements=ARENA_GUARD_ELEMENTS)
 
     # -- execution -------------------------------------------------------------------
     def run(self, params: SimCovParams, module: Optional[Module] = None,
@@ -305,6 +308,11 @@ class SimCovWorkloadAdapter(WorkloadAdapter):
     @property
     def kernels(self) -> SimCovKernels:
         return self.driver.kernels
+
+    @property
+    def device(self) -> GpuDevice:
+        """The driver's device (what :func:`emit_module_hotspots` profiles)."""
+        return self.driver.device
 
     def evaluate(self, module: Module) -> FitnessResult:
         case = self._run_case(module, self.fitness_params, self._reference_fitness,

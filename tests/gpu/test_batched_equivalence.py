@@ -254,6 +254,34 @@ def test_rand_uniform_streams_equivalent_per_row():
     assert all(not isinstance(outcome, Exception) for outcome in batched)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_scalar_row_batches_equivalent(monkeypatch):
+    """A row with an ``inf`` scalar stacks with a fractional row (both are
+    float64 under the shared dtype rule) and matches its solo launch; the
+    integral-dtype test used to raise out of ``launch_batched``."""
+    from repro.gpu import simulator
+
+    from .test_fast_path_equivalence import build_scalar_module
+
+    stacked = []
+    execute_batched = simulator.execute_batched
+
+    def recording(*args, **kwargs):
+        outcome = execute_batched(*args, **kwargs)
+        stacked.append(len(args[0]))
+        return outcome
+
+    monkeypatch.setattr(simulator, "execute_batched", recording)
+    module = build_scalar_module()
+    x = np.random.default_rng(5).normal(size=32)
+    rows = [(module, {"x": x, "out": np.zeros(32), "low": np.zeros(32), "s": s})
+            for s in (1.5, math.inf)]
+    batched = assert_batched_equals_solo(rows, 1, 32, get_arch("P100"),
+                                         kernel_name="scalark")
+    assert all(not isinstance(outcome, Exception) for outcome in batched)
+    assert stacked == [2]
+
+
 # --------------------------------------------------------------------------- tier interplay
 def test_oracle_tier_batches_fall_back_to_solo():
     """A non-JIT device still honours the batched entry point (solo runs)."""

@@ -719,3 +719,121 @@ def test_load_cost_override_equivalent():
         arch, kernel_name="saxpy_wasteful")
     assert result is not None
     assert result.counters["override_cycles"] > 0
+
+
+# --------------------------------------------------------------------------- count boundaries
+def _build_branch_module():
+    """One CONDBR on a loaded flag, with work on both sides."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("branchk", params=[Param("flags", "buffer"),
+                                         Param("out", "buffer")])
+    b.block("entry")
+    tid = b.tid_x()
+    flag = b.load(b.reg("flags"), tid)
+    then_cm, else_cm = b.if_then_else(b.gt(flag, 0))
+    with then_cm:
+        b.store(b.reg("out"), tid, b.mul(flag, 3))
+    with else_cm:
+        b.store(b.reg("out"), tid, -1.0)
+    b.ret()
+    return build_module("branchm", b.build())
+
+
+@pytest.mark.parametrize("block", [32, 48])
+@pytest.mark.parametrize("true_lanes", [0, 1, 15, 16, 31, 32])
+def test_condbr_at_count_boundaries_equivalent(block, true_lanes):
+    """The condition holds on the first *true_lanes* lanes of every warp.
+
+    A block of 32 is one full warp (0, 1, 31 and 32 true lanes are the
+    uniform-false, divergent and uniform-true edges of the full shape); a
+    block of 48 adds a partial last warp of 16 lanes, which decides under
+    the masked shape -- 16 or more true lanes make it uniformly taken even
+    though the inactive lanes' condition is false.
+    """
+    lanes = np.arange(block)
+    flags = np.where(lanes % 32 < true_lanes, lanes + 1.0, 0.0)
+    result = assert_equivalent_launch(
+        _build_branch_module(), 1, block, {"flags": flags, "out": np.zeros(block)},
+        get_arch("P100"), kernel_name="branchk")
+    assert result is not None
+
+
+def _build_division_module(opcode):
+    """``out[tid] = num[tid] <opcode> den[tid]`` for ``tid < n`` only."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("divk", params=[Param("num", "buffer"), Param("den", "buffer"),
+                                      Param("out", "buffer"), Param("n", "scalar")])
+    b.block("entry")
+    tid = b.tid_x()
+    with b.if_then(b.lt(tid, b.reg("n"))):
+        numerator = b.load(b.reg("num"), tid)
+        denominator = b.load(b.reg("den"), tid)
+        quotient = b.div(numerator, denominator) if opcode == "div" \
+            else b.rem(numerator, denominator)
+        b.store(b.reg("out"), tid, quotient)
+    b.ret()
+    return build_module("divm", b.build())
+
+
+@pytest.mark.parametrize("opcode", ["div", "rem"])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("active", [27, 32])
+@pytest.mark.parametrize("zero_lane", [None, 5])
+def test_division_zero_check_equivalent(opcode, dtype, active, zero_lane):
+    """``div``/``rem`` trap only on a zero denominator in an active lane.
+
+    With ``active == 27`` the division runs under a partial mask and lanes
+    27-31 hold zero denominators that must not trap; ``zero_lane`` puts
+    one zero in an active lane, which traps with the same message on
+    every tier, under the full shape too.
+    """
+    lanes = np.arange(32)
+    numerator = (lanes * 7 - 50).astype(dtype)
+    denominator = (lanes % 5 + 1).astype(dtype)
+    denominator[active:] = 0
+    if zero_lane is not None:
+        denominator[zero_lane] = 0
+    args = {"num": numerator, "den": denominator,
+            "out": np.zeros(32, dtype=dtype), "n": active}
+    module = _build_division_module(opcode)
+    arch = get_arch("P100")
+    result = assert_equivalent_launch(module, 1, 32, args, arch, kernel_name="divk")
+    if zero_lane is None:
+        assert result is not None
+        return
+    assert result is None
+    with pytest.raises(KernelTrap, match="division by zero"):
+        GpuDevice(arch, fast_path="oracle").launch(module, 1, 32, args,
+                                                   kernel_name="divk")
+
+
+# --------------------------------------------------------------------------- scalar arguments
+def build_scalar_module():
+    """A kernel whose arithmetic and branch both read the scalar ``s``."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("scalark", params=[Param("x", "buffer"), Param("out", "buffer"),
+                                         Param("low", "buffer"), Param("s", "scalar")])
+    b.block("entry")
+    tid = b.tid_x()
+    value = b.load(b.reg("x"), tid)
+    b.store(b.reg("out"), tid, b.add(b.mul(value, b.reg("s")), b.reg("s")))
+    with b.if_then(b.lt(value, b.reg("s"))):
+        b.store(b.reg("low"), tid, b.min(value, b.reg("s")))
+    b.ret()
+    return build_module("scalarm", b.build())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scalar", [math.inf, -math.inf, math.nan])
+def test_non_finite_scalar_argument_equivalent(scalar):
+    """A non-finite scalar argument broadcasts as float64 on every tier
+    (the integral-dtype test used to raise on it before any lane ran)."""
+    x = np.random.default_rng(5).normal(size=32)
+    result = assert_equivalent_launch(
+        build_scalar_module(), 1, 32,
+        {"x": x, "out": np.zeros(32), "low": np.zeros(32), "s": scalar},
+        get_arch("P100"), kernel_name="scalark")
+    assert result is not None

@@ -157,7 +157,7 @@ class TestBufferHandle:
 class TestUnifiedArena:
     def test_slightly_out_of_bounds_reads_stay_in_arena(self):
         memory = GlobalMemory(unified_arena=True, guard_elements=16)
-        first = memory.bind("first", np.arange(8, dtype=np.float64))
+        memory.bind("first", np.arange(8, dtype=np.float64))
         memory.bind("second", np.arange(8, dtype=np.float64) + 100)
         memory.finalize_arena()
         first = memory.get("first")
@@ -184,6 +184,41 @@ class TestUnifiedArena:
         handle.logical_view()[:] = [1, 2, 3, 4]
         memory.sync_back()
         np.testing.assert_allclose(host, [1, 2, 3, 4])
+
+    def test_arena_layout(self):
+        g = 5
+        memory = GlobalMemory(unified_arena=True, guard_elements=g)
+        hosts = [np.arange(7, dtype=np.float64) + 0.5,
+                 np.arange(3, dtype=np.int64) + 40,
+                 np.array([True, False, True, True])]
+        for index, host in enumerate(hosts):
+            memory.bind(f"b{index}", host)
+        memory.finalize_arena()
+        handles = [memory.get(f"b{index}") for index in range(3)]
+        n0, n1, n2 = (host.size for host in hosts)
+        offsets = [g, g + n0 + g, g + n0 + g + n1 + g]
+        assert [handle.offset for handle in handles] == offsets
+        arena = handles[0].arena
+        assert arena.dtype == np.float64
+        assert arena.shape[0] == offsets[2] + n2 + g == memory.total_bytes() // 8
+        assert all(handle.arena is arena for handle in handles)
+        guards = np.ones(arena.shape[0], dtype=bool)
+        for offset, host in zip(offsets, hosts):
+            guards[offset:offset + host.size] = False
+            np.testing.assert_array_equal(arena[offset:offset + host.size], host)
+        assert not arena[guards].any()
+        # Reading past buffer 0 lands in its tail guard, then in buffer 1.
+        spill, = handles[0].check_bounds(np.array([n0 + g]))
+        assert arena[spill] == hosts[1][0]
+
+        handles[0].logical_view()[:] = -1.25
+        handles[1].logical_view()[:] = [7, 8, 9]
+        handles[2].logical_view()[:] = [0, 1, 0, 0]
+        memory.sync_back()
+        assert [host.dtype for host in hosts] == [np.float64, np.int64, np.bool_]
+        np.testing.assert_array_equal(hosts[0], np.full(n0, -1.25))
+        np.testing.assert_array_equal(hosts[1], [7, 8, 9])
+        np.testing.assert_array_equal(hosts[2], [False, True, False, False])
 
     def test_arena_end_to_end_launch(self):
         device = GpuDevice(P100, unified_memory_arena=True, arena_guard_elements=8)

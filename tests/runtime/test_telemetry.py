@@ -265,20 +265,26 @@ class TestEngineInstrumentation:
         assert "evals/s" in stats.summary()
         assert stats.summary().startswith(f"{stats.evaluations} evaluations")
 
-    def test_hotspots_profile_is_opt_in(self, adapter, tmp_path):
-        trace_dir = str(tmp_path)
-        profile_before = adapter.device.profile_enabled
-        with Telemetry(trace_dir, run_id="r") as telemetry:
-            assert emit_module_hotspots(telemetry, adapter,
-                                        adapter.original_module(),
-                                        label="test")
-        assert adapter.device.profile_enabled == profile_before  # restored
-        events = [event for event in load_trace(trace_dir)
-                  if event.name == "profile.hotspots"]
-        assert len(events) == 1
-        hotspots = events[0].fields["hotspots"]
-        assert hotspots and {"location", "opcode", "cycles",
-                             "executions"} <= set(hotspots[0])
+    def test_hotspots_profile_is_opt_in(self, request, tmp_path):
+        for workload in ("adapter", "adept_v1_adapter", "simcov_adapter"):
+            adapter = request.getfixturevalue(workload)
+            # A search evaluation records no per-instruction profile ...
+            assert adapter.evaluate(adapter.original_module()).valid, workload
+            assert not adapter.device.last_profile.instructions, workload
+            # ... and the hotspot emitter turns profiling on for its one run.
+            trace_dir = str(tmp_path / workload)
+            profile_before = adapter.device.profile_enabled
+            with Telemetry(trace_dir, run_id="r") as telemetry:
+                assert emit_module_hotspots(telemetry, adapter,
+                                            adapter.original_module(),
+                                            label="test"), workload
+            assert adapter.device.profile_enabled == profile_before  # restored
+            events = [event for event in load_trace(trace_dir)
+                      if event.name == "profile.hotspots"]
+            assert len(events) == 1, workload
+            hotspots = events[0].fields["hotspots"]
+            assert hotspots and {"location", "opcode", "cycles",
+                                 "executions"} <= set(hotspots[0]), workload
 
 
 class TestSweepAcceptance:
