@@ -1,20 +1,17 @@
-"""Microbenchmark: serial vs. process-pool vs. async population evaluation.
+"""Microbenchmark: serial vs. process-pool population evaluation.
 
 Evaluates one GA-generation-sized batch of distinct toy-kernel variants
 through the :class:`~repro.runtime.engine.EvaluationEngine`, once per
-executor backend: :class:`SerialExecutor`, :class:`ParallelExecutor`
-(pool started -- and the adapter shipped to the workers -- outside the
-timed region, matching a long search where the startup cost amortises
-over hundreds of generations) and the in-process
-:class:`~repro.runtime.executors.AsyncExecutor`, whose pitch is paying
-no pickling/IPC tax at all.  Run with ``-s`` to see the comparison; the
+executor: :class:`SerialExecutor` and :class:`ParallelExecutor` (pool
+started -- and the adapter shipped to the workers -- outside the timed
+region, matching a long search where the startup cost amortises over
+hundreds of generations).  Run with ``-s`` to see the comparison; the
 parity of the result sets is asserted either way.
 
-No speedup is *asserted*: the expected ratios are entirely
-hardware-dependent (on a single-core CI container the strategies tie,
-with the pool paying a small IPC tax; on an N-core workstation the
-parallel row approaches N-fold, while the async row is bounded by how
-often the numpy kernels release the GIL).
+No speedup is *asserted*: the expected ratio is entirely
+hardware-dependent (on a single-core CI container the two tie, with the
+pool paying a small IPC tax; on an N-core workstation the parallel row
+approaches N-fold).
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.gevo.edits import InstructionDelete
-from repro.runtime import AsyncExecutor, EvaluationEngine, FitnessCache, ParallelExecutor
+from repro.runtime import EvaluationEngine, FitnessCache, ParallelExecutor
 from repro.workloads import ToyWorkloadAdapter
 
 #: One scaled GA generation's worth of variants.
@@ -71,18 +68,6 @@ def test_population_evaluation_serial(benchmark, adapter, edit_sets, expected):
     def evaluate():
         # Fresh cache each round so every variant is actually simulated.
         engine = EvaluationEngine(adapter, cache=FitnessCache())
-        return engine.evaluate_many(edit_sets)
-
-    results = benchmark.pedantic(evaluate, rounds=3, iterations=1)
-    _check(results, expected)
-
-
-def test_population_evaluation_async(benchmark, adapter, edit_sets, expected):
-    executor = AsyncExecutor(JOBS)
-
-    def evaluate():
-        engine = EvaluationEngine(adapter, executor=executor,
-                                  cache=FitnessCache())
         return engine.evaluate_many(edit_sets)
 
     results = benchmark.pedantic(evaluate, rounds=3, iterations=1)

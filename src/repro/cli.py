@@ -12,9 +12,9 @@ Sub-commands::
 
 Searches, baselines and sweeps run through the evaluation runtime
 (:mod:`repro.runtime`); the shared runtime flags (``--jobs``,
-``--executor``, ``--cache``/``--cache-backend``/``--cache-shards``,
-``--resume``, ``--checkpoint-every``, ``--reference-interpreter``) are
-documented in the README's CLI reference and in ``docs/runtime.md``.
+``--cache``, ``--resume``, ``--checkpoint-every``,
+``--interpreter-tier``, ...) are documented in the README's CLI
+reference and in ``docs/runtime.md``.
 
 The experiment identifiers match DESIGN.md / EXPERIMENTS.md and the
 benchmark harness, so the CLI is simply another front end over
@@ -57,26 +57,13 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every subcommand that evaluates fitness."""
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="evaluate each generation across N workers (0 = all cores)")
-    parser.add_argument(
-        "--executor", choices=["auto", "serial", "process", "async", "sharded"],
-        default="auto",
-        help="execution strategy for --jobs: in-process serial, a process "
-             "pool, bounded-concurrency asyncio, or hash-sharded lanes "
-             "(default: serial for --jobs 1, process pool otherwise)")
+        help="evaluate each generation across N worker processes (0 = all "
+             "cores); 1 (the default) evaluates serially in-process")
     parser.add_argument(
         "--cache", default=None, metavar="PATH",
-        help="persist the fitness cache to PATH; re-runs hit the warm cache")
-    parser.add_argument(
-        "--cache-backend", choices=["auto", "json", "sqlite", "sharded"],
-        default="auto",
-        help="disk tier for --cache: whole-document JSON, incremental "
-             "WAL-mode SQLite, or a directory of hash-partitioned SQLite "
-             "shards (default: pick from the path)")
-    parser.add_argument(
-        "--cache-shards", type=int, default=None, metavar="N",
-        help="shard count when creating a fresh sharded cache (an existing "
-             "sharded cache keeps the count it was created with)")
+        help="persist the fitness cache to the SQLite file PATH (a JSON "
+             "cache document there is imported once); re-runs hit the "
+             "warm cache")
     parser.add_argument(
         "--interpreter-tier", choices=["auto", "jit", "dispatch", "oracle"],
         default="auto",
@@ -85,11 +72,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
              "default), the decode-once dispatch tables, or the "
              "tree-walking reference oracle (slowest; for debugging the "
              "simulator itself)")
-    parser.add_argument(
-        "--reference-interpreter", action="store_true",
-        help="shorthand for --interpreter-tier oracle (kept from before the "
-             "tier flag existed); combining it with any other explicit tier "
-             "is an error")
     batching = parser.add_mutually_exclusive_group()
     batching.add_argument(
         "--batch-launches", dest="batch_launches", action="store_true",
@@ -221,22 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_interpreter_tier(arguments: argparse.Namespace) -> Optional[str]:
-    """The interpreter tier the flags select, or ``None`` for the default.
-
-    ``--reference-interpreter`` is the historical spelling of
-    ``--interpreter-tier oracle``; naming both is fine when they agree and
-    a hard error when they contradict (silently preferring one would make
-    a debugging run measure the wrong interpreter).
-    """
-    tier = None if arguments.interpreter_tier == "auto" else arguments.interpreter_tier
-    if arguments.reference_interpreter:
-        if tier not in (None, "oracle"):
-            raise ReproError(
-                f"--reference-interpreter selects the oracle tier but "
-                f"--interpreter-tier {tier} asks for a different one; "
-                "drop one of the two flags")
-        return "oracle"
-    return tier
+    """The interpreter tier the flags select, or ``None`` for the default."""
+    return None if arguments.interpreter_tier == "auto" else arguments.interpreter_tier
 
 
 def _resolve_batch_launches(arguments: argparse.Namespace) -> Optional[bool]:
@@ -244,7 +212,8 @@ def _resolve_batch_launches(arguments: argparse.Namespace) -> Optional[bool]:
 
     Batched launches run through the segment-JIT tier's stacked factories,
     so forcing them together with a slower per-candidate tier is a
-    contradiction: rejected loudly, like the tier flags themselves.
+    contradiction: rejected loudly (silently preferring one flag would make
+    a debugging run measure the wrong interpreter).
     """
     batch = getattr(arguments, "batch_launches", None)
     if batch:
@@ -284,12 +253,10 @@ def _finish_telemetry(arguments: argparse.Namespace, telemetry: Telemetry) -> No
 
 def _make_engine(adapter, arguments: argparse.Namespace,
                  telemetry: Optional[Telemetry] = None) -> EvaluationEngine:
-    backend = None if arguments.cache_backend == "auto" else arguments.cache_backend
     return EvaluationEngine(
         adapter,
-        executor=make_executor(arguments.jobs, arguments.executor),
-        cache=FitnessCache(arguments.cache, backend=backend,
-                           shards=arguments.cache_shards),
+        executor=make_executor(arguments.jobs),
+        cache=FitnessCache(arguments.cache),
         telemetry=telemetry,
         batch_launches=_resolve_batch_launches(arguments))
 
@@ -473,11 +440,9 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
                      method=arguments.method,
                      population=arguments.population,
                      generations=arguments.generations)
-    backend = None if arguments.cache_backend == "auto" else arguments.cache_backend
     _log.info(f"sweep: {len(spec.legs())} legs "
               f"({len(workloads)} workloads x {len(archs)} archs x {len(seeds)} seeds), "
-              f"method={arguments.method}, executor={arguments.executor}, "
-              f"jobs={arguments.jobs}"
+              f"method={arguments.method}, jobs={arguments.jobs}"
               + (", resuming" if arguments.resume else ""))
 
     # Per-leg progress lines come from the console reporter rendering the
@@ -487,10 +452,7 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
         spec, arguments.sweep_dir,
         resume=arguments.resume,
         jobs=arguments.jobs,
-        executor_kind=arguments.executor,
         cache_path=arguments.cache if arguments.cache else "auto",
-        cache_backend=backend,
-        cache_shards=arguments.cache_shards,
         checkpoint_every=arguments.checkpoint_every,
         interpreter_tier=interpreter_tier,
         batch_launches=batch_launches,

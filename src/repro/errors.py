@@ -76,7 +76,8 @@ class ExecutorError(ReproError):
     """An evaluation batch failed inside an :class:`~repro.runtime.engine.Executor`.
 
     Raised when a worker raises or dies mid-batch (e.g. a worker process
-    killed by the OOM killer, or an exception escaping an async task).
+    killed by the OOM killer, or an exception escaping an evaluation in a
+    pool worker).
     The engine guarantees that a batch which raises leaves the fitness
     cache untouched -- no partial results are ever stored -- so callers
     can retry the batch or abort without corrupting persisted state.

@@ -77,7 +77,7 @@ class GpuArch:
     #: ``"jit"``) pins a specific tier; ``False`` falls back to the
     #: tree-walking reference oracle (also reachable per device via
     #: ``GpuDevice(..., fast_path=...)`` or the CLI
-    #: ``--interpreter-tier`` / ``--reference-interpreter`` flags).  All
+    #: ``--interpreter-tier`` flag).  All
     #: tiers are bit-for-bit equivalent; the slower ones exist for
     #: debugging the simulator itself.
     fast_path: Union[bool, str] = True

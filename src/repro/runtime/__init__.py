@@ -13,16 +13,14 @@ process pool, against a persistent cache).  Typical usage::
     ...
     engine.close()   # flush the cache, stop the workers
 
-See :mod:`repro.runtime.engine` (executors + batch API),
-:mod:`repro.runtime.executors` (the async in-process and hash-sharded
-backends), :mod:`repro.runtime.cache` (content-addressed fitness cache
-and the pluggable :class:`CacheStore` backends -- whole-document JSON,
-incremental WAL-mode SQLite in :mod:`repro.runtime.sqlite_store`, or a
-directory of hash-partitioned SQLite shards in
-:mod:`repro.runtime.sharded_store`), :mod:`repro.runtime.checkpoint`
-(the :class:`CheckpointableSearch` protocol behind checkpoint/resume for
-GEVO and both baselines) and :mod:`repro.runtime.sweep` (the
-multi-architecture sweep orchestrator behind ``repro sweep``).
+See :mod:`repro.runtime.engine` (the batch API over the serial and
+process-pool executors), :mod:`repro.runtime.cache` (content-addressed
+fitness cache), :mod:`repro.runtime.sqlite_store` (its incremental
+WAL-mode SQLite disk tier, which also imports JSON cache documents),
+:mod:`repro.runtime.checkpoint` (the :class:`CheckpointableSearch`
+protocol behind checkpoint/resume for GEVO and both baselines) and
+:mod:`repro.runtime.sweep` (the multi-architecture sweep orchestrator
+behind ``repro sweep``).
 Observability lives in :mod:`repro.runtime.telemetry` (the run-scoped
 :class:`Telemetry` handle: structured event log + metrics registry,
 a true no-op when disabled), :mod:`repro.runtime.trace_format` (the
@@ -35,15 +33,11 @@ that renders telemetry events).  A fuller guide lives in
 from .cache import (
     CacheKey,
     CacheStats,
-    CacheStore,
     FitnessCache,
-    JsonCacheStore,
     canonical_edit_hash,
     canonical_edit_key,
-    make_cache_store,
     result_from_dict,
     result_to_dict,
-    shard_index,
 )
 from .checkpoint import (
     CheckpointableSearch,
@@ -66,8 +60,6 @@ from .engine import (
     make_executor,
 )
 from .console import ConsoleReporter, configure_console, console_logger
-from .executors import AsyncExecutor, ShardedExecutor
-from .sharded_store import ShardedCacheStore
 from .sqlite_store import SqliteCacheStore
 from .sweep import (
     LegOutcome,
@@ -97,10 +89,8 @@ from .trace_format import (
 )
 
 __all__ = [
-    "AsyncExecutor",
     "CacheKey",
     "CacheStats",
-    "CacheStore",
     "CheckpointableSearch",
     "ConsoleReporter",
     "EngineStats",
@@ -108,16 +98,13 @@ __all__ = [
     "EvaluationLedger",
     "Executor",
     "FitnessCache",
-    "JsonCacheStore",
     "LegOutcome",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "ParallelExecutor",
     "SearchCheckpoint",
     "SerialExecutor",
-    "ShardedCacheStore",
     "SimulatedCrash",
-    "ShardedExecutor",
     "SqliteCacheStore",
     "SweepLeg",
     "SweepReport",
@@ -137,7 +124,6 @@ __all__ = [
     "load_metrics",
     "load_trace",
     "make_adapter",
-    "make_cache_store",
     "make_executor",
     "merge_events",
     "merge_trace_dir",
@@ -149,7 +135,6 @@ __all__ = [
     "run_sweep",
     "serialize_history",
     "serialize_individual",
-    "shard_index",
     "summarize_trace",
     "telemetry_of",
 ]

@@ -16,31 +16,18 @@ evaluation runtime shares:
   (applying ``copy`` twice is not the same as applying it once), which is
   why the key is a sorted tuple rather than a frozen set.
 * :class:`FitnessCache` -- a two-tier cache: an always-on in-memory dict
-  plus an optional disk-persisted tier that survives across runs.  Keys
-  are ``(workload id, arch name, canonical edit-set hash)`` so one cache
+  plus an optional disk tier that survives across runs.  Keys are
+  ``(workload id, arch name, canonical edit-set hash)`` so one cache
   file can serve many workloads and architectures at once.
 
-Disk persistence is pluggable through the :class:`CacheStore` interface:
-
-* :class:`JsonCacheStore` -- a single version-tagged JSON document,
-  written atomically; every flush rewrites the whole file, which is fine
-  for small caches and keeps the file greppable.
-* :class:`~repro.runtime.sqlite_store.SqliteCacheStore` -- one row per
-  entry in a WAL-mode SQLite database; each flush upserts only the
-  entries added or changed since the last one, so flush cost is
-  O(new entries), not O(cache size).  The right tier for long sweeps.
-* :class:`~repro.runtime.sharded_store.ShardedCacheStore` -- a directory
-  of N SQLite shards with keys partitioned by :func:`shard_index`, so
-  concurrent writers (multi-process sweeps) rarely contend on one WAL
-  file.
-
-:func:`make_cache_store` picks a backend from an explicit name, an
-existing directory (sharded), the path's extension
-(``.sqlite`` / ``.sqlite3`` / ``.db``), or the on-disk
-file's magic bytes.  All stores treat a cache file as disposable
-acceleration state: corrupt or incompatible files behave like empty ones.
-``inf`` runtimes of invalid variants round-trip through JSON's
-``Infinity`` literal in either backend.
+The disk tier is :class:`~repro.runtime.sqlite_store.SqliteCacheStore`:
+one row per entry in a WAL-mode SQLite database, where each flush upserts
+only the entries added or changed since the last one, so flush cost is
+O(new entries), not O(cache size).  A version-1 JSON cache document found
+at the path is imported once.  A cache file is disposable acceleration
+state: a corrupt or incompatible file behaves like an empty one.  ``inf``
+runtimes of invalid variants round-trip through JSON's ``Infinity``
+literal.
 """
 
 from __future__ import annotations
@@ -49,21 +36,14 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..gevo.edits import Edit
 from ..gevo.fitness import CaseResult, FitnessResult
 
 #: Bump when the on-disk layout or the key derivation changes.
 CACHE_FORMAT_VERSION = 1
-
-#: File extensions that select the SQLite backend under ``backend="auto"``.
-SQLITE_EXTENSIONS = (".sqlite", ".sqlite3", ".db")
-
-#: First bytes of every SQLite database file.
-SQLITE_MAGIC = b"SQLite format 3\x00"
 
 
 # -- canonical edit-set identity ------------------------------------------------------
@@ -91,27 +71,14 @@ def canonical_edit_hash(edits: Sequence[Edit]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def shard_index(edit_hash: str, shards: int) -> int:
-    """Stable shard assignment for a canonical edit hash.
-
-    Shared by the :class:`~repro.runtime.sharded_store.ShardedCacheStore`
-    (which SQLite shard holds the row) and the
-    :class:`~repro.runtime.executors.ShardedExecutor` (which lane runs the
-    evaluation), so an edit set's evaluation and its cache row always
-    agree on a shard.  Derived from the hash prefix, not Python's
-    ``hash()``, so the assignment is stable across processes and runs.
-    """
-    return int(edit_hash[:8], 16) % max(1, shards)
-
-
 def _atomic_write(path: str, writer, *, durable: bool = False) -> None:
     """Run *writer(handle)* against a temp file, then rename over *path*.
 
     A crash mid-write never damages an existing file at *path*; readers
     see either the old content or the new, never a torn mix.  The single
-    implementation behind the JSON cache tier, checkpoints, the
-    sharded-store manifest and the sweep record/report writers (pinned
-    by the crash tests in ``tests/runtime/test_durability.py``).
+    implementation behind checkpoints, the sweep record/report writers and
+    the telemetry metrics/trace files (pinned by the crash tests in
+    ``tests/runtime/test_durability.py``).
 
     With ``durable=True`` the temp file is fsynced before the rename and
     the containing directory after it, so the new content (and the
@@ -120,9 +87,8 @@ def _atomic_write(path: str, writer, *, durable: bool = False) -> None:
     whole version of the file exists after a crash; without the fsyncs
     the filesystem may journal the rename before the data blocks,
     leaving a zero-length or truncated file after power failure.
-    Checkpoints opt in (irreplaceable search state); cache flushes do
-    not (disposable acceleration state -- losing a flush only costs
-    re-evaluation).
+    Checkpoints opt in (irreplaceable search state); the other writers
+    do not.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -206,145 +172,6 @@ def result_from_dict(data: Dict[str, object]) -> FitnessResult:
     return FitnessResult(valid=data["valid"], runtime_ms=data["runtime_ms"], cases=cases)
 
 
-# -- storage backends -----------------------------------------------------------------
-
-class CacheStore:
-    """Persistence strategy for a :class:`FitnessCache`.
-
-    A store maps key strings (``CacheKey.to_string()``) to serialised
-    :class:`FitnessResult` payloads.  Contract:
-
-    * :meth:`load` returns everything currently on disk; missing, corrupt
-      or version-incompatible files load as *empty* (a cache is disposable
-      acceleration state, never irreplaceable).
-    * :meth:`flush` persists the cache atomically with respect to readers
-      and crashes: an interrupted flush must leave the previous on-disk
-      state loadable.
-    * Stores may ignore ``dirty_keys`` (the JSON tier rewrites the whole
-      document anyway) or use it to write incrementally (the SQLite tier
-      upserts only those rows).
-    """
-
-    backend = "store"
-    #: Suggested minimum seconds between hot-path flushes (see
-    #: :meth:`FitnessCache.maybe_save`).  Stores with O(dirty) flush cost
-    #: can afford 0; stores with O(cache) flush cost should rate-limit.
-    flush_interval = 5.0
-
-    def __init__(self, path: str):
-        self.path = path
-        #: Entries written by the most recent :meth:`flush` (observability
-        #: hook; the incremental-flush tests pin the SQLite tier with it).
-        self.last_flush_count = 0
-
-    def load(self) -> Dict[str, Dict[str, object]]:
-        raise NotImplementedError
-
-    def flush(self, entries: Dict[CacheKey, FitnessResult],
-              dirty_keys: Set[CacheKey]) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any resources (connections); idempotent."""
-
-
-def read_json_cache_document(path: str) -> Optional[Dict[str, Dict[str, object]]]:
-    """Entries of the JSON cache document at *path*, or ``None``.
-
-    ``None`` means "not a usable cache document": missing, unreadable,
-    unparseable, or an incompatible format version (stale data, not an
-    error).  A valid-but-empty cache returns ``{}``.  Shared by the JSON
-    tier's :meth:`JsonCacheStore.load` and the SQLite tier's one-time
-    migration, so the two readers cannot drift apart.
-    """
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (ValueError, OSError):
-        return None
-    if not isinstance(document, dict) or document.get("version") != CACHE_FORMAT_VERSION:
-        return None
-    entries = document.get("entries", {})
-    return entries if isinstance(entries, dict) else None
-
-
-class JsonCacheStore(CacheStore):
-    """The original single-document JSON tier.
-
-    Every flush serialises the full entry map and atomically replaces the
-    file (tmp file + rename), so a crash mid-write never damages the
-    previous document.  Simple and human-readable, but flush cost grows
-    with the cache: prefer the SQLite tier past a few thousand entries.
-    """
-
-    backend = "json"
-    flush_interval = 5.0
-
-    def load(self) -> Dict[str, Dict[str, object]]:
-        # A corrupt or incompatible document behaves like an empty cache
-        # (and is replaced wholesale on the next flush).
-        entries = read_json_cache_document(self.path)
-        return entries if entries is not None else {}
-
-    def flush(self, entries, dirty_keys) -> None:
-        document = {
-            "version": CACHE_FORMAT_VERSION,
-            "entries": {key.to_string(): result_to_dict(result)
-                        for key, result in entries.items()},
-        }
-        atomic_write_json(self.path, document)
-        self.last_flush_count = len(entries)
-
-
-def make_cache_store(path: str, backend: Optional[str] = None, *,
-                     shards: Optional[int] = None) -> CacheStore:
-    """Build the cache store for *path*.
-
-    ``backend`` may be ``"json"``, ``"sqlite"``, ``"sharded"``, or
-    ``None``/``"auto"``.  Auto-detection prefers, in order: an existing
-    directory at *path* (the sharded tier keeps its shard files inside a
-    directory), a SQLite file extension (``.sqlite`` / ``.sqlite3`` /
-    ``.db``), the SQLite magic bytes of an existing file at *path*, and
-    finally the JSON tier.  An existing JSON cache opened with the SQLite
-    backend is migrated in place on first open (see
-    :class:`~repro.runtime.sqlite_store.SqliteCacheStore`).  ``shards``
-    sets the shard count when a *fresh* sharded store is created (an
-    existing store keeps the count it was created with).
-    """
-    if backend in (None, "auto"):
-        extension = os.path.splitext(path)[1].lower()
-        if os.path.isdir(path):
-            backend = "sharded"
-        elif extension in SQLITE_EXTENSIONS:
-            backend = "sqlite"
-        elif _file_has_sqlite_magic(path):
-            backend = "sqlite"
-        else:
-            backend = "json"
-    if backend == "json":
-        return JsonCacheStore(path)
-    if backend == "sqlite":
-        from .sqlite_store import SqliteCacheStore
-
-        return SqliteCacheStore(path)
-    if backend == "sharded":
-        from .sharded_store import ShardedCacheStore
-
-        return ShardedCacheStore(path, shards=shards)
-    raise ValueError(f"unknown cache backend {backend!r} "
-                     "(expected 'auto', 'json', 'sqlite' or 'sharded')")
-
-
-def _file_has_sqlite_magic(path: str) -> bool:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
-    except OSError:
-        return False
-
-
 # -- the cache ------------------------------------------------------------------------
 
 @dataclass
@@ -374,30 +201,24 @@ class FitnessCache:
     """In-memory fitness cache with an optional persistent disk tier.
 
     With ``path=None`` the cache is purely in-memory (the default for
-    tests and one-shot runs).  With a path, :meth:`load` pre-populates the
-    memory tier from disk and :meth:`save` writes new/changed entries back
-    through the configured :class:`CacheStore`; saving is a no-op unless
-    entries were added or overwritten since the last write.
-
-    ``backend`` selects the disk tier (``"auto"``/``"json"``/``"sqlite"``,
-    see :func:`make_cache_store`); a pre-built store can be passed as
-    ``store=`` instead of a path.
+    tests and one-shot runs).  With a path, the memory tier is
+    pre-populated from the :class:`~repro.runtime.sqlite_store.SqliteCacheStore`
+    at *path* and :meth:`save` writes new/changed entries back to it;
+    saving is a no-op unless entries were added or overwritten since the
+    last write.  A directory at *path* is rejected with a
+    :class:`~repro.errors.ReproError` before anything is opened.
     """
 
-    def __init__(self, path: Optional[str] = None, *, backend: Optional[str] = None,
-                 store: Optional[CacheStore] = None, autoload: bool = True,
-                 shards: Optional[int] = None):
-        if store is not None:
-            self._store: Optional[CacheStore] = store
-        elif path is not None:
-            self._store = make_cache_store(path, backend, shards=shards)
-        else:
-            self._store = None
+    def __init__(self, path: Optional[str] = None):
+        # Imported lazily: the store builds on the key and payload helpers
+        # defined in this module.
+        from .sqlite_store import SqliteCacheStore
+
+        self._store = SqliteCacheStore(path) if path is not None else None
         self.stats = CacheStats()
         self._entries: Dict[CacheKey, FitnessResult] = {}
         self._dirty_keys: Set[CacheKey] = set()
-        self._last_save = 0.0
-        if self._store is not None and autoload:
+        if self._store is not None:
             self.load()
 
     @property
@@ -405,16 +226,9 @@ class FitnessCache:
         return self._store.path if self._store is not None else None
 
     @property
-    def store(self) -> Optional[CacheStore]:
+    def store(self):
+        """The :class:`~repro.runtime.sqlite_store.SqliteCacheStore`, if any."""
         return self._store
-
-    @property
-    def backend(self) -> Optional[str]:
-        return self._store.backend if self._store is not None else None
-
-    @property
-    def _dirty(self) -> bool:
-        return bool(self._dirty_keys)
 
     # -- lookup ------------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[FitnessResult]:
@@ -469,31 +283,22 @@ class FitnessCache:
         self.stats.loaded += loaded
         return loaded
 
-    def save(self, *, force: bool = False) -> bool:
+    def save(self) -> bool:
         """Write new/changed entries through the disk tier when dirty."""
-        if self._store is None or (not self._dirty_keys and not force):
+        if self._store is None or not self._dirty_keys:
             return False
-        dirty = set(self._entries) if force else set(self._dirty_keys)
-        self._store.flush(self._entries, dirty)
+        self._store.flush(self._entries, set(self._dirty_keys))
         self._dirty_keys.clear()
-        self._last_save = time.monotonic()
         return True
 
-    def maybe_save(self, min_interval_seconds: Optional[float] = None) -> bool:
-        """Save, but at most once per *min_interval_seconds*.
+    def maybe_save(self) -> bool:
+        """The engine's flush after every batch: :meth:`save` when dirty.
 
-        The interval defaults to the store's own ``flush_interval``: the
-        JSON tier rewrites the whole file per save, so hot-path flushes
-        are rate-limited (an unclean exit loses at most the last
-        interval's entries); the SQLite tier upserts only dirty rows, so
-        it flushes every time and an unclean exit loses nothing already
-        handed to ``put``.
+        A flush upserts only the dirty rows, so it is cheap enough to run
+        per batch, and an unclean exit loses nothing already handed to
+        :meth:`put`.  ``perfbench`` times this hook apart from
+        :meth:`save` itself.
         """
-        if min_interval_seconds is None:
-            min_interval_seconds = (self._store.flush_interval
-                                    if self._store is not None else 0.0)
-        if time.monotonic() - self._last_save < min_interval_seconds:
-            return False
         return self.save()
 
     def close(self) -> None:

@@ -120,12 +120,13 @@ class Executor:
     * :meth:`run_batch` returns one :class:`FitnessResult` per edit set,
       **in input order**, regardless of internal completion order;
     * results are **bit-for-bit identical** across executors -- the
-      simulated GPU is deterministic, so serial, process-pool, async and
-      sharded execution must agree exactly;
-    * a failure mid-batch raises (ideally an
-      :class:`~repro.errors.ExecutorError`) instead of returning partial
-      results -- the engine only caches results from batches that
-      completed, so a raising batch never corrupts the cache;
+      simulated GPU is deterministic, so serial and process-pool
+      execution must agree exactly;
+    * a failure mid-batch raises (an :class:`~repro.errors.ExecutorError`
+      for the process pool; the serial path lets the original exception
+      through) instead of returning partial results -- the engine only
+      caches results from batches that completed, so a raising batch
+      never corrupts the cache;
     * :meth:`close` releases resources and is idempotent; an executor
       must remain usable for a fresh batch after a failed one.
 
@@ -258,6 +259,9 @@ class ParallelExecutor(Executor):
     pool initializer; tasks carry only the serialised edit list (via
     :meth:`Edit.to_dict`), so per-task overhead stays small.  Workers are
     started lazily on the first batch and torn down by :meth:`close`.
+    An exception raised by a worker's evaluation surfaces as one
+    :class:`~repro.errors.ExecutorError`; queued tasks of the batch are
+    cancelled and never start.
     """
 
     name = "parallel"
@@ -304,6 +308,12 @@ class ParallelExecutor(Executor):
             raise ExecutorError(
                 "a worker process died mid-batch (killed or crashed); "
                 "the pool has been reset and the batch was not cached") from exc
+        except Exception as exc:
+            # pool.map re-raises the first failing task's exception and
+            # cancels the tasks still queued behind it.
+            raise ExecutorError(
+                f"process-pool evaluation batch failed: "
+                f"{type(exc).__name__}: {exc}") from exc
 
     def close(self) -> None:
         if self._pool is not None:
@@ -313,15 +323,12 @@ class ParallelExecutor(Executor):
 
 
 def make_executor(jobs: int, kind: Optional[str] = None) -> Executor:
-    """Build the executor for a ``--jobs N`` / ``--executor KIND`` request.
+    """Build the executor for a ``--jobs N`` request.
 
-    With ``kind`` ``None``/``"auto"`` the historical rule applies:
-    ``jobs == 1`` -> serial; anything else -> a process pool (``jobs < 1``
-    means one worker per core, capped).  Explicit kinds: ``"serial"``,
-    ``"process"`` (:class:`ParallelExecutor`), ``"async"``
-    (:class:`~repro.runtime.executors.AsyncExecutor`) and ``"sharded"``
-    (:class:`~repro.runtime.executors.ShardedExecutor`); for those,
-    ``jobs`` sets the worker/lane count.
+    With ``kind`` ``None``/``"auto"``: ``jobs == 1`` -> serial; anything
+    else -> a process pool (``jobs < 1`` means one worker per core,
+    capped).  ``"serial"`` and ``"process"`` (:class:`ParallelExecutor`
+    with ``jobs`` workers) pick one explicitly.
     """
     if kind in (None, "auto"):
         return SerialExecutor() if jobs == 1 else ParallelExecutor(jobs)
@@ -329,13 +336,8 @@ def make_executor(jobs: int, kind: Optional[str] = None) -> Executor:
         return SerialExecutor()
     if kind == "process":
         return ParallelExecutor(jobs)
-    if kind in ("async", "sharded"):
-        # Imported lazily: executors.py builds on the types defined here.
-        from .executors import AsyncExecutor, ShardedExecutor
-
-        return AsyncExecutor(jobs) if kind == "async" else ShardedExecutor(jobs)
     raise ValueError(f"unknown executor kind {kind!r} (expected 'auto', "
-                     "'serial', 'process', 'async' or 'sharded')")
+                     "'serial' or 'process')")
 
 
 # -- the engine ----------------------------------------------------------------------
@@ -492,9 +494,6 @@ class EvaluationEngine:
             for index, key in enumerate(keys):
                 if results[index] is None:
                     results[index] = fresh[pending[key]]
-            # Interval defaults to the cache store's own flush_interval:
-            # rate-limited for the whole-file JSON tier, every batch for
-            # the incremental SQLite tier.
             if self.cache.maybe_save():
                 telemetry.counter("cache.flushes").inc()
             # The nastiest crash window for resume determinism: results

@@ -1,11 +1,8 @@
-"""SQLite tier of the fitness cache.
+"""SQLite disk tier of the fitness cache.
 
-The JSON tier (:class:`~repro.runtime.cache.JsonCacheStore`) rewrites the
-whole document on every flush -- O(cache size) I/O per save, which is fine
-for a few hundred entries and hopeless for the million-evaluation sweeps
-the ROADMAP aims at.  This store keeps one row per cache entry in a
-WAL-mode SQLite database and, on flush, upserts **only** the entries added
-or changed since the last flush, so flush cost is O(dirty entries).
+The store keeps one row per cache entry in a WAL-mode SQLite database
+and, on flush, upserts **only** the entries added or changed since the
+last flush, so flush cost is O(dirty entries), not O(cache size).
 
 Properties the durability tests pin down:
 
@@ -17,17 +14,16 @@ Properties the durability tests pin down:
   this even across process death).
 * **Concurrent readers** -- WAL mode lets other processes read the cache
   while a writer is flushing; readers see the last committed snapshot.
-* **Disposability without destruction** -- like the JSON tier, a corrupt
-  or truncated database file loads as an *empty* cache; the unusable
-  file is renamed to ``<path>.corrupt`` (never deleted -- it might be a
-  mistyped ``--cache`` pointing at a file that is not a cache at all)
-  and a fresh database is created in its place.
-* **Migration** -- opening a path that currently holds a JSON cache
-  document converts it to SQLite in place, once: entries are imported,
-  the database atomically replaces the JSON file, and subsequent opens
-  are plain SQLite.  (Auto-detection in :func:`make_cache_store` keeps a
-  ``.json`` path on the JSON tier unless the SQLite backend is requested
-  explicitly.)
+* **Disposability without destruction** -- a corrupt or truncated
+  database file loads as an *empty* cache; the unusable file is renamed
+  to ``<path>.corrupt`` (never deleted -- it might be a mistyped
+  ``--cache`` pointing at a file that is not a cache at all) and a fresh
+  database is created in its place.  A directory is refused outright.
+* **JSON import** -- opening a path that currently holds a version-1
+  JSON cache document (``{"version": 1, "entries": {...}}``) converts it
+  to SQLite in place, once: entries are imported, the database
+  atomically replaces the JSON file, and subsequent opens are plain
+  SQLite.
 """
 
 from __future__ import annotations
@@ -37,15 +33,12 @@ import os
 import sqlite3
 from typing import Dict, Optional, Set
 
-from .cache import (
-    CACHE_FORMAT_VERSION,
-    CacheKey,
-    CacheStore,
-    SQLITE_MAGIC,
-    read_json_cache_document,
-    result_to_dict,
-)
+from ..errors import ReproError
 from ..gevo.fitness import FitnessResult
+from .cache import CACHE_FORMAT_VERSION, CacheKey, result_to_dict
+
+#: First bytes of every SQLite database file.
+SQLITE_MAGIC = b"SQLite format 3\x00"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -64,15 +57,23 @@ ON CONFLICT(key) DO UPDATE SET payload = excluded.payload
 """
 
 
-class SqliteCacheStore(CacheStore):
-    """One-row-per-entry fitness-cache store backed by WAL-mode SQLite."""
+class SqliteCacheStore:
+    """One-row-per-entry fitness-cache store backed by WAL-mode SQLite.
 
-    backend = "sqlite"
-    #: Flushes are O(dirty rows); no reason to rate-limit the hot path.
-    flush_interval = 0.0
+    :meth:`load` returns every entry on disk as key string ->
+    payload dict (a missing, corrupt or version-incompatible file loads as
+    empty); :meth:`flush` upserts the *dirty_keys* in one transaction.
+    """
 
     def __init__(self, path: str):
-        super().__init__(path)
+        if os.path.isdir(path):
+            raise ReproError(
+                f"fitness cache path {path} is a directory; pass a file path "
+                f"such as {os.path.join(path, 'cache.sqlite')}")
+        self.path = path
+        #: Entries written by the most recent :meth:`flush` (the
+        #: incremental-flush tests read it).
+        self.last_flush_count = 0
         self._conn: Optional[sqlite3.Connection] = None
 
     # -- connection management ---------------------------------------------------------
@@ -94,8 +95,7 @@ class SqliteCacheStore(CacheStore):
         try:
             return self._prepare(sqlite3.connect(self.path))
         except sqlite3.DatabaseError:
-            # Truncated/corrupt database: degrade to an empty cache, like
-            # the JSON tier does with unparseable documents.
+            # Truncated/corrupt database: degrade to an empty cache.
             self._set_aside_unusable_file()
             return self._prepare(sqlite3.connect(self.path))
 
@@ -132,7 +132,7 @@ class SqliteCacheStore(CacheStore):
                                  (str(CACHE_FORMAT_VERSION),))
                 elif version[0] != str(CACHE_FORMAT_VERSION):
                     # Incompatible caches are stale data, not errors: start
-                    # over (mirrors the JSON tier ignoring old versions).
+                    # over.
                     conn.execute("DELETE FROM entries")
                     conn.execute("UPDATE meta SET value = ? WHERE key = 'version'",
                                  (str(CACHE_FORMAT_VERSION),))
@@ -155,15 +155,21 @@ class SqliteCacheStore(CacheStore):
         """Entries of a JSON cache document living at :attr:`path`, if any.
 
         Returns ``None`` when the path is missing, already SQLite, or not a
-        compatible JSON cache; otherwise the key -> payload-text map to
-        seed the fresh database with (the one-time migration).  Parsing and
-        validation are shared with the JSON tier via
-        :func:`~repro.runtime.cache.read_json_cache_document`.
+        version-1 JSON cache document (unparseable, another version, or
+        malformed); otherwise the key -> payload-text map to seed the
+        fresh database with (the one-time migration).
         """
-        if self._exists_but_not_sqlite() is False:
+        if not self._exists_but_not_sqlite():
             return None
-        entries = read_json_cache_document(self.path)
-        if entries is None:
+        try:
+            with open(self.path, "r", encoding="utf-8") as handle:
+                document = json.load(handle)
+        except (ValueError, OSError):
+            return None
+        if not isinstance(document, dict) or document.get("version") != CACHE_FORMAT_VERSION:
+            return None
+        entries = document.get("entries", {})
+        if not isinstance(entries, dict):
             return None
         return {key: json.dumps(payload) for key, payload in entries.items()}
 
@@ -183,7 +189,7 @@ class SqliteCacheStore(CacheStore):
             if os.path.exists(target):
                 os.unlink(target)
 
-    # -- CacheStore interface ----------------------------------------------------------
+    # -- load / flush ------------------------------------------------------------------
     def load(self) -> Dict[str, Dict[str, object]]:
         if not os.path.exists(self.path):
             return {}

@@ -19,25 +19,23 @@ orchestrator here runs the whole grid through the existing
   carries the leg's fitness-cache contents, and the shared sweep cache
   persists across processes);
 * all legs share one :class:`~repro.runtime.cache.FitnessCache` (by
-  default a :class:`~repro.runtime.sharded_store.ShardedCacheStore`
-  under ``<sweep_dir>/cache``), so legs that differ only by seed reuse
-  each other's evaluations, and concurrent sweep *processes* pointed at
-  the same cache contend per-shard instead of on one WAL file;
+  default the SQLite file ``<sweep_dir>/cache.sqlite``), so legs that
+  differ only by seed reuse each other's evaluations;
 * outcomes aggregate into a :class:`SweepReport` written as both
   ``report.json`` and ``report.csv`` keyed by (arch, workload, seed).
 
 Layout of a sweep directory::
 
     <sweep_dir>/
-        cache/              # shared sharded fitness cache (default)
+        cache.sqlite        # shared fitness cache (default)
         checkpoints/        # one checkpoint per unfinished leg
         legs/               # one result record per finished leg
         report.json         # aggregated report (rewritten per run)
         report.csv
 
-Executor choice is per-sweep (``executor_kind``): the async in-process
-executor suits the small toy populations, the process pool the heavy
-ADEPT/SimCov legs; results are bit-for-bit identical either way.
+``jobs`` picks each leg's executor as ``repro search --jobs`` does:
+serial for 1, a process pool otherwise; results are bit-for-bit
+identical either way.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ def resolve_workload(name: str) -> str:
     return canonical
 
 
-def make_adapter(workload: str, arch_name: str, reference_interpreter: bool = False,
+def make_adapter(workload: str, arch_name: str,
                  interpreter_tier: Optional[str] = None):
     """Build the workload adapter for one (workload, arch) cell.
 
@@ -85,14 +83,11 @@ def make_adapter(workload: str, arch_name: str, reference_interpreter: bool = Fa
     sweep leg evaluates exactly what ``repro search`` would.  Workload
     modules import lazily to keep startup cheap.  ``interpreter_tier``
     pins one of the simulator's bit-for-bit-equivalent tiers
-    (``oracle``/``dispatch``/``jit``); ``reference_interpreter`` is the
-    older boolean spelling of the oracle tier.
+    (``oracle``/``dispatch``/``jit``).
     """
     arch = get_arch(arch_name)
     if interpreter_tier is not None:
         arch = arch.with_overrides(fast_path=interpreter_tier)
-    elif reference_interpreter:
-        arch = arch.with_overrides(fast_path=False)
     workload = resolve_workload(workload)
     if workload == "toy":
         from ..workloads import ToyWorkloadAdapter
@@ -276,12 +271,8 @@ class SweepReport:
 def run_sweep(spec: SweepSpec, sweep_dir: str, *,
               resume: bool = False,
               jobs: int = 1,
-              executor_kind: Optional[str] = None,
               cache_path: Optional[str] = "auto",
-              cache_backend: Optional[str] = None,
-              cache_shards: Optional[int] = None,
               checkpoint_every: Optional[int] = None,
-              reference_interpreter: bool = False,
               interpreter_tier: Optional[str] = None,
               batch_launches: Optional[bool] = None,
               progress: Optional[Callable[[SweepLeg, LegOutcome], None]] = None,
@@ -293,10 +284,11 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
     artifacts; ``resume=True`` loads finished legs from their result
     records (status ``skipped``, zero fresh evaluations) and continues
     unfinished legs from their checkpoints.  ``cache_path="auto"``
-    selects the shared sharded cache at ``<sweep_dir>/cache``;  ``None``
+    selects the shared cache at ``<sweep_dir>/cache.sqlite``;  ``None``
     keeps the cache purely in-memory (still shared across the legs of
     this invocation).  Legs run sequentially; parallelism lives *inside*
-    each leg, in the engine's executor (``jobs`` x ``executor_kind``).
+    each leg, in the engine's executor (see
+    :func:`~repro.runtime.engine.make_executor`).
 
     An interruption (Ctrl-C, SIGKILL) loses at most the current round of
     the current leg: every leg checkpoints each round and every finished
@@ -315,10 +307,8 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
     os.makedirs(checkpoints_dir, exist_ok=True)
 
     if cache_path == "auto":
-        cache_path = os.path.join(sweep_dir, "cache")
-        if cache_backend in (None, "auto"):
-            cache_backend = "sharded"
-    cache = FitnessCache(cache_path, backend=cache_backend, shards=cache_shards)
+        cache_path = os.path.join(sweep_dir, "cache.sqlite")
+    cache = FitnessCache(cache_path)
 
     report = SweepReport(spec=spec.to_dict())
     telemetry.event("sweep.start", sweep_dir=str(sweep_dir), resume=resume,
@@ -363,11 +353,10 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
                            if resume and os.path.exists(checkpoint_path) else None)
             with telemetry.span("sweep.leg", leg_id=leg.leg_id) as leg_fields:
                 outcome = _run_leg(spec, leg, cache,
-                                   jobs=jobs, executor_kind=executor_kind,
+                                   jobs=jobs,
                                    checkpoint_path=checkpoint_path,
                                    checkpoint_every=checkpoint_every,
                                    resume_from=resume_from,
-                                   reference_interpreter=reference_interpreter,
                                    interpreter_tier=interpreter_tier,
                                    batch_launches=batch_launches,
                                    telemetry=telemetry)
@@ -418,10 +407,9 @@ def _record_leg_metrics(telemetry: Telemetry, leg: SweepLeg,
 
 
 def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
-             jobs: int, executor_kind: Optional[str],
+             jobs: int,
              checkpoint_path: str, checkpoint_every: Optional[int],
              resume_from: Optional[str],
-             reference_interpreter: bool,
              interpreter_tier: Optional[str] = None,
              batch_launches: Optional[bool] = None,
              telemetry: Telemetry = NULL_TELEMETRY) -> LegOutcome:
@@ -439,11 +427,11 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
     # checkpoint's edits no longer address.  Legs run sequentially and
     # never touch a previous leg's modules, so the reset is safe here.
     reset_uid_namespace()
-    adapter = make_adapter(leg.workload, leg.arch, reference_interpreter,
+    adapter = make_adapter(leg.workload, leg.arch,
                            interpreter_tier=interpreter_tier)
     config = spec.leg_config(leg)
     engine = EvaluationEngine(adapter,
-                              executor=make_executor(jobs, executor_kind),
+                              executor=make_executor(jobs),
                               cache=cache,
                               telemetry=telemetry,
                               batch_launches=batch_launches)
@@ -476,7 +464,7 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
         # The shared cache outlives the leg: stop only this leg's workers
         # and persist what the leg added.
         engine.executor.close()
-        cache.maybe_save(0.0)
+        cache.save()
 
     if telemetry.enabled:
         emit_module_hotspots(telemetry, adapter, adapter.original_module(),

@@ -127,9 +127,9 @@ class AdeptWorkloadAdapter(WorkloadAdapter):
             else heldout_pairs()
         all_pairs = [pair for case in self.fitness_cases for pair in case] + self.validation_pairs
         self.driver = AdeptDriver.for_version(version, all_pairs, self.device)
-        self._expected = {
-            id(case): batch_alignment_scores(case) for case in self.fitness_cases
-        }
+        # Indexed like fitness_cases: object ids would not survive pickling
+        # the adapter to a process-pool worker.
+        self._expected = [batch_alignment_scores(case) for case in self.fitness_cases]
         self._expected_validation = batch_alignment_scores(self.validation_pairs)
         self.name = f"ADEPT-{version.upper()} on {self.arch.name}"
 
@@ -144,8 +144,7 @@ class AdeptWorkloadAdapter(WorkloadAdapter):
     def evaluate(self, module: Module) -> FitnessResult:
         cases = []
         for index, case_pairs in enumerate(self.fitness_cases):
-            cases.append(self._run_case(module, case_pairs,
-                                        self._expected[id(case_pairs)],
+            cases.append(self._run_case(module, case_pairs, self._expected[index],
                                         name=f"fitness-{index}"))
         return FitnessResult.from_cases(cases)
 

@@ -112,7 +112,7 @@ class TestFitnessCache:
         cache = FitnessCache(str(path))
         assert len(cache) == 0
         cache.put(self._key(), FitnessResult.invalid("x"))
-        assert cache.save()  # and the corrupt file is replaced wholesale
+        assert cache.save()  # into a fresh database; the bad file is set aside
         assert len(FitnessCache(str(path))) == 1
 
     def test_key_string_round_trip_with_pipes_in_workload(self):

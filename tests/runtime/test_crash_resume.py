@@ -67,8 +67,7 @@ def _run(algorithm, workdir, *, resume=False, telemetry=None):
     relaunch), so checkpointed edits address the rebuilt modules exactly.
     """
     reset_uid_namespace()
-    cache = FitnessCache(os.path.join(workdir, "cache.sqlite"),
-                         backend="sqlite")
+    cache = FitnessCache(os.path.join(workdir, "cache.sqlite"))
     engine = EvaluationEngine(ToyWorkloadAdapter(elements=64), cache=cache,
                               telemetry=telemetry)
     search = _make_search(algorithm, engine)
@@ -211,8 +210,7 @@ class TestSharedCacheAccounting:
 
     def _run_seed(self, workdir, seed, *, resume=False):
         reset_uid_namespace()
-        cache = FitnessCache(os.path.join(workdir, "shared.sqlite"),
-                             backend="sqlite")
+        cache = FitnessCache(os.path.join(workdir, "shared.sqlite"))
         engine = EvaluationEngine(ToyWorkloadAdapter(elements=64),
                                   cache=cache)
         # population_size=6 (not the battery's 4): the larger population

@@ -1,14 +1,12 @@
-"""Crash durability: an interrupted flush never damages the previous cache.
+"""Crash durability: an interrupted write never damages the previous state.
 
 A cache flush can die at any point (OOM kill, SIGKILL, full disk, power
-loss).  The contract for both disk tiers is the same: whatever was
-loadable before the interrupted flush is still loadable after it.  The
-JSON tier gets this from write-to-temp + atomic rename; the SQLite tier
-from transactional upserts.  These tests inject failures mid-flush and
-check the survivors.
+loss).  The contract is that whatever was loadable before the
+interrupted flush is still loadable after it: the SQLite tier gets this
+from transactional upserts, checkpoints from write-to-temp + atomic
+rename.  These tests inject failures mid-write and check the survivors.
 """
 
-import json
 import os
 
 import pytest
@@ -29,55 +27,6 @@ def _result(runtime=1.0):
 
 class _Boom(RuntimeError):
     pass
-
-
-class TestJsonFlushCrash:
-    def _crash_during_dump(self, monkeypatch):
-        original_dump = json.dump
-
-        def exploding_dump(document, handle, **kwargs):
-            # Write a partial document, then die -- simulating a crash
-            # after some bytes already reached the temp file.
-            handle.write('{"version": ')
-            handle.flush()
-            raise _Boom("crashed mid-write")
-
-        monkeypatch.setattr(cache_module.json, "dump", exploding_dump)
-        return original_dump
-
-    def test_previous_file_survives_a_crashed_flush(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "cache.json")
-        cache = FitnessCache(path)
-        cache.put(_key("old"), _result(1.5))
-        assert cache.save()
-
-        cache.put(_key("new"), _result(2.5))
-        self._crash_during_dump(monkeypatch)
-        with pytest.raises(_Boom):
-            cache.save()
-        monkeypatch.undo()
-
-        # The crash never touched the real file: the pre-crash cache loads
-        # and the half-written temp file was cleaned up.
-        survivor = FitnessCache(path)
-        assert survivor.peek(_key("old")).runtime_ms == 1.5
-        assert survivor.peek(_key("new")) is None
-        assert [name for name in os.listdir(tmp_path)
-                if name.endswith(".tmp")] == []
-
-    def test_flush_can_be_retried_after_the_crash(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "cache.json")
-        cache = FitnessCache(path)
-        cache.put(_key("old"), _result(1.5))
-        cache.save()
-        cache.put(_key("new"), _result(2.5))
-        self._crash_during_dump(monkeypatch)
-        with pytest.raises(_Boom):
-            cache.save()
-        monkeypatch.undo()
-        # The entry is still dirty; the next save persists it.
-        assert cache.save()
-        assert FitnessCache(path).peek(_key("new")).runtime_ms == 2.5
 
 
 class TestSqliteFlushCrash:
@@ -186,8 +135,8 @@ class TestFsyncPolicy:
         assert len(synced) == 2
 
     def test_cache_flush_skips_the_fsyncs(self, tmp_path, monkeypatch):
-        # Cache flushes are disposable acceleration state; they keep
-        # rename-atomicity but pay no fsync on the hot path.
+        # Non-durable writes (sweep reports, telemetry files) keep
+        # rename-atomicity but pay no fsync.
         synced = self._record_fsyncs(monkeypatch)
         cache_module.atomic_write_json(str(tmp_path / "cache.json"), {"k": "v"})
         assert synced == []

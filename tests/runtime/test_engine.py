@@ -103,6 +103,17 @@ class TestSerialParallelParity:
                 == parallel_result.history.best_fitness_series())
         assert serial_result.best.edit_keys() == parallel_result.best.edit_keys()
 
+    def test_adept_v1_batch_on_a_process_pool_matches_serial(self, adept_v1_adapter):
+        from repro.workloads.adept import adept_v1_edit, adept_v1_independent_edits
+
+        kernel = adept_v1_adapter.kernel
+        independent = list(adept_v1_independent_edits(kernel).values())
+        sets = [[], [adept_v1_edit(kernel, 6)], independent[:1], independent]
+        serial = EvaluationEngine(adept_v1_adapter).evaluate_many(sets)
+        with EvaluationEngine(adept_v1_adapter,
+                              executor=ParallelExecutor(2)) as engine:
+            assert engine.evaluate_many(sets) == serial
+
 
 class TestEvaluatorIntegration:
     def test_genome_evaluator_counts_are_engine_deltas(self, adapter, edits):

@@ -1,14 +1,15 @@
-"""Async/sharded executor parity battery and executor fault handling.
+"""Executor selection, thread safety of shared originals, and fault handling.
 
 Two contracts from the ``Executor`` docstring are pinned here:
 
-* **parity** -- every executor returns bit-for-bit the results of
-  :class:`SerialExecutor`, in input order;
+* **parity** -- evaluations sharing one original module (from threads,
+  or through the process pool's single-item shortcut) return bit-for-bit
+  the results of :class:`SerialExecutor`;
 * **clean failure** -- a worker that raises (or a worker process that
   dies) mid-batch surfaces one :class:`~repro.errors.ExecutorError`
-  (or the original exception, for the serial path), the async executor
-  cancels in-flight siblings, no partial results reach the cache, and
-  the executor stays usable for the next batch.
+  (or the original exception, for the serial path), the process pool
+  cancels queued siblings, no partial results reach the cache, and the
+  executor stays usable for the next batch.
 """
 
 import os
@@ -17,14 +18,11 @@ import time
 import pytest
 
 from repro.errors import ExecutorError
-from repro.gevo import GevoConfig, GevoSearch
 from repro.runtime import (
-    AsyncExecutor,
     EvaluationEngine,
     FitnessCache,
     ParallelExecutor,
     SerialExecutor,
-    ShardedExecutor,
     make_executor,
 )
 from repro.workloads import ToyWorkloadAdapter, toy_discovered_edits
@@ -35,30 +33,25 @@ def adapter():
     return ToyWorkloadAdapter(elements=64)
 
 
-@pytest.fixture(scope="module")
-def edit_sets(adapter):
-    edits = toy_discovered_edits(adapter.kernel)
-    return [[], [edits[0]], [edits[1]], [edits[2]],
-            [edits[0], edits[1]], [edits[1], edits[2]], list(edits)]
-
-
 class FailingToyAdapter(ToyWorkloadAdapter):
     """Raises when the marker instruction has been edited out.
 
     ``delay`` slows down the *healthy* evaluations so a fast failure can
-    demonstrably cancel queued siblings in the async executor.  The
-    ``evaluated`` list counts evaluations across worker threads
-    (``list.append`` is atomic under the GIL).
+    demonstrably cancel queued siblings in the process pool.  With a
+    ``log_path`` every evaluation appends one line to that file, which
+    counts evaluations across worker processes.
     """
 
-    def __init__(self, fail_uid, delay=0.0, **kwargs):
+    def __init__(self, fail_uid, delay=0.0, log_path=None, **kwargs):
         super().__init__(**kwargs)
         self.fail_uid = fail_uid
         self.delay = delay
-        self.evaluated = []
+        self.log_path = log_path
 
     def evaluate(self, module):
-        self.evaluated.append(1)
+        if self.log_path is not None:
+            with open(self.log_path, "a", encoding="utf-8") as handle:
+                handle.write("evaluated\n")
         present = {inst.uid for inst in module.instructions()}
         if self.fail_uid not in present:
             raise RuntimeError("injected failure: marker instruction deleted")
@@ -76,36 +69,6 @@ class DyingToyAdapter(ToyWorkloadAdapter):
 
 class TestParity:
     """Bit-for-bit equality with the serial executor."""
-
-    @pytest.mark.parametrize("executor_factory", [
-        lambda: AsyncExecutor(3),
-        lambda: ShardedExecutor(3),
-    ], ids=["async", "sharded"])
-    def test_batch_results_bitwise_identical_to_serial(
-            self, adapter, edit_sets, executor_factory):
-        serial = EvaluationEngine(adapter).evaluate_many(edit_sets)
-        with EvaluationEngine(adapter, executor=executor_factory()) as engine:
-            results = engine.evaluate_many(edit_sets)
-        for expected, actual in zip(serial, results):
-            assert actual.valid == expected.valid
-            assert actual.runtime_ms == expected.runtime_ms
-            assert [(case.name, case.passed, case.runtime_ms)
-                    for case in actual.cases] == \
-                   [(case.name, case.passed, case.runtime_ms)
-                    for case in expected.cases]
-
-    @pytest.mark.parametrize("executor_factory", [
-        lambda: AsyncExecutor(4),
-        lambda: ShardedExecutor(4),
-    ], ids=["async", "sharded"])
-    def test_full_search_identical_to_serial(self, adapter, executor_factory):
-        config = GevoConfig.quick(seed=11, population_size=8, generations=3)
-        serial_result = GevoSearch(adapter, config).run()
-        with EvaluationEngine(adapter, executor=executor_factory()) as engine:
-            result = GevoSearch(adapter, config, engine=engine).run()
-        assert (serial_result.history.best_fitness_series()
-                == result.history.best_fitness_series())
-        assert serial_result.best.edit_keys() == result.best.edit_keys()
 
     def test_threads_sharing_a_cold_original_match_serial(self):
         """Variants borrow every kernel their edits do not write, so threads
@@ -158,11 +121,16 @@ class TestParity:
         assert outcomes == [expected] * len(threads)
 
     def test_single_item_batches_stay_serial(self, adapter):
-        # The <=1 fast path must not regress results either.
+        # The <=1 fast path must not regress results either, and it never
+        # starts a worker.
         baseline = EvaluationEngine(adapter).baseline()
-        for executor in (AsyncExecutor(4), ShardedExecutor(4)):
+        executor = ParallelExecutor(4)
+        try:
             assert EvaluationEngine(adapter, executor=executor).baseline() \
                    == baseline
+            assert executor._pool is None
+        finally:
+            executor.close()
 
 
 class TestMakeExecutor:
@@ -173,25 +141,23 @@ class TestMakeExecutor:
         assert isinstance(make_executor(3, "serial"), SerialExecutor)
         process = make_executor(3, "process")
         assert isinstance(process, ParallelExecutor) and process.jobs == 3
-        fanned = make_executor(3, "async")
-        assert isinstance(fanned, AsyncExecutor) and fanned.jobs == 3
-        sharded = make_executor(3, "sharded")
-        assert isinstance(sharded, ShardedExecutor) and sharded.shards == 3
 
     def test_zero_jobs_pick_a_default(self):
-        assert make_executor(0, "async").jobs >= 1
-        assert make_executor(0, "sharded").shards >= 1
+        assert make_executor(0).jobs >= 1
+        assert make_executor(0, "process").jobs >= 1
 
     def test_unknown_kind_is_an_error(self):
-        with pytest.raises(ValueError):
-            make_executor(2, "quantum")
+        for kind in ("quantum", "async", "sharded"):
+            with pytest.raises(ValueError):
+                make_executor(2, kind)
 
 
 class TestFaultHandling:
-    def _failing_adapter(self, delay=0.0):
+    def _failing_adapter(self, delay=0.0, log_path=None):
         # The marker uid must come from this adapter's own kernel build
         # (instruction uids are unique per build).
-        adapter = FailingToyAdapter(None, delay=delay, elements=64)
+        adapter = FailingToyAdapter(None, delay=delay, log_path=log_path,
+                                    elements=64)
         adapter.fail_uid = adapter.kernel.edit_targets["useless_barrier"]
         return adapter
 
@@ -207,27 +173,33 @@ class TestFaultHandling:
             sets.append([InstructionDelete(others[index % len(others)])] * (index + 1))
         return sets
 
-    def test_async_failure_surfaces_executor_error_and_cancels_siblings(self):
-        adapter = self._failing_adapter(delay=0.2)
-        sets = self._batch(adapter)
-        engine = EvaluationEngine(adapter, executor=AsyncExecutor(2))
-        with pytest.raises(ExecutorError, match="injected failure"):
-            engine.evaluate_many(sets)
-        # The failure fired fast; with 2 lanes and 6 slow siblings queued,
-        # cancellation must have stopped at least the tail of the queue.
-        assert len(adapter.evaluated) < len(sets)
+    def test_worker_exception_surfaces_and_cancels_siblings(self, tmp_path):
+        log_path = str(tmp_path / "evaluated.log")
+        adapter = self._failing_adapter(delay=0.2, log_path=log_path)
+        sets = self._batch(adapter, healthy=20)
+        executor = ParallelExecutor(2)
+        try:
+            with pytest.raises(ExecutorError, match="injected failure"):
+                EvaluationEngine(adapter, executor=executor).evaluate_many(sets)
+        finally:
+            executor.close()  # waits for the tasks already handed to workers
+        # The failure fired fast; with 2 workers and 20 slow siblings
+        # queued, cancellation must have stopped at least the tail of the
+        # queue.
+        with open(log_path, encoding="utf-8") as handle:
+            assert len(handle.readlines()) < len(sets)
 
-    def test_async_failure_does_not_corrupt_the_cache(self, tmp_path):
+    def test_process_failure_does_not_corrupt_the_cache(self, tmp_path):
         adapter = self._failing_adapter()
         good_sets = self._batch(adapter)[1:]
         cache_path = str(tmp_path / "cache.sqlite")
-        engine = EvaluationEngine(adapter, executor=AsyncExecutor(2),
+        engine = EvaluationEngine(adapter, executor=ParallelExecutor(2),
                                   cache=FitnessCache(cache_path))
         engine.evaluate_many(good_sets)
         persisted_before = len(FitnessCache(cache_path))
-        # The failing batch needs >1 *uncached* set to exercise the async
-        # path (a lone pending item takes the serial shortcut); pair the
-        # failing variant with a fresh healthy combination.
+        # The failing batch needs >1 *uncached* set to reach the pool (a
+        # lone pending item takes the serial shortcut); pair the failing
+        # variant with a fresh healthy combination.
         from repro.gevo.edits import InstructionDelete
 
         others = [uid for uid in adapter.kernel.edit_targets.values()
@@ -243,16 +215,10 @@ class TestFaultHandling:
         # re-simulation.
         assert len(FitnessCache(cache_path)) == persisted_before
         healthy = ToyWorkloadAdapter(elements=64)
-        with EvaluationEngine(healthy, executor=AsyncExecutor(2),
+        with EvaluationEngine(healthy, executor=ParallelExecutor(2),
                               cache=FitnessCache(cache_path)) as fresh:
             fresh.evaluate_many(good_sets)
             assert fresh.evaluations == 0
-
-    def test_sharded_failure_surfaces_executor_error(self):
-        adapter = self._failing_adapter()
-        engine = EvaluationEngine(adapter, executor=ShardedExecutor(3))
-        with pytest.raises(ExecutorError, match="injected failure"):
-            engine.evaluate_many(self._batch(adapter))
 
     def test_dead_worker_process_surfaces_executor_error_and_pool_resets(self):
         dying = DyingToyAdapter(elements=64)

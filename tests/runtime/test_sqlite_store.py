@@ -1,19 +1,12 @@
-"""The SQLite cache tier: backend selection, incremental flushes, migration."""
+"""The SQLite cache tier: round trips, incremental flushes, JSON import."""
 
 import json
 import sqlite3
 
-import pytest
-
 from repro.gevo.fitness import CaseResult, FitnessResult
-from repro.runtime import (
-    CacheKey,
-    FitnessCache,
-    JsonCacheStore,
-    SqliteCacheStore,
-    make_cache_store,
-)
-from repro.runtime.cache import CACHE_FORMAT_VERSION, SQLITE_MAGIC
+from repro.runtime import CacheKey, FitnessCache, SqliteCacheStore, result_to_dict
+from repro.runtime.cache import CACHE_FORMAT_VERSION
+from repro.runtime.sqlite_store import SQLITE_MAGIC
 
 
 def _key(tag="abc"):
@@ -22,32 +15,6 @@ def _key(tag="abc"):
 
 def _result(runtime=1.0):
     return FitnessResult.from_cases([CaseResult("c", True, runtime)])
-
-
-class TestBackendSelection:
-    def test_sqlite_extensions_pick_sqlite(self, tmp_path):
-        for name in ("cache.sqlite", "cache.sqlite3", "cache.db"):
-            store = make_cache_store(str(tmp_path / name))
-            assert isinstance(store, SqliteCacheStore)
-
-    def test_other_extensions_pick_json(self, tmp_path):
-        assert isinstance(make_cache_store(str(tmp_path / "cache.json")), JsonCacheStore)
-        assert isinstance(make_cache_store(str(tmp_path / "cache")), JsonCacheStore)
-
-    def test_existing_sqlite_file_detected_by_magic(self, tmp_path):
-        path = str(tmp_path / "cache.json")  # misleading extension on purpose
-        cache = FitnessCache(path, backend="sqlite")
-        cache.put(_key(), _result())
-        cache.close()
-        assert isinstance(make_cache_store(path), SqliteCacheStore)
-
-    def test_explicit_backend_overrides_extension(self, tmp_path):
-        store = make_cache_store(str(tmp_path / "cache.sqlite"), backend="json")
-        assert isinstance(store, JsonCacheStore)
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            make_cache_store(str(tmp_path / "cache.json"), backend="parquet")
 
 
 class TestSqliteRoundTrip:
@@ -59,7 +26,7 @@ class TestSqliteRoundTrip:
         first.close()
 
         second = FitnessCache(path)
-        assert second.backend == "sqlite"
+        assert isinstance(second.store, SqliteCacheStore)
         assert len(second) == 1
         assert second.stats.loaded == 1
         assert second.get(_key()).runtime_ms == 4.5
@@ -131,8 +98,8 @@ class TestIncrementalFlush:
         cache.close()
 
     def test_sqlite_store_flushes_without_rate_limit(self, tmp_path):
-        # maybe_save() defers to the store's flush_interval, which is 0 for
-        # the incremental tier: every hot-path call lands on disk.
+        # maybe_save() (the engine's per-batch flush) is not rate-limited:
+        # every hot-path call lands on disk.
         path = str(tmp_path / "cache.sqlite")
         cache = FitnessCache(path)
         cache.put(_key("a"), _result(1.0))
@@ -143,18 +110,26 @@ class TestIncrementalFlush:
         assert len(FitnessCache(path)) == 2
 
 
+def _write_json_cache(path, results):
+    """A version-1 JSON cache document mapping each CacheKey to a result."""
+    document = {"version": CACHE_FORMAT_VERSION,
+                "entries": {key.to_string(): result_to_dict(result)
+                            for key, result in results.items()}}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+    return document["entries"]
+
+
 class TestJsonMigration:
     def _json_cache(self, path, entries=3):
-        cache = FitnessCache(path, backend="json")
-        for index in range(entries):
-            cache.put(_key(f"k{index}"), _result(float(index)))
-        cache.save()
+        _write_json_cache(path, {_key(f"k{index}"): _result(float(index))
+                                 for index in range(entries)})
 
     def test_json_cache_migrates_to_sqlite_on_first_open(self, tmp_path):
         path = str(tmp_path / "cache.json")
         self._json_cache(path)
 
-        migrated = FitnessCache(path, backend="sqlite")
+        migrated = FitnessCache(path)
         assert len(migrated) == 3
         assert migrated.peek(_key("k1")).runtime_ms == 1.0
         migrated.close()
@@ -165,33 +140,30 @@ class TestJsonMigration:
     def test_migration_happens_once(self, tmp_path):
         path = str(tmp_path / "cache.json")
         self._json_cache(path)
-        first = FitnessCache(path, backend="sqlite")
+        first = FitnessCache(path)
         first.put(_key("extra"), _result(7.0))
         first.close()
         # Re-open: plain SQLite now, nothing re-migrated or lost.
-        second = FitnessCache(path, backend="sqlite")
+        second = FitnessCache(path)
         assert len(second) == 4
         second.close()
 
     def test_json_and_sqlite_tiers_agree_on_keys(self, tmp_path):
-        # The same CacheKey string indexes both tiers: entries written by
-        # the JSON tier are found under identical keys after migration.
+        # The same CacheKey string indexes both formats: entries of a JSON
+        # document are found under identical keys after migration.
         path = str(tmp_path / "cache.json")
-        json_cache = FitnessCache(path, backend="json")
         keys = [CacheKey("wl|odd", "V100", f"hash{i}") for i in range(5)]
-        for index, key in enumerate(keys):
-            json_cache.put(key, _result(float(index)))
-        json_cache.save()
-        exported = json_cache.export_entries()
+        exported = _write_json_cache(
+            path, {key: _result(float(index)) for index, key in enumerate(keys)})
 
-        sqlite_cache = FitnessCache(path, backend="sqlite")
+        sqlite_cache = FitnessCache(path)
         assert sqlite_cache.export_entries() == exported
         sqlite_cache.close()
 
     def test_incompatible_json_version_not_migrated(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text(json.dumps({"version": 999, "entries": {"a|b|c": {}}}))
-        cache = FitnessCache(str(path), backend="sqlite")
+        cache = FitnessCache(str(path))
         assert len(cache) == 0
         cache.close()
 

@@ -42,7 +42,7 @@ class TestSpec:
 class TestRunSweep:
     def test_grid_runs_and_reports(self, tmp_path):
         sweep_dir = str(tmp_path / "sweep")
-        report = run_sweep(_spec(), sweep_dir, executor_kind="async", jobs=2)
+        report = run_sweep(_spec(), sweep_dir, jobs=2)
         assert len(report.rows) == 4
         assert all(row.status == "completed" for row in report.rows)
         assert all(row.baseline_runtime_ms > 0 for row in report.rows)
@@ -58,16 +58,15 @@ class TestRunSweep:
         csv_text = open(os.path.join(sweep_dir, "report.csv")).read()
         assert csv_text.startswith("workload,arch,seed,method,status,")
         assert csv_text.count("\n") == 5  # header + one row per leg
-        # The default shared cache is the sharded tier under the sweep dir.
-        assert os.path.exists(os.path.join(sweep_dir, "cache", "shards.json"))
+        # The default shared cache is one SQLite file in the sweep dir.
+        assert os.path.exists(os.path.join(sweep_dir, "cache.sqlite"))
         # The table is keyed by (workload, arch, seed).
         assert "workload" in report.to_table() and "P100" in report.to_table()
 
     def test_resume_skips_finished_legs_with_zero_reevaluations(self, tmp_path):
         sweep_dir = str(tmp_path / "sweep")
-        run_sweep(_spec(), sweep_dir, executor_kind="async", jobs=2)
-        report = run_sweep(_spec(), sweep_dir, resume=True,
-                           executor_kind="async", jobs=2)
+        run_sweep(_spec(), sweep_dir, jobs=2)
+        report = run_sweep(_spec(), sweep_dir, resume=True, jobs=2)
         assert [row.status for row in report.rows] == ["skipped"] * 4
         assert report.totals()["fresh_evaluations"] == 0
 

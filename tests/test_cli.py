@@ -35,11 +35,42 @@ class TestCli:
         assert "best speedup" in output
 
     def test_search_with_sqlite_cache_backend(self, capsys, tmp_path):
-        cache = str(tmp_path / "fitness.json")  # extension overridden by the flag
+        cache = str(tmp_path / "fitness.json")  # any extension: always SQLite
         assert main(["search", "toy", "--population", "6", "--generations", "2",
-                     "--cache", cache, "--cache-backend", "sqlite"]) == 0
+                     "--cache", cache]) == 0
         with open(cache, "rb") as handle:
             assert handle.read(16) == b"SQLite format 3\x00"
+
+    @pytest.mark.parametrize("command", [
+        ["search", "toy"],
+        ["sweep", "--arch", "P100", "--workload", "toy"],
+    ])
+    def test_cache_directory_is_a_clean_error(self, command, capsys, tmp_path):
+        directory = tmp_path / "cache-dir"
+        directory.mkdir()
+        (directory / "keep.txt").write_text("data")
+        argv = command + ["--cache", str(directory), "--population", "4",
+                          "--generations", "1"]
+        if command[0] == "sweep":
+            argv += ["--sweep-dir", str(tmp_path / "sweep")]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert str(directory) in error and "is a directory" in error
+        # Refused before opening: nothing was set aside or written into it.
+        assert not (tmp_path / "cache-dir.corrupt").exists()
+        assert [p.name for p in directory.iterdir()] == ["keep.txt"]
+        assert (directory / "keep.txt").read_text() == "data"
+
+    @pytest.mark.parametrize("flag", [
+        ["--executor", "async"], ["--cache-backend", "json"],
+        ["--cache-shards", "4"], ["--reference-interpreter"],
+    ])
+    def test_removed_runtime_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "toy", "--population", "4", "--generations", "1"]
+                 + flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -54,18 +85,7 @@ class TestInterpreterTierFlags:
                          "--interpreter-tier", tier]) == 0
             assert "best speedup" in capsys.readouterr().out
 
-    def test_reference_interpreter_still_selects_the_oracle(self, capsys):
-        assert main(["search", "toy", "--population", "4", "--generations", "1",
-                     "--seed", "3", "--reference-interpreter"]) == 0
-        assert "best speedup" in capsys.readouterr().out
-
-    def test_reference_flag_agrees_with_explicit_oracle(self, capsys):
-        assert main(["search", "toy", "--population", "4", "--generations", "1",
-                     "--seed", "3", "--reference-interpreter",
-                     "--interpreter-tier", "oracle"]) == 0
-        assert "best speedup" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("tier", ["jit", "dispatch"])
+    @pytest.mark.parametrize("tier", ["oracle", "dispatch"])
     @pytest.mark.parametrize("command", [
         ["search", "toy"],
         ["baseline", "random", "toy"],
@@ -73,14 +93,14 @@ class TestInterpreterTierFlags:
     ])
     def test_contradictory_tier_flags_are_rejected(self, command, tier,
                                                    capsys, tmp_path):
-        argv = command + ["--reference-interpreter", "--interpreter-tier", tier]
+        argv = command + ["--batch-launches", "--interpreter-tier", tier]
         if command[0] == "sweep":
             argv += ["--sweep-dir", str(tmp_path / "sweep")]
         else:
             argv += ["--population", "4", "--generations", "1"]
         assert main(argv) == 2
         error = capsys.readouterr().err
-        assert "--reference-interpreter" in error
+        assert "--batch-launches" in error and f"--interpreter-tier {tier}" in error
         assert "drop one of the two flags" in error
 
     def test_tier_results_are_bit_identical(self, capsys):
@@ -132,11 +152,11 @@ class TestBaselineCli:
         assert "resuming from" in output
         assert "0 evaluations" in output
 
-    def test_executor_flag_selects_the_backend(self, capsys):
-        assert main(["search", "toy", "--population", "6", "--generations", "2",
-                     "--seed", "3", "--jobs", "2", "--executor", "async"]) == 0
+    def test_jobs_flag_selects_the_process_pool(self, capsys):
+        assert main(["baseline", "random", "toy", "--population", "6",
+                     "--generations", "2", "--seed", "3", "--jobs", "2"]) == 0
         output = capsys.readouterr().out
-        assert "executor=async" in output and "best speedup" in output
+        assert "executor=parallel" in output and "best speedup" in output
 
     def test_mismatched_resume_is_a_clean_error(self, capsys, tmp_path):
         checkpoint = str(tmp_path / "ckpt.json")
@@ -152,7 +172,7 @@ class TestBaselineCli:
 class TestSweepCli:
     ARGS = ["sweep", "--arch", "P100,V100", "--workload", "toy",
             "--seeds", "0,1", "--population", "4", "--generations", "2",
-            "--executor", "async", "--jobs", "2"]
+            "--jobs", "2"]
 
     def test_sweep_produces_one_aggregated_report(self, capsys, tmp_path):
         sweep_dir = str(tmp_path / "sweep")

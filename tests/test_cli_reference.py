@@ -80,7 +80,6 @@ class TestHelpSmoke:
             main(["sweep", "--help"])
         out = capsys.readouterr().out
         for flag in ("--arch", "--workload", "--seeds", "--runs", "--method",
-                     "--sweep-dir", "--resume", "--jobs", "--executor",
-                     "--cache", "--cache-backend", "--cache-shards",
-                     "--checkpoint-every", "--reference-interpreter"):
+                     "--sweep-dir", "--resume", "--jobs", "--cache",
+                     "--checkpoint-every", "--interpreter-tier"):
             assert flag in out

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import json
 import math
 import random
 
@@ -158,22 +159,25 @@ class TestCanonicalKeyProperties:
         assert canonical_edit_hash(rebuilt) == canonical_edit_hash(edits)
 
     def test_json_and_sqlite_tiers_agree_on_keys(self, tmp_path):
-        # A permuted edit list written through the JSON tier is found
+        # A permuted edit list stored in a JSON cache document is found
         # under the SQLite tier after migration: both index by the same
         # canonical key.
         from repro.gevo.fitness import CaseResult, FitnessResult
-        from repro.runtime import CacheKey, FitnessCache, canonical_edit_hash
+        from repro.runtime import (
+            CacheKey, FitnessCache, canonical_edit_hash, result_to_dict)
+        from repro.runtime.cache import CACHE_FORMAT_VERSION
 
         edit_lists = [self._random_edits(seed, 6) for seed in range(8)]
         path = str(tmp_path / "cache.json")
-        json_tier = FitnessCache(path, backend="json")
+        entries = {}
         for index, edits in enumerate(edit_lists):
             key = CacheKey("toy", "P100", canonical_edit_hash(edits))
-            json_tier.put(key, FitnessResult.from_cases(
+            entries[key.to_string()] = result_to_dict(FitnessResult.from_cases(
                 [CaseResult("c", True, float(index))]))
-        json_tier.save()
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"version": CACHE_FORMAT_VERSION, "entries": entries}, handle)
 
-        sqlite_tier = FitnessCache(path, backend="sqlite")
+        sqlite_tier = FitnessCache(path)
         for index, edits in enumerate(edit_lists):
             permuted = list(edits)
             random.Random(index + 99).shuffle(permuted)

@@ -33,6 +33,16 @@ class TestAdeptCorrectness:
         validation = adept_v1_adapter.validate(adept_v1_adapter.original_module())
         assert validation.valid
 
+    def test_pickled_adapter_evaluates_the_original_identically(self, adept_v1_adapter):
+        # A process pool ships the adapter to its workers by pickling, so
+        # nothing in it may be keyed by object identity.
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(adept_v1_adapter))
+        expected = adept_v1_adapter.evaluate(adept_v1_adapter.original_module())
+        assert clone.evaluate(clone.original_module()) == expected
+        assert expected.valid
+
     def test_driver_runs_arbitrary_batches(self):
         pairs = generate_pairs(3, reference_length=30, query_length=18, seed=77)
         driver = AdeptDriver.for_version("v1", pairs, GpuDevice(get_arch("P100")))
