@@ -60,8 +60,8 @@ JIT_WORKLOAD_MIN_SPEEDUP = 1.3
 MEMORY_PRICING_MIN_SPEEDUP_VS_ORACLE = 5.0
 
 #: And over the dispatch tier on the same loop (measured ~3.5-4x): the
-#: inlined per-segment pricing + identity memo against the shared
-#: ``price_access`` seam.
+#: inlined per-segment pricing + content-keyed access memo against the
+#: shared ``price_access`` seam.
 MEMORY_PRICING_MIN_SPEEDUP_VS_DISPATCH = 2.0
 
 #: Required speedup of one 16-row batched SimCov fitness-grid wave over 16
@@ -441,7 +441,7 @@ def build_memory_loop_module():
     loop-invariant addressing, so wall-clock is dominated by the bounds
     check + coalescing/bank-conflict pricing -- the stack the arch-aware
     vectorization (fused ``check_bounds_stats``, inlined per-segment
-    pricing, identity memo) targets.
+    pricing, the JIT's content-keyed access memo) targets.
     """
     from repro.ir.function import SharedDecl
 

@@ -115,7 +115,7 @@ class Segment:
     """
 
     __slots__ = ("kind", "start", "body", "static_cycles", "counter_totals",
-                 "exact", "jit_fns")
+                 "exact", "jit_fns", "local_registers")
 
     def __init__(self, start: int):
         self.kind = STEP_SEGMENT
@@ -129,6 +129,12 @@ class Segment:
         #: the JIT tier and only for ``exact`` segments; the dispatch tier
         #: never calls it.
         self.jit_fns = None
+        #: Registers this segment writes that no instruction reads except
+        #: after a write in the same segment or its folded terminator, and
+        #: no cross-lane opcode reads: their inactive lanes are never
+        #: observed, so the JIT's masked shape stores them unmerged.  Set
+        #: with the JIT record by :func:`repro.gpu.jitted.attach_jit`.
+        self.local_registers: frozenset = frozenset()
 
     def finalize(self) -> None:
         totals: Dict[str, float] = {}

@@ -49,6 +49,11 @@ class WarpExecutor:
     set as well, segments carrying compiled kernels
     (:mod:`repro.gpu.jitted`) execute as single calls.  All tiers are
     bit-for-bit equivalent; each step up is several times faster.
+
+    The executor keeps no memo of its own: the compiled kernels share one
+    process-wide memo of checked and priced memory accesses, keyed by
+    index content (see :mod:`repro.gpu.jitted`), so repeated addressing
+    hits across warps, launches and variants.
     """
 
     def __init__(
@@ -76,15 +81,6 @@ class WarpExecutor:
         #: lets a compiled segment bump profile objects directly instead of
         #: probing the profiler dict per instruction per execution.
         self._jit_profiles: Dict[int, tuple] = profiler.jit_bindings
-        #: Identity-keyed memo of bounds-checked accesses, probed by the
-        #: compiled full-mask path: ``(id(index), id(handle)) -> [index,
-        #: handle, converted, lo, hi, priced_count]``.  Sound because
-        #: registered index arrays are never mutated in place (registers
-        #: are rebound, not written through) and entries hold strong
-        #: references, so an id can never be reused while its entry lives.
-        #: Capped at 512 entries; loop-invariant addressing -- the steady
-        #: state of hot kernel loops -- hits for the executor's lifetime.
-        self._bounds_cache: Dict[tuple, list] = {}
         self.function = function
         self.warp = warp
         self.shared = shared

@@ -22,9 +22,18 @@ Python function per activation shape (fully active warp / partial mask):
   :meth:`~repro.gpu.warp.WarpState.write_register` to the flush.  The
   deferral is sound because the mask is constant inside a segment and
   every inlined operation is element-wise, so unmerged inactive lanes
-  can never leak into active lanes (``shfl``, the one cross-lane reader,
-  explicitly merges its value operand first, and anything executed
-  through a fallback closure sees a fully flushed register file);
+  can never leak into active lanes (the cross-lane ``shfl`` opcodes
+  explicitly merge their operands first, and anything executed through
+  a fallback closure sees a fully flushed register file);
+* the masked variant skips the merge altogether for the segment's
+  *local* registers (``Segment.local_registers``, computed once per
+  decoded function by :func:`attach_jit`): a register that every
+  instruction reads only after a write in the same segment (or in the
+  terminator folded into it), and that no cross-lane opcode reads, never
+  has its inactive lanes observed -- each read sees the value written
+  under the same mask earlier in the same execution, and every consumer
+  but a cross-lane one looks at active lanes only.  Such registers are
+  stored unmerged, with the same dtype promotion as a merged write;
 * when the segment is directly followed by its block's
   ``br``/``condbr``/``ret`` terminator, the control transfer -- including
   the divergence stack discipline -- is folded into the compiled function
@@ -44,7 +53,16 @@ Python function per activation shape (fully active warp / partial mask):
   (``GpuArch.memory_segment_size`` / ``shared_banks`` / the memory
   latency fields -- never literals) are baked into the source, and the
   counter bumps aggregate into one flush per segment (sound because
-  every latency is an integer, so float64 sums reorder exactly).
+  every latency is an integer, so float64 sums reorder exactly);
+* every load's and store's bounds check, index conversion and
+  transaction/conflict count go through one process-wide memo keyed by
+  content: the handle's ``geometry_key``, the baked segment size and
+  bank count, the index dtype and bytes and, in the masked shape, the
+  mask bytes.  Equal keys give equal outcomes, so the few hundred
+  distinct addressing patterns of a kernel's warps are checked and
+  priced once across warps, launches and variants.  An access that traps
+  is never stored (it traps again, with its own buffer's message), and
+  the memo is cleared when it reaches ``_ACCESS_CACHE_LIMIT`` entries.
 
 Compilation is lazy and content-addressed.  :func:`attach_jit` compiles
 nothing: each activation shape of a segment compiles on its first
@@ -100,7 +118,12 @@ from .interpreter import (
     STEP_RET,
     STEP_SEGMENT,
 )
-from .memory import BufferHandle, conflicts_from_stats, transactions_from_stats
+from .memory import (
+    GLOBAL_SPACE,
+    BufferHandle,
+    conflicts_from_stats,
+    transactions_from_stats,
+)
 from .profiler import InstructionProfile
 from .rng import counter_uniform
 from .timing import MemoryAccessInfo
@@ -118,6 +141,17 @@ _SEGMENT_KEYS = itertools.count()
 #: plan).  See the module docstring.
 _SEGMENT_CACHE: Dict[tuple, tuple] = {}
 _SEGMENT_CACHE_LIMIT = 8192
+
+#: Access memo: (handle geometry key, segment size, bank count, index
+#: dtype, index bytes[, mask bytes]) -> (converted active-lane indices,
+#: transaction or conflict count).  See the module docstring.
+_ACCESS_CACHE: Dict[tuple, tuple] = {}
+_ACCESS_CACHE_LIMIT = 4096
+
+#: Opcodes that read other lanes' values of their register operands.  A
+#: register they read is never segment-local, and they read the merged
+#: value of a dirty shadow.
+_CROSS_LANE_OPCODES = frozenset(("shfl.sync", "shfl.up.sync", "shfl.down.sync"))
 
 #: One constant filename keeps compiled sources recognisable in tracebacks.
 _SOURCE_FILENAME = "<repro-jit-segment>"
@@ -166,6 +200,22 @@ def _promote(existing, value):
     return value
 
 
+def _check_access(key, handle, index, instruction, segment_size, banks):
+    """Access-memo miss: bounds-check *index* (the active lanes' indices)
+    against *handle*, price it with the baked geometry and remember the
+    outcome under *key*.  A trapping access raises before anything is
+    stored, so every access that traps checks afresh."""
+    converted, lo, hi = handle.check_bounds_stats(index, instruction)
+    if handle.space == GLOBAL_SPACE:
+        count = transactions_from_stats(converted, lo, hi, segment_size)
+    else:
+        count = conflicts_from_stats(converted, lo, hi, banks)
+    if len(_ACCESS_CACHE) >= _ACCESS_CACHE_LIMIT:
+        _ACCESS_CACHE.clear()
+    entry = _ACCESS_CACHE[key] = (converted, count)
+    return entry
+
+
 def _bind_static_profiles(profiles, items):
     """Resolve (and create, exactly like ``ProfileCollector.record``) the
     profile objects for a segment's static-cost instructions, returning
@@ -212,8 +262,8 @@ _BASE_ENV: Dict[str, object] = {
     "_np_bnot": np.bitwise_not,
     "_np_shl": np.left_shift,
     "_np_shr": np.right_shift,
-    "_txs": transactions_from_stats,
-    "_bks": conflicts_from_stats,
+    "_AC": _ACCESS_CACHE,
+    "_ca": _check_access,
     "_il": _int_like,
     "_cu": counter_uniform,
     "_pr": _promote,
@@ -368,7 +418,8 @@ class _SegmentCompiler:
     ``full`` selects the activation shape: the fully active warp (plain
     register rebinding, constant ballot bits) or the partial mask
     (deferred ``np.where`` merges against the pre-segment register
-    values).
+    values, except for the segment's local registers, which are stored
+    unmerged).
     """
 
     def __init__(self, segment: Segment, warp_size: int, full: bool,
@@ -384,8 +435,8 @@ class _SegmentCompiler:
         self._counter = itertools.count()
         self._needs_memory_cost = False
         self._needs_mem_accumulators = False
-        self._needs_bounds_cache = False
         self._active_var: Optional[str] = None
+        self._mask_bytes_var: Optional[str] = None
 
     # -- small utilities ---------------------------------------------------
     def temp(self, prefix: str = "_t") -> str:
@@ -422,7 +473,8 @@ class _SegmentCompiler:
             shadow = self.shadows.get(name)
             if shadow is not None:
                 if shadow.kind == "array":
-                    if merged and not self.full and shadow.base is not None:
+                    if (merged and shadow.base is not None
+                            and not self.rebinds(name)):
                         out = self.temp("_mv")
                         self.emit(f"{out} = _np_where(mask, {shadow.var}, "
                                   f"{shadow.base})")
@@ -471,14 +523,24 @@ class _SegmentCompiler:
         return out
 
     # -- register writes ---------------------------------------------------
+    def rebinds(self, dest: str) -> bool:
+        """Whether a write of *dest* rebinds the register without a merge:
+        every write in the full shape, a segment-local one in the masked
+        shape."""
+        return self.full or dest in self.segment.local_registers
+
     def write(self, dest: str, value_var: str) -> None:
-        if self.full:
+        if self.rebinds(dest):
             self._write_full(dest, value_var)
         else:
             self._write_masked(dest, value_var)
 
     def _write_full(self, dest: str, value_var: str) -> None:
-        """Shadowed equivalent of ``write_register_full(dest, value)``."""
+        """Shadowed equivalent of ``write_register_full(dest, value)``.
+
+        Also the masked shape's write of a segment-local register: the
+        merged value a masked write would store has exactly this dtype, and
+        its inactive lanes are never observed."""
         shadow = self.shadows.get(dest)
         if shadow is not None:
             if shadow.kind == "array":
@@ -552,7 +614,7 @@ class _SegmentCompiler:
         for name, shadow in self.shadows.items():
             if shadow.kind != "array" or shadow.base is None:
                 continue
-            if self.full:
+            if self.rebinds(name):
                 self.emit(f"R[{name!r}] = {shadow.var}")
             else:
                 merged = self.temp("_m")
@@ -577,96 +639,72 @@ class _SegmentCompiler:
         self.emit(f"warp.cycles += {cost}")
         self._emit_dynamic_profile(cost, decoded, source_index)
 
-    def bounds_stats(self, handle: str, index: str, inst_var: str,
-                     active: str, lo: str, hi: str) -> Optional[str]:
-        """Emit the bounds check + extrema for one access.
+    def bounds_stats(self, handle: str, index: str, inst_var: str) -> tuple:
+        """Emit the bounds check, index conversion and pricing count of one
+        access through the process-wide access memo; return the locals
+        holding the converted active-lane indices and the transaction or
+        conflict count.
 
-        In full-mask mode the check goes through the executor's
-        identity-keyed memo: the same index-array object checked against
-        the same handle object must produce the same ``(converted, lo,
-        hi)`` -- index arrays are never mutated in place once registered,
-        and a trapping access never reaches the memo -- so loop-invariant
-        addressing (the steady state of every hot kernel loop) collapses
-        to a dict probe.  Returns the entry variable so the pricing can
-        memoize its transaction/conflict count in slot 5, or ``None`` in
-        masked mode where the freshly sliced ``index[mask]`` can never
-        hit an identity cache.
+        The key holds everything the outcome depends on: the handle's
+        geometry key, the baked segment size and bank count, the index
+        dtype and bytes and, in the masked shape, the mask bytes (only the
+        active lanes are checked).  Equal keys give equal outcomes, so a
+        hit skips the check, the ``index[mask]`` gather and the pricing
+        count; a miss runs them (:func:`_check_access`), and an access
+        that traps is never stored.
         """
-        if not self.full:
-            self.emit(f"{active}, {lo}, {hi} = "
-                      f"{handle}.check_bounds_stats({index}[mask], "
-                      f"{inst_var})")
-            return None
-        self._needs_bounds_cache = True
+        arch = self.arch
+        geometry = f"{arch.memory_segment_size}, {arch.shared_banks}"
         key = self.temp("_k")
-        entry = self.temp("_e")
-        self.emit(f"{key} = (id({index}), id({handle}))")
-        self.emit(f"{entry} = _bc.get({key})")
-        self.emit(f"if {entry} is not None and {entry}[0] is {index} "
-                  f"and {entry}[1] is {handle}:")
-        self.emit(f"    {active} = {entry}[2]; {lo} = {entry}[3]; "
-                  f"{hi} = {entry}[4]")
-        self.emit("else:")
-        self.emit(f"    {active}, {lo}, {hi} = "
-                  f"{handle}.check_bounds_stats({index}, {inst_var})")
-        self.emit(f"    {entry} = [{index}, {handle}, {active}, {lo}, "
-                  f"{hi}, None]")
-        self.emit("    if len(_bc) < 512:")
-        self.emit(f"        _bc[{key}] = {entry}")
-        return entry
+        entry = self.temp("_ae")
+        active = self.temp("_ai")
+        count = self.temp("_n")
+        masked = "" if self.full else f", {self.mask_bytes()}"
+        lanes = index if self.full else f"{index}[mask]"
+        self.emit(f"{key} = ({handle}.geometry_key, {geometry}, "
+                  f"{index}.dtype, {index}.tobytes(){masked})")
+        self.emit(f"{entry} = _AC.get({key})")
+        self.emit(f"if {entry} is None:")
+        self.emit(f"    {entry} = _ca({key}, {handle}, {lanes}, {inst_var}, "
+                  f"{geometry})")
+        self.emit(f"{active}, {count} = {entry}")
+        return active, count
 
-    def inline_memory_price(self, handle: str, active: str, lo: str, hi: str,
-                            decoded, source_index: int, is_store: bool,
-                            entry: Optional[str] = None) -> None:
+    def mask_bytes(self) -> str:
+        """Expression for the mask's bytes (masked-shape memo keys)."""
+        if self._mask_bytes_var is None:
+            self._mask_bytes_var = "_mb"
+            self.emit("_mb = mask.tobytes()")
+        return self._mask_bytes_var
+
+    def inline_memory_price(self, handle: str, count: str, decoded,
+                            source_index: int, is_store: bool) -> None:
         """Inline the pricing of one bounds-checked load/store access.
 
         Emits the exact arithmetic of :meth:`CostModel.price_access` with
-        the arch's geometry and latencies baked as literals (the structural
-        cache key covers them via :func:`_pricing_signature`), accumulating
-        cycles and counter evidence into per-segment locals that
-        :meth:`_emit_counter_flush` folds into the cost-model counters in
-        one aggregated bump per counter.  Exact: every latency is an
-        integer, so the reordered float64 sums match the reference's
-        per-access bumps bit for bit.  With a memo *entry* (full mode),
-        the transaction/conflict count is cached in slot 5 -- valid
-        because the entry is keyed by (index object, handle object) and
-        the count depends only on the index values and the baked geometry.
+        the arch's latencies baked as literals (the structural cache key
+        covers them via :func:`_pricing_signature`) on the memoized
+        transaction or conflict *count*, accumulating cycles and counter
+        evidence into per-segment locals that :meth:`_emit_counter_flush`
+        folds into the cost-model counters in one aggregated bump per
+        counter.  Exact: every latency is an integer, so the reordered
+        float64 sums match the reference's per-access bumps bit for bit.
         """
         arch = self.arch
         self._needs_mem_accumulators = True
         cost = self.temp("_c")
-        tx = self.temp("_tx")
-        cf = self.temp("_cf")
         gbase = float(arch.global_store_latency if is_store
                       else arch.global_latency)
         sbase = float(arch.shared_store_latency if is_store
                       else arch.shared_latency)
         self.emit(f"if {handle}.space == 'global':")
-        if entry is not None:
-            self.emit(f"    {tx} = {entry}[5]")
-            self.emit(f"    if {tx} is None:")
-            self.emit(f"        {tx} = _txs({active}, {lo}, {hi}, "
-                      f"{arch.memory_segment_size})")
-            self.emit(f"        {entry}[5] = {tx}")
-        else:
-            self.emit(f"    {tx} = _txs({active}, {lo}, {hi}, "
-                      f"{arch.memory_segment_size})")
-        self.emit(f"    {cost} = {gbase!r} if {tx} <= 1 else "
-                  f"{gbase!r} + {arch.global_per_transaction} * ({tx} - 1)")
-        self.emit(f"    _gn += 1; _gc += {cost}; _gt += {tx}")
+        self.emit(f"    {cost} = {gbase!r} if {count} <= 1 else "
+                  f"{gbase!r} + {arch.global_per_transaction} * ({count} - 1)")
+        self.emit(f"    _gn += 1; _gc += {cost}; _gt += {count}")
         self.emit(f"elif {handle}.space == 'shared':")
-        if entry is not None:
-            self.emit(f"    {cf} = {entry}[5]")
-            self.emit(f"    if {cf} is None:")
-            self.emit(f"        {cf} = _bks({active}, {lo}, {hi}, "
-                      f"{arch.shared_banks})")
-            self.emit(f"        {entry}[5] = {cf}")
-        else:
-            self.emit(f"    {cf} = _bks({active}, {lo}, {hi}, "
-                      f"{arch.shared_banks})")
-        self.emit(f"    {cost} = {sbase!r} if {cf} <= 1 else "
-                  f"{sbase!r} + {arch.shared_conflict_penalty} * ({cf} - 1)")
-        self.emit(f"    _sn += 1; _sc += {cost}; _sf += {cf}")
+        self.emit(f"    {cost} = {sbase!r} if {count} <= 1 else "
+                  f"{sbase!r} + {arch.shared_conflict_penalty} * ({count} - 1)")
+        self.emit(f"    _sn += 1; _sc += {cost}; _sf += {count}")
         self.emit("else:")
         self.emit(f"    {cost} = {float(arch.alu_latency)!r}")
         self.emit(f"    _an += 1; _ac += {cost}")
@@ -814,7 +852,7 @@ class _SegmentCompiler:
 
         if opcode in _IDENTITY_OPCODES:
             value = self.temp("_v")
-            if self.full:
+            if self.rebinds(instruction.dest):
                 self.emit(f"{value} = _idn[{opcode!r}].copy()")
             else:
                 # The masked write merges into a fresh array, so the
@@ -827,11 +865,8 @@ class _SegmentCompiler:
             handle = self.buffer(instruction.operands[0], inst_var,
                                  source_index, 0)
             index = numeric(1)
-            active = self.temp("_ai")
-            lo = self.temp("_lo")
-            hi = self.temp("_hi")
             value = self.temp("_v")
-            entry = self.bounds_stats(handle, index, inst_var, active, lo, hi)
+            active, count = self.bounds_stats(handle, index, inst_var)
             if self.full:
                 self.emit(f"{value} = {handle}.array[{active}]")
             else:
@@ -839,9 +874,8 @@ class _SegmentCompiler:
                 self.emit(f"{value}[mask] = {handle}.array[{active}]")
             self.write(instruction.dest, value)
             if decoded.static_cost is None:
-                self.inline_memory_price(handle, active, lo, hi, decoded,
-                                         source_index, is_store=False,
-                                         entry=entry)
+                self.inline_memory_price(handle, count, decoded, source_index,
+                                         is_store=False)
             return
 
         if opcode in ("store", "memset"):
@@ -849,10 +883,7 @@ class _SegmentCompiler:
                                  source_index, 0)
             index = numeric(1)
             value = numeric(2)
-            active = self.temp("_ai")
-            lo = self.temp("_lo")
-            hi = self.temp("_hi")
-            entry = self.bounds_stats(handle, index, inst_var, active, lo, hi)
+            active, count = self.bounds_stats(handle, index, inst_var)
             if self.full:
                 self.emit(f"{handle}.array[{active}] = "
                           f"{value}.astype({handle}.array.dtype)")
@@ -860,9 +891,8 @@ class _SegmentCompiler:
                 self.emit(f"{handle}.array[{active}] = "
                           f"{value}[mask].astype({handle}.array.dtype)")
             if decoded.static_cost is None:
-                self.inline_memory_price(handle, active, lo, hi, decoded,
-                                         source_index, is_store=True,
-                                         entry=entry)
+                self.inline_memory_price(handle, count, decoded, source_index,
+                                         is_store=True)
             return
 
         if opcode == "activemask":
@@ -1097,8 +1127,6 @@ class _SegmentCompiler:
             prelude.insert(1, "_idn = ex._identity_values")
         if self._needs_memory_cost:
             prelude.insert(1, "_mc = ex.cost_model._memory_cost")
-        if self._needs_bounds_cache:
-            prelude.insert(1, "_bc = ex._bounds_cache")
         if self._needs_mem_accumulators:
             prelude.append("_gn = _gt = _sn = _sf = _an = 0")
             prelude.append("_gc = _sc = _ac = _dyn = 0.0")
@@ -1132,9 +1160,11 @@ def compile_segment(segment: Segment, warp_size: int, label: str,
     """Compile one activation shape -- *full* warp or partial mask -- of
     one exact segment into its kernel.  *seg_key* keys the segment's bound
     profiles (:attr:`ProfileCollector.jit_bindings`); both shapes of one
-    segment share it."""
+    segment share it.  The masked shape's source also depends on which
+    registers it stores unmerged (``segment.local_registers``)."""
     signature = (_segment_signature(segment, terminator, warp_size,
-                                    _pricing_signature(arch)), full)
+                                    _pricing_signature(arch)),
+                 full, None if full else segment.local_registers)
     cached = _SEGMENT_CACHE.get(signature)
     if cached is None:
         if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_LIMIT:
@@ -1171,6 +1201,54 @@ def _jit_record(segment: Segment, warp_size: int, label: str, arch: GpuArch,
     return record
 
 
+def _folded_terminator(steps: list, position: int) -> Optional[ControlStep]:
+    """The block terminator compiled together with the exact segment at
+    *position* (the mega-closure form), or ``None``."""
+    following = steps[position + 1] if position + 1 < len(steps) else None
+    if (following is not None
+            and following.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
+            and float(following.static_cost).is_integer()):
+        return following
+    return None
+
+
+def _observed_registers(decoded: DecodedFunction) -> set:
+    """Registers whose inactive lanes some instruction may observe.
+
+    A read observes them when it does not follow a write of the register
+    in the same segment (or, for a folded terminator, in the segment it
+    is folded into), and a cross-lane opcode observes every register it
+    reads.  A segment's other written registers are its *local*
+    registers: each of their reads sees the value written under the same
+    mask earlier in the same segment execution, at the active lanes only.
+    """
+    observed = set()
+    for block in decoded.blocks.values():
+        steps = block.steps
+        folded = None
+        for position, step in enumerate(steps):
+            if step.kind != STEP_SEGMENT:
+                if step is not folded:
+                    observed.update(op.name for op in step.instruction.operands
+                                    if isinstance(op, Reg))
+                continue
+            written = set()
+            for decoded_instruction in step.body:
+                instruction = decoded_instruction.instruction
+                cross_lane = instruction.opcode in _CROSS_LANE_OPCODES
+                observed.update(
+                    op.name for op in instruction.operands
+                    if isinstance(op, Reg)
+                    and (cross_lane or op.name not in written))
+                if instruction.dest is not None:
+                    written.add(instruction.dest)
+            folded = _folded_terminator(steps, position) if step.exact else None
+            if folded is not None:
+                observed.update(op.name for op in folded.instruction.operands
+                                if isinstance(op, Reg) and op.name not in written)
+    return observed
+
+
 def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
     """Give every exact segment of *decoded* a JIT record (idempotent).
 
@@ -1182,26 +1260,27 @@ def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
     own -- an empty segment with the terminator folded in -- so blocks with
     no preceding straight-line segment (loop latches, header tests, bare
     returns) and mid-block resumes landing on the terminator execute
-    compiled too; barriers keep going through the dispatch loop.  *arch*
-    supplies the memory pricing the generated source bakes in (covered by
-    the structural cache key).
+    compiled too; barriers keep going through the dispatch loop.  Each
+    exact segment also learns its local registers
+    (:func:`_observed_registers`), which its masked shape stores
+    unmerged.  *arch* supplies the memory pricing the generated source
+    bakes in (covered by the structural cache key).
     """
     warp_size = decoded.warp_size
+    observed = _observed_registers(decoded)
     for label, block in decoded.blocks.items():
         steps = block.steps
         index = 0
         for position, step in enumerate(steps):
             if step.kind == STEP_SEGMENT:
                 if step.exact and step.jit_fns is None:
-                    terminator = None
-                    following = (steps[position + 1]
-                                 if position + 1 < len(steps) else None)
-                    if (following is not None
-                            and following.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
-                            and float(following.static_cost).is_integer()):
-                        terminator = following
-                    step.jit_fns = _jit_record(step, warp_size, label, arch,
-                                               terminator)
+                    step.local_registers = frozenset(
+                        d.instruction.dest for d in step.body
+                        if d.instruction.dest is not None
+                        and d.instruction.dest not in observed)
+                    step.jit_fns = _jit_record(
+                        step, warp_size, label, arch,
+                        _folded_terminator(steps, position))
                 index += len(step.body)
                 continue
             if (step.kind in (STEP_BR, STEP_CONDBR, STEP_RET)

@@ -51,7 +51,7 @@ SHARED_SPACE = "shared"
 class BufferHandle:
     """Runtime handle for a global or shared memory array."""
 
-    __slots__ = ("name", "space", "array")
+    __slots__ = ("name", "space", "array", "geometry_key")
 
     def __init__(self, name: str, space: str, array: np.ndarray):
         if space not in (GLOBAL_SPACE, SHARED_SPACE):
@@ -63,6 +63,12 @@ class BufferHandle:
         self.name = name
         self.space = space
         self.array = array
+        #: Everything besides the indices that the bounds check, the index
+        #: conversion and the access pricing read: two handles with equal
+        #: keys accept the same indices and convert and price them alike
+        #: (only trap messages name the buffer).  The JIT's access memo
+        #: keys on it.
+        self.geometry_key: tuple = (space, int(array.shape[0]))
 
     @property
     def size(self) -> int:
@@ -132,6 +138,10 @@ class ArenaBufferHandle(BufferHandle):
         self.arena = arena
         self.offset = int(offset)
         self.logical_size = int(logical_size)
+        # The converted indices and their segments shift with the offset,
+        # and the bounds check reads the arena length.
+        self.geometry_key = (GLOBAL_SPACE, self.logical_size, self.offset,
+                             int(arena.shape[0]))
 
     @property
     def size(self) -> int:

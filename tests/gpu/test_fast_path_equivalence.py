@@ -9,7 +9,10 @@ in a persisted :class:`FitnessResult` depends on this, so the battery
 runs the three tiers against each other on every workload (toy,
 ADEPT-V0/V1, SIMCoV), on every architecture, and on seeded random edit
 sets that exercise divergence, partial warps, traps and degenerate
-control flow.
+control flow.  The JIT's process-wide access memo is checked by
+launching twice on one device (the second launch runs on memo hits),
+and its segment-local registers by kernels whose temporaries other
+lanes or other blocks read.
 """
 
 from __future__ import annotations
@@ -37,21 +40,24 @@ def profile_stats(profile):
             for uid, p in profile.instructions.items()}
 
 
+def launch_outcome(device, module, grid, block, args, kernel_name=None):
+    """Launch once on fresh buffer copies: ``("ok", result, buffers)`` or
+    ``("error", error type, message)``."""
+    copies = {name: (value.copy() if isinstance(value, np.ndarray) else value)
+              for name, value in args.items()}
+    try:
+        result = device.launch(module, grid, block, copies, kernel_name=kernel_name)
+    except (KernelTrap, LaunchError) as error:
+        return ("error", type(error).__name__, str(error))
+    return ("ok", result, copies)
+
+
 def launch_tiers(module, grid, block, args, arch, *, kernel_name=None,
                  tiers=TIERS, **device_kwargs):
     """Launch on every tier (fresh buffer copies) and return the outcomes."""
-    outcomes = {}
-    for tier in tiers:
-        device = GpuDevice(arch, fast_path=tier, **device_kwargs)
-        copies = {name: (value.copy() if isinstance(value, np.ndarray) else value)
-                  for name, value in args.items()}
-        try:
-            result = device.launch(module, grid, block, copies, kernel_name=kernel_name)
-        except (KernelTrap, LaunchError) as error:
-            outcomes[tier] = ("error", type(error).__name__, str(error))
-        else:
-            outcomes[tier] = ("ok", result, copies)
-    return outcomes
+    return {tier: launch_outcome(GpuDevice(arch, fast_path=tier, **device_kwargs),
+                                 module, grid, block, args, kernel_name)
+            for tier in tiers}
 
 
 def launch_both(module, grid, block, args, arch, *, kernel_name=None, **device_kwargs):
@@ -61,33 +67,37 @@ def launch_both(module, grid, block, args, arch, *, kernel_name=None, **device_k
     return outcomes["jit"], outcomes["oracle"]
 
 
+def assert_same_outcome(candidate, reference, tier):
+    """One launch outcome equals the oracle's: the trap, or the cycles,
+    counters, profiles and every output buffer."""
+    assert candidate[0] == reference[0], (tier, candidate, reference)
+    if reference[0] == "error":
+        assert candidate[1:] == reference[1:], tier
+        return
+    _, tier_result, tier_buffers = candidate
+    _, ref_result, ref_buffers = reference
+    assert tier_result.cycles == ref_result.cycles, tier
+    assert tier_result.time_ms == ref_result.time_ms, tier
+    assert tier_result.instructions_executed == ref_result.instructions_executed, tier
+    assert tier_result.warps_executed == ref_result.warps_executed, tier
+    assert tier_result.counters == ref_result.counters, tier
+    assert profile_stats(tier_result.profile) == profile_stats(ref_result.profile), tier
+    for name, buffer in ref_buffers.items():
+        if isinstance(buffer, np.ndarray):
+            np.testing.assert_array_equal(
+                tier_buffers[name], buffer,
+                err_msg=f"buffer {name!r} differs on tier {tier!r}")
+
+
 def assert_equivalent_launch(module, grid, block, args, arch, *,
                              kernel_name=None, **device_kwargs):
     outcomes = launch_tiers(module, grid, block, args, arch,
                             kernel_name=kernel_name, **device_kwargs)
     reference = outcomes["oracle"]
     for tier in TIERS[1:]:
-        candidate = outcomes[tier]
-        assert candidate[0] == reference[0], (tier, candidate, reference)
-        if reference[0] == "error":
-            assert candidate[1:] == reference[1:], tier
-            continue
-        _, tier_result, tier_buffers = candidate
-        _, ref_result, ref_buffers = reference
-        assert tier_result.cycles == ref_result.cycles, tier
-        assert tier_result.time_ms == ref_result.time_ms, tier
-        assert tier_result.instructions_executed == ref_result.instructions_executed, tier
-        assert tier_result.warps_executed == ref_result.warps_executed, tier
-        assert tier_result.counters == ref_result.counters, tier
-        assert profile_stats(tier_result.profile) == profile_stats(ref_result.profile), tier
+        assert_same_outcome(outcomes[tier], reference, tier)
     if reference[0] == "error":
         return None
-    for name in reference[2]:
-        if isinstance(reference[2][name], np.ndarray):
-            for tier in TIERS[1:]:
-                np.testing.assert_array_equal(
-                    outcomes[tier][2][name], reference[2][name],
-                    err_msg=f"buffer {name!r} differs on tier {tier!r}")
     return outcomes["jit"][1]
 
 
@@ -108,15 +118,17 @@ def assert_equivalent_fitness(make_adapter, module=None):
     target = module if module is not None else adapters["jit"].original_module()
     results = {tier: adapter.evaluate(target)
                for tier, adapter in adapters.items()}
-    reference = results["oracle"]
     for tier in TIERS[1:]:
-        result = results[tier]
-        assert result.valid == reference.valid, tier
-        assert result.runtime_ms == reference.runtime_ms or (
-            math.isinf(result.runtime_ms)
-            and math.isinf(reference.runtime_ms)), tier
-        assert case_tuples(result) == case_tuples(reference), tier
+        assert_same_fitness(results[tier], results["oracle"], tier)
     return results["jit"]
+
+
+def assert_same_fitness(result, reference, tier):
+    assert result.valid == reference.valid, tier
+    assert result.runtime_ms == reference.runtime_ms or (
+        math.isinf(result.runtime_ms)
+        and math.isinf(reference.runtime_ms)), tier
+    assert case_tuples(result) == case_tuples(reference), tier
 
 
 # --------------------------------------------------------------------------- workloads
@@ -179,11 +191,12 @@ def test_adept_discovered_edits_equivalent():
 
 
 # --------------------------------------------------------------------------- random edit sets
-def _random_variants(seed, count, length):
-    """Seeded random edit-set variants of the toy kernel (plus the module)."""
-    kernel = build_toy_kernel()
+def _random_variants(seed, count, length, module=None):
+    """Seeded random edit-set variants of *module* (default: the toy)."""
+    if module is None:
+        module = build_toy_kernel().module
     rng = random.Random(seed)
-    generator = EditGenerator(kernel.module, rng)
+    generator = EditGenerator(module, rng)
     variants = []
     for _ in range(count):
         edits = []
@@ -191,7 +204,7 @@ def _random_variants(seed, count, length):
             edit = generator.random_edit()
             if edit is not None:
                 edits.append(edit)
-        variants.append(apply_edits(kernel.module, edits).module)
+        variants.append(apply_edits(module, edits).module)
     return variants
 
 
@@ -837,3 +850,314 @@ def test_non_finite_scalar_argument_equivalent(scalar):
         {"x": x, "out": np.zeros(32), "low": np.zeros(32), "s": scalar},
         get_arch("P100"), kernel_name="scalark")
     assert result is not None
+
+
+# --------------------------------------------------------------------------- access memo
+def assert_memo_exact(module, grid, block, args, arch, *, kernel_name,
+                      **device_kwargs):
+    """Three-way equivalence, then two launches on one JIT device from an
+    empty access memo: the first fills it, the second runs on its hits
+    alone (it adds no entry), and both match the oracle.  Returns the
+    oracle outcome."""
+    from repro.gpu import jitted
+
+    jitted._ACCESS_CACHE.clear()
+    device = GpuDevice(arch, fast_path="jit", **device_kwargs)
+    reference = launch_tiers(module, grid, block, args, arch,
+                             kernel_name=kernel_name, tiers=("oracle",),
+                             **device_kwargs)["oracle"]
+    sizes = []
+    for launch in ("cold", "warm"):
+        outcome = launch_outcome(device, module, grid, block, args, kernel_name)
+        assert_same_outcome(outcome, reference, f"jit ({launch} memo)")
+        sizes.append(len(jitted._ACCESS_CACHE))
+    assert sizes[0] == sizes[1], sizes
+    assert_equivalent_launch(module, grid, block, args, arch,
+                             kernel_name=kernel_name, **device_kwargs)
+    return reference
+
+
+def test_memo_keeps_equal_indices_on_smaller_shared_array_trapping():
+    """Equal index bytes on a larger shared array, memoized first, must
+    not let the same access to a smaller one skip its bounds check."""
+    from repro.ir import KernelBuilder, Param, build_module
+    from repro.ir.function import SharedDecl
+
+    b = KernelBuilder("twok", params=[Param("out", "buffer")],
+                      shared=[SharedDecl("big", 64), SharedDecl("small", 16)])
+    b.block("entry")
+    tid = b.tid_x(dest="tid")
+    b.store(b.reg("big"), tid, tid)
+    b.store(b.reg("out"), tid, b.load(b.reg("big"), tid))
+    b.store(b.reg("small"), tid, tid)
+    b.ret()
+    module = build_module("twom", b.build())
+    reference = assert_memo_exact(module, 1, 32, {"out": np.zeros(32)},
+                                  get_arch("P100"), kernel_name="twok")
+    assert reference[0] == "error"
+    assert "shared buffer 'small' (index 31, size 16)" in reference[2]
+
+
+def test_memo_tells_integer_from_float_indices_with_equal_bytes():
+    """``np.array([5]).view(np.float64)`` is a denormal that converts to
+    index 0, not 5: the index dtype belongs to the memo key."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("dtk", params=[Param("ints", "buffer"), Param("floats", "buffer"),
+                                     Param("x", "buffer"), Param("out", "buffer")])
+    b.block("entry")
+    tid = b.tid_x(dest="tid")
+    as_int = b.load(b.reg("x"), b.load(b.reg("ints"), tid))
+    as_float = b.load(b.reg("x"), b.load(b.reg("floats"), tid))
+    b.store(b.reg("out"), tid, b.add(b.mul(as_int, 1000.0), as_float))
+    b.ret()
+    module = build_module("dtm", b.build())
+    ints = np.full(32, 5, dtype=np.int64)
+    floats = ints.view(np.float64)
+    assert int(floats[0]) == 0
+    x = np.arange(32, dtype=np.float64) + 1.0
+    reference = assert_memo_exact(
+        module, 1, 32, {"ints": ints, "floats": floats, "x": x, "out": np.zeros(32)},
+        get_arch("P100"), kernel_name="dtk")
+    np.testing.assert_array_equal(reference[2]["out"], np.full(32, 6000.0 + 1.0))
+
+
+def test_memo_prices_arena_buffers_at_their_own_offsets():
+    """Two arena buffers of one logical size: the same logical indices
+    span two transaction segments in one and one segment in the other."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("arenak", params=[Param("a", "buffer"), Param("b", "buffer"),
+                                        Param("out", "buffer")])
+    b.block("entry")
+    tid = b.tid_x(dest="tid")
+    b.store(b.reg("out"), tid, b.add(b.load(b.reg("a"), tid), b.load(b.reg("b"), tid)))
+    b.ret()
+    module = build_module("arenam", b.build())
+    rng = np.random.default_rng(3)
+    args = {"a": rng.normal(size=48), "b": rng.normal(size=48), "out": np.zeros(32)}
+    # Guards of 24 put `a` at arena offset 24 (elements 24..55: two 32-wide
+    # segments), `b` at 96 (96..127: one segment) and `out` at 168 (two).
+    reference = assert_memo_exact(module, 1, 32, args, get_arch("P100"),
+                                  kernel_name="arenak", unified_memory_arena=True,
+                                  arena_guard_elements=24)
+    assert reference[1].counters["global_transactions"] == 2 + 1 + 2
+
+
+def test_memo_keys_masked_accesses_on_the_mask():
+    """One index register under two different partial masks with the same
+    active-lane count: reusing the first mask's active indices would load
+    the wrong lanes without any trap."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("maskk", params=[Param("x", "buffer"), Param("low", "buffer"),
+                                       Param("high", "buffer")])
+    b.block("entry")
+    tid = b.tid_x(dest="tid")
+    with b.if_then(b.lt(tid, 20)):
+        b.store(b.reg("low"), b.reg("tid"), b.load(b.reg("x"), b.reg("tid")))
+    with b.if_then(b.ge(b.reg("tid"), 12)):
+        b.store(b.reg("high"), b.reg("tid"), b.load(b.reg("x"), b.reg("tid")))
+    b.ret()
+    module = build_module("maskm", b.build())
+    x = np.arange(32, dtype=np.float64) + 100.0
+    reference = assert_memo_exact(
+        module, 1, 32, {"x": x, "low": np.zeros(32), "high": np.zeros(32)},
+        get_arch("P100"), kernel_name="maskk")
+    np.testing.assert_array_equal(reference[2]["high"][12:], x[12:])
+
+
+def test_memo_never_stores_a_trapping_access():
+    """An out-of-bounds access traps on both launches of one device."""
+    kernel = build_toy_kernel()
+    rng = np.random.default_rng(0)
+    args = {"x": rng.normal(size=8), "y": rng.normal(size=8),
+            "out": np.zeros(8), "n": 64}
+    reference = assert_memo_exact(kernel.module, 1, 64, args, get_arch("P100"),
+                                  kernel_name="saxpy_wasteful")
+    assert reference[0] == "error"
+    assert "out-of-bounds" in reference[2]
+
+
+def test_memo_separates_architectures_launched_interleaved():
+    """P100 and G80 price the same accesses differently; launches of one
+    kernel alternating between the two must each match their oracle."""
+    from repro.gpu import jitted
+
+    module = _build_geometry_module()
+    x = np.random.default_rng(7).normal(size=128)
+    args = {"x": x, "out": np.zeros(32)}
+    jitted._ACCESS_CACHE.clear()
+    devices = {name: GpuDevice(get_arch(name), fast_path="jit")
+               for name in ("P100", "G80")}
+    references = {name: launch_tiers(module, 1, 32, args, get_arch(name),
+                                     kernel_name="geomk",
+                                     tiers=("oracle",))["oracle"]
+                  for name in devices}
+    for name in ("P100", "G80", "P100", "G80"):
+        outcome = launch_outcome(devices[name], module, 1, 32, args, "geomk")
+        assert_same_outcome(outcome, references[name], f"jit on {name}")
+    assert (references["G80"][1].counters["shared_conflicts"]
+            > references["P100"][1].counters["shared_conflicts"])
+
+
+# --------------------------------------------------------------------------- segment-local registers
+def _local_registers(function, arch):
+    """Union of the local-register sets of *function*'s JIT segments."""
+    from repro.gpu import jit_function
+    from repro.gpu.interpreter import STEP_SEGMENT
+
+    decoded = jit_function(function, arch)
+    return set().union(*(step.local_registers
+                         for block in decoded.blocks.values()
+                         for step in block.steps if step.kind == STEP_SEGMENT))
+
+
+def test_adept_v1_segment_local_registers():
+    """The main block's temporaries are local; registers another block
+    reads (the wavefront state, the exchanged neighbour value, the row)
+    are not."""
+    from repro.workloads.adept import build_adept_v1
+
+    kernel = build_adept_v1(64, 64)
+    local = _local_registers(kernel.module.get_function(kernel.main_kernel_name),
+                             get_arch("P100"))
+    assert {"diag_score", "h_partial", "row_is0"} <= local
+    assert not local & {"prev_h", "best", "nbr_prev_h", "row"}
+
+
+def test_temporary_read_across_lanes_is_merged():
+    """A temporary written under a partial mask and gathered by
+    ``shfl.sync`` in its own segment (from inactive source lanes) and by
+    ``shfl.down.sync`` after reconvergence must read the merged value on
+    every tier; so must one that only the in-segment ``shfl.sync`` reads."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("xlanek", params=[Param("x", "buffer"), Param("near", "buffer"),
+                                        Param("far", "buffer"), Param("n", "scalar")])
+    b.block("entry")
+    tid = b.tid_x(dest="tid")
+    source = b.rem(b.add(tid, 5), 32, dest="source")
+    with b.if_then(b.lt(tid, b.reg("n"))):
+        temporary = b.add(b.load(b.reg("x"), b.reg("tid")), 1.0, dest="temporary")
+        doubled = b.mul(temporary, 2.0, dest="doubled")
+        scaled = b.mul(temporary, 3.0, dest="scaled")
+        b.store(b.reg("near"), b.reg("tid"),
+                b.add(b.shfl_sync(-1, temporary, b.reg("source")),
+                      b.shfl_sync(-1, doubled, b.reg("source"))))
+        b.store(b.reg("x"), b.reg("tid"), scaled)
+    b.store(b.reg("far"), b.reg("tid"),
+            b.shfl_down_sync(-1, b.reg("temporary"), 4))
+    b.ret()
+    module = build_module("xlanem", b.build())
+    arch = get_arch("P100")
+    local = _local_registers(module.get_function("xlanek"), arch)
+    assert "scaled" in local
+    assert not local & {"temporary", "doubled"}
+    x = np.random.default_rng(19).normal(size=32)
+    # Lanes 27-31 are inactive inside the branch.
+    result = assert_equivalent_launch(
+        module, 1, 32, {"x": x, "near": np.zeros(32), "far": np.zeros(32), "n": 27},
+        arch, kernel_name="xlanek")
+    assert result is not None
+
+
+@pytest.mark.parametrize("solo", [False, True])
+def test_branch_on_a_register_from_another_block_is_merged(solo):
+    """A condition written under a partial mask and branched on by a later
+    terminator -- folded into a segment, or a block of its own -- is not
+    local: the lanes that skipped the write branch on the merged value."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("flagk", params=[Param("out", "buffer")])
+    b.block("entry")
+    tid = b.tid_x(dest="tid")
+    with b.if_then(b.lt(tid, 16)):
+        b.ge(b.reg("tid"), 0, dest="flag")
+    b.add(b.reg("tid"), 1, dest="next")
+    if solo:
+        b.branch("decide")
+        b.block("decide")
+    then_cm, else_cm = b.if_then_else(b.reg("flag"))
+    with then_cm:
+        b.store(b.reg("out"), b.reg("tid"), b.reg("next"))
+    with else_cm:
+        b.store(b.reg("out"), b.reg("tid"), -1.0)
+    b.ret()
+    module = build_module("flagm", b.build())
+    arch = get_arch("P100")
+    assert "flag" not in _local_registers(module.get_function("flagk"), arch)
+    assert_equivalent_launch(module, 1, 32, {"out": np.zeros(32)}, arch,
+                             kernel_name="flagk")
+
+
+def test_edit_reading_a_local_register_elsewhere_recomputes_the_set():
+    """An ``OperandReplace`` that makes the epilogue branch on ``row_is0``
+    takes it out of the local set of the re-decoded variant, and the
+    variant agrees with the oracle."""
+    from repro.gevo.edits import OperandReplace
+    from repro.ir.values import Reg
+    from repro.workloads.adept import AdeptWorkloadAdapter, search_pairs
+
+    def make(fast):
+        return AdeptWorkloadAdapter("v1", get_arch("P100").with_overrides(fast_path=fast),
+                                    fitness_cases=[search_pairs()])
+
+    adapter = make("jit")
+    module = adapter.original_module()
+    name = adapter.driver.kernel.main_kernel_name
+    epilogue = next(inst for inst in module.get_function(name).instructions()
+                    if inst.opcode == "condbr" and inst.operands[0] == Reg("valid"))
+    variant = apply_edits(module, [OperandReplace(epilogue.uid, 0, Reg("row_is0"))]).module
+    arch = get_arch("P100")
+    assert "row_is0" in _local_registers(module.get_function(name), arch)
+    assert "row_is0" not in _local_registers(variant.get_function(name), arch)
+    assert_equivalent_fitness(make, module=variant)
+
+
+# --------------------------------------------------------------------------- random mutants
+#: Warp instruction budget of the mutant adapters: a runaway mutant traps
+#: within a fraction of a second on the oracle instead of running to the
+#: default 1,000,000.
+MUTANT_BUDGET = 50_000
+
+
+def _mutant_adapter(workload, arch, tier):
+    from repro.workloads.adept import AdeptWorkloadAdapter, search_pairs
+    from repro.workloads.simcov import SimCovParams, SimCovWorkloadAdapter
+
+    arch = arch.with_overrides(fast_path=tier)
+    if workload == "adept-v1":
+        adapter = AdeptWorkloadAdapter("v1", arch, fitness_cases=[search_pairs()])
+    else:
+        adapter = SimCovWorkloadAdapter(arch, fitness_params=SimCovParams.quick())
+    adapter.device.max_instructions_per_warp = MUTANT_BUDGET
+    return adapter
+
+
+def assert_random_mutants_equivalent(workload, arch_name, seed, count):
+    """Seeded random ``EditGenerator`` mutants evaluate identically on
+    every tier, and a second JIT evaluation on the warm access memo
+    matches too."""
+    arch = get_arch(arch_name)
+    adapters = {tier: _mutant_adapter(workload, arch, tier) for tier in TIERS}
+    module = adapters["jit"].original_module()
+    for variant in _random_variants(seed, count, 3, module=module):
+        reference = adapters["oracle"].evaluate(variant)
+        for tier in TIERS[1:]:
+            assert_same_fitness(adapters[tier].evaluate(variant), reference, tier)
+        assert_same_fitness(adapters["jit"].evaluate(variant), reference,
+                            "jit (warm memo)")
+
+
+@pytest.mark.parametrize("workload, count", [("adept-v1", 12), ("simcov", 24)])
+def test_random_workload_mutants_equivalent(workload, count):
+    assert_random_mutants_equivalent(workload, "P100", 0, count)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload, arch_name, seed, count", [
+    ("adept-v1", "P100", 1, 60), ("adept-v1", "G80", 2, 24),
+    ("simcov", "P100", 3, 60), ("simcov", "G80", 4, 24)])
+def test_many_random_workload_mutants_equivalent(workload, arch_name, seed, count):
+    assert_random_mutants_equivalent(workload, arch_name, seed, count)
