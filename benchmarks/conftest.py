@@ -10,7 +10,7 @@ EXPERIMENTS.md; the experiment regenerations carry the ``slow`` marker,
 which the tier-1 default in ``pytest.ini`` deselects).  Heavy experiments
 run exactly once per benchmark (``rounds=1``); the micro-benchmarks of
 the simulator itself use normal pytest-benchmark statistics and stay in
-tier-1, including the fast-path regression gate.
+tier-1, including the JIT's regression gates.
 """
 
 from __future__ import annotations

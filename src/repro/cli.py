@@ -65,13 +65,12 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
              "cache document there is imported once); re-runs hit the "
              "warm cache")
     parser.add_argument(
-        "--interpreter-tier", choices=["auto", "jit", "dispatch", "oracle"],
+        "--interpreter-tier", choices=["auto", "jit", "oracle"],
         default="auto",
-        help="which of the three bit-for-bit-equivalent simulator tiers to "
-             "evaluate on: the exec-compiled segment JIT (fastest, the "
-             "default), the decode-once dispatch tables, or the "
-             "tree-walking reference oracle (slowest; for debugging the "
-             "simulator itself)")
+        help="which of the two bit-for-bit-equivalent simulator tiers to "
+             "evaluate on: the exec-compiled segment JIT (the default) or "
+             "the tree-walking reference oracle (several times slower; for "
+             "checking the JIT)")
     batching = parser.add_mutually_exclusive_group()
     batching.add_argument(
         "--batch-launches", dest="batch_launches", action="store_true",
@@ -218,7 +217,7 @@ def _resolve_batch_launches(arguments: argparse.Namespace) -> Optional[bool]:
     batch = getattr(arguments, "batch_launches", None)
     if batch:
         tier = _resolve_interpreter_tier(arguments)
-        if tier in ("oracle", "dispatch"):
+        if tier == "oracle":
             raise ReproError(
                 f"--batch-launches stacks candidates through the segment-JIT "
                 f"tier but --interpreter-tier {tier} pins per-candidate "

@@ -10,7 +10,7 @@ The usual entry point is::
     print(result.time_ms)
 """
 
-from .arch import ARCHITECTURES, EVALUATION_ORDER, GTX1080TI, INTERPRETER_TIERS, P100, V100, GpuArch, architecture_table, available_archs, get_arch, normalize_interpreter_tier, parse_arch_list, register_arch
+from .arch import ARCHITECTURES, EVALUATION_ORDER, GTX1080TI, INTERPRETER_TIERS, P100, V100, GpuArch, architecture_table, available_archs, check_interpreter_tier, get_arch, parse_arch_list, register_arch
 from .decoded import DecodedBlock, DecodedFunction, DecodedInstruction, decode_function
 from .jitted import attach_jit, jit_function
 from .memory import BufferHandle, GlobalMemory, SharedMemoryBlock, bank_conflicts, coalesced_transactions
@@ -49,12 +49,12 @@ __all__ = [
     "available_archs",
     "bank_conflicts",
     "build_thread_identity",
+    "check_interpreter_tier",
     "coalesced_transactions",
     "cycles_to_milliseconds",
     "decode_function",
     "get_arch",
     "jit_function",
-    "normalize_interpreter_tier",
     "parse_arch_list",
     "register_arch",
 ]

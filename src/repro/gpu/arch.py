@@ -12,44 +12,44 @@ VI-B finding (removing ``ballot_sync`` helps only on Volta) is captured by
 primitives force a re-synchronisation of independently scheduled
 sub-warps, which the cost model charges for; on Pascal they are nearly
 free.
+
+An architecture also names the interpreter tier its devices run
+(:attr:`GpuArch.fast_path`: the segment JIT or the tree-walking oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
-#: The three interpreter tiers a simulated device can execute through,
-#: slowest (and most readable) first.  All three are bit-for-bit
+from ..errors import LaunchError
+
+#: The two interpreter tiers a simulated device can execute through: the
+#: tree-walking oracle and the segment JIT.  They are bit-for-bit
 #: equivalent -- same cycles, counters, profiler statistics, RNG streams
 #: and trap messages -- pinned by ``tests/gpu/test_fast_path_equivalence.py``.
-INTERPRETER_TIERS: Tuple[str, ...] = ("oracle", "dispatch", "jit")
+INTERPRETER_TIERS: Tuple[str, ...] = ("oracle", "jit")
 
-#: The tier selected by ``fast_path=True`` (the default): the segment-JIT
-#: interpreter, which exec-compiles straight-line segments into single
-#: Python functions on top of the decoded dispatch tables.
-DEFAULT_FAST_TIER = "jit"
+#: Selector values earlier versions accepted, and the tier replacing each.
+_REMOVED_TIERS = {True: "jit", False: "oracle", "dispatch": "jit",
+                  "decoded": "jit", "fast": "jit", "reference": "oracle"}
 
 
-def normalize_interpreter_tier(value: Union[bool, str, None]) -> str:
-    """Canonical tier name for a ``fast_path`` / tier selector value.
+def check_interpreter_tier(value) -> str:
+    """Return *value* if it names a tier of :data:`INTERPRETER_TIERS`.
 
-    Accepts the historical booleans (``True`` -> the default fast tier,
-    ``False`` -> the tree-walking oracle), ``None`` (the default fast
-    tier) and tier names with their aliases (``reference`` -> ``oracle``,
-    ``decoded``/``fast`` -> ``dispatch``).
+    Anything else raises :class:`~repro.errors.LaunchError`; a removed
+    selector (the ``True``/``False`` booleans, the ``dispatch`` tier and
+    the ``decoded``/``fast``/``reference`` aliases) names its replacement.
     """
-    if value is None or value is True:
-        return DEFAULT_FAST_TIER
-    if value is False:
-        return "oracle"
-    tier = str(value).lower()
-    tier = {"reference": "oracle", "decoded": "dispatch", "fast": "dispatch"}.get(tier, tier)
-    if tier not in INTERPRETER_TIERS:
-        raise ValueError(
-            f"unknown interpreter tier {value!r}; expected one of "
-            f"{INTERPRETER_TIERS} (or a fast_path boolean)")
-    return tier
+    if value in INTERPRETER_TIERS:
+        return value
+    if isinstance(value, (bool, str)) and value in _REMOVED_TIERS:
+        raise LaunchError(
+            f"interpreter tier {value!r} was removed; use "
+            f"{_REMOVED_TIERS[value]!r}")
+    raise LaunchError(f"unknown interpreter tier {value!r}; expected one of "
+                      f"{INTERPRETER_TIERS}")
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,12 @@ class GpuArch:
     #: primitives (ballot_sync / syncwarp) then carry a real cost.
     independent_thread_scheduling: bool = False
 
-    #: Which interpreter tier kernels execute through.  ``True`` (the
-    #: default) selects the fastest tier (segment JIT); a tier name from
-    #: :data:`INTERPRETER_TIERS` (``"oracle"`` / ``"dispatch"`` /
-    #: ``"jit"``) pins a specific tier; ``False`` falls back to the
-    #: tree-walking reference oracle (also reachable per device via
-    #: ``GpuDevice(..., fast_path=...)`` or the CLI
-    #: ``--interpreter-tier`` flag).  All
-    #: tiers are bit-for-bit equivalent; the slower ones exist for
-    #: debugging the simulator itself.
-    fast_path: Union[bool, str] = True
+    #: Which interpreter tier kernels execute through: ``"jit"`` (the
+    #: default) or ``"oracle"``, the tree-walking reference kept for
+    #: checking the JIT (also selectable per device via
+    #: ``GpuDevice(..., fast_path=...)`` or the CLI ``--interpreter-tier``
+    #: flag).  Both tiers are bit-for-bit equivalent.
+    fast_path: str = "jit"
 
     # --- memory geometry, in elements / banks --------------------------------
     #: Width of one global-memory transaction segment: lanes whose element
@@ -112,6 +108,9 @@ class GpuArch:
 
     #: Per-opcode overrides applied on top of the category defaults.
     cost_overrides: Dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_interpreter_tier(self.fast_path)
 
     @property
     def concurrent_blocks(self) -> int:

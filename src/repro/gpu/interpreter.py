@@ -8,6 +8,12 @@ post-dominator" entry and pushes one entry per side, so both sides execute
 serially under partial masks -- the behaviour responsible for the paper's
 Section VI-A finding.
 
+The executor is both tiers of the simulator: the tree-walking *oracle*
+(:meth:`WarpExecutor._run_reference`) and the run loop of the segment JIT
+(:mod:`repro.gpu.jitted`), which hands the instructions it does not
+compile -- atomics, unknown opcodes, the last partial segment of a warp
+that runs out of budget -- to the oracle's own handlers.
+
 Runtime faults (out-of-bounds accesses, undefined registers, division by
 zero, runaway loops) raise :class:`~repro.errors.KernelTrap`; GEVO treats
 trapped variants as failed test cases.
@@ -15,7 +21,7 @@ trapped variants as failed test cases.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.values import Const, Reg
 from .memory import BufferHandle, SharedMemoryBlock
-from .profiler import InstructionProfile, ProfileCollector
+from .profiler import ProfileCollector
 from .rng import counter_uniform
 from .timing import CostModel, MemoryAccessInfo
 from .warp import StackEntry, WarpState, WarpStatus, broadcast_scalar_arrays
@@ -41,14 +47,13 @@ STEP_SEGMENT, STEP_BR, STEP_CONDBR, STEP_RET, STEP_BARRIER = range(5)
 class WarpExecutor:
     """Executes one warp of a thread block until it blocks or finishes.
 
-    Three execution tiers exist.  The *reference* path walks the IR tree,
-    re-dispatching on string opcodes for every executed instruction.  When
-    a decoded program (:class:`repro.gpu.decoded.DecodedFunction`) is
-    supplied, :meth:`run` instead executes pre-bound handler closures in
-    block-local straight-line batches (the *dispatch* tier); with ``jit``
-    set as well, segments carrying compiled kernels
-    (:mod:`repro.gpu.jitted`) execute as single calls.  All tiers are
-    bit-for-bit equivalent; each step up is several times faster.
+    Two execution tiers exist.  The *reference* path (the oracle) walks
+    the IR tree, re-dispatching on string opcodes for every executed
+    instruction.  When a decoded program carrying JIT records
+    (:func:`repro.gpu.jitted.jit_function`) is supplied, :meth:`run`
+    instead executes its compiled segment kernels as single calls and
+    runs the few steps they do not cover on the oracle.  Both tiers are
+    bit-for-bit equivalent.
 
     The executor keeps no memo of its own: the compiled kernels share one
     process-wide memo of checked and priced memory accesses, keyed by
@@ -68,14 +73,9 @@ class WarpExecutor:
         profiler: ProfileCollector,
         max_instructions: int = 1_000_000,
         decoded=None,
-        jit: bool = False,
         scalar_arrays: Optional[Dict[str, np.ndarray]] = None,
     ):
         self._decoded = decoded
-        #: Execute compiled segment kernels (:mod:`repro.gpu.jitted`) when
-        #: the decoded program carries them; the dispatch tier leaves this
-        #: off so it measures (and exercises) the pure dispatch loop.
-        self._jit = bool(jit) and decoded is not None
         #: Launch-level cache of (InstructionProfile, cost) bindings, keyed
         #: by compiled-segment id and shared by every warp of the launch --
         #: lets a compiled segment bump profile objects directly instead of
@@ -179,32 +179,32 @@ class WarpExecutor:
                 return warp.status
 
     def _run_decoded(self) -> WarpStatus:
-        """Dispatch-table execution of the decoded program.
+        """Execution of the JIT-compiled program.
 
         Mirrors :meth:`_run_reference` effect for effect -- same dynamic
         instruction sequence, cycle arithmetic, counter bumps, profiler
         records and trap messages -- but pays the block lookup and
         reconvergence check once per control transfer instead of once per
-        instruction, and runs straight-line segments in one tight loop
-        over pre-bound handlers.
+        instruction.  A step whose JIT record fits the instruction budget
+        runs as one compiled call (a whole segment, optionally with its
+        folded terminator, or a lone terminator) and a barrier charges its
+        baked cost.  Every other step -- a segment entered past its start,
+        one that straddles the budget, a non-exact one -- runs the single
+        instruction at the pc on the oracle (:meth:`_execute`).
         """
         warp = self.warp
         if warp.status is WarpStatus.DONE:
             return warp.status
         warp.status = WarpStatus.RUNNING
         decoded_blocks = self._decoded.blocks
-        cost_model = self.cost_model
-        counters = cost_model.counters
+        blocks = self.function.blocks
+        counters = self.cost_model.counters
         profiler = self.profiler
-        profile_enabled = profiler.enabled
-        record = profiler.record
+        profiles = profiler.instructions if profiler.enabled else None
         max_instructions = self.max_instructions
         stack = warp.stack
-        jit = self._jit
         count_nonzero = np.count_nonzero
         warp_size = self.warp_size
-        price = cost_model.price_access
-        profiles = profiler.instructions if profile_enabled else None
         while True:
             # Inlined warp.pop_reconverged() (hot: once per control
             # transfer); keep in sync with the method.
@@ -228,203 +228,56 @@ class WarpExecutor:
             length = dblock.length
             steps = dblock.steps
             step_of_index = dblock.step_of_index
-            transferred = False
-            while not transferred:
+            while True:
                 if index >= length:
                     self._trap(f"execution fell off the end of block {label!r}")
                 step = steps[step_of_index[index]]
-                kind = step.kind
-                if kind == STEP_SEGMENT:
-                    body = step.body
+                jit_fns = step.jit_fns
+                if (jit_fns is not None and index == step.start
+                        and warp.instructions_executed + jit_fns[2]
+                        <= max_instructions):
+                    # The common case: one call executes the whole step
+                    # (charging its aggregated statics and pricing its
+                    # memory accesses itself) and, in the combined form,
+                    # the block terminator too.  Masks are immutable and
+                    # rebound on every change, so fullness is cached on
+                    # the stack entry by object identity.
                     mask = top.mask
-                    if jit:
-                        jit_fns = step.jit_fns
-                        if (jit_fns is not None and index == step.start
-                                and warp.instructions_executed + jit_fns[2]
-                                <= max_instructions):
-                            # JIT tier, common case: one call executes the
-                            # whole segment (charging its aggregated
-                            # statics and pricing its memory accesses
-                            # itself) and, in the combined form, the
-                            # block terminator too.  Masks are immutable
-                            # and rebound on every change, so fullness is
-                            # cached on the stack entry by object identity.
-                            if mask is not top.mask_obj:
-                                top.mask_obj = mask
-                                top.mask_full = count_nonzero(mask) == warp_size
-                            (jit_fns[0] if top.mask_full else jit_fns[1])(
-                                self, warp, top, mask, counters, profiles)
-                            if jit_fns[3]:
-                                transferred = True
-                                continue
-                            index = step.start + jit_fns[2]
-                            top.pc = (label, index)
-                            continue
-                    full = bool(mask.all())
-                    if (index == step.start and step.exact
-                            and warp.instructions_executed + len(body) <= max_instructions):
-                        # Whole-segment batch: charge the pre-aggregated
-                        # static cycles/counters in one step (exact integer
-                        # arithmetic, so order does not change the sums) and
-                        # run the pre-bound handlers back to back.
-                        warp.instructions_executed += len(body)
-                        warp.cycles += step.static_cycles
-                        for key, total in step.counter_totals:
-                            counters[key] = counters.get(key, 0.0) + total
-                        if profile_enabled:
-                            profiles = profiler.instructions
-                            for d in body:
-                                memory = d.execute(self, mask, full)
-                                cost = d.static_cost
-                                if cost is None:
-                                    active = (self.warp_size if full
-                                              else int(np.count_nonzero(mask)))
-                                    cost = (price(memory, active, d.is_store,
-                                                  d.is_atomic)
-                                            if memory is not None else
-                                            cost_model._memory_cost(
-                                                d.instruction, active, None))
-                                    warp.cycles += cost
-                                profile = profiles.get(d.uid)
-                                if profile is None:
-                                    instruction = d.instruction
-                                    location = (str(instruction.loc)
-                                                if instruction.loc is not None else None)
-                                    profile = InstructionProfile(
-                                        d.uid, instruction.opcode, location)
-                                    profiles[d.uid] = profile
-                                profile.executions += 1
-                                profile.cycles += cost
-                        else:
-                            for d in body:
-                                memory = d.execute(self, mask, full)
-                                if d.static_cost is None:
-                                    active = (self.warp_size if full
-                                              else int(np.count_nonzero(mask)))
-                                    warp.cycles += (
-                                        price(memory, active, d.is_store,
-                                              d.is_atomic)
-                                        if memory is not None else
-                                        cost_model._memory_cost(
-                                            d.instruction, active, None))
-                    else:
-                        # Mid-block entry (barrier resume), a segment that
-                        # straddles the instruction budget, or non-integer
-                        # baked costs: charge instruction by instruction.
-                        if index != step.start:
-                            body = body[index - step.start:]
-                        for d in body:
-                            warp.instructions_executed += 1
-                            if warp.instructions_executed > max_instructions:
-                                self._trap(
-                                    f"dynamic instruction budget exceeded "
-                                    f"({max_instructions}); probable runaway loop",
-                                    d.instruction)
-                            memory = d.execute(self, mask, full)
-                            cost = d.static_cost
-                            if cost is None:
-                                active = (self.warp_size if full
-                                          else int(np.count_nonzero(mask)))
-                                cost = (price(memory, active, d.is_store,
-                                              d.is_atomic)
-                                        if memory is not None else
-                                        cost_model._memory_cost(
-                                            d.instruction, active, None))
-                            else:
-                                key = d.counter_key
-                                if key is not None:
-                                    counters[key] = counters.get(key, 0.0) + cost
-                            warp.cycles += cost
-                            if profile_enabled:
-                                record(d.instruction, cost)
-                    index = step.start + len(step.body)
+                    if mask is not top.mask_obj:
+                        top.mask_obj = mask
+                        top.mask_full = count_nonzero(mask) == warp_size
+                    (jit_fns[0] if top.mask_full else jit_fns[1])(
+                        self, warp, top, mask, counters, profiles)
+                    if jit_fns[3]:
+                        break
+                    index += jit_fns[2]
                     top.pc = (label, index)
                     continue
-                # A control or barrier step: one instruction on its own.
-                if jit:
-                    jit_fns = step.jit_fns
-                    if (jit_fns is not None
-                            and warp.instructions_executed < max_instructions):
-                        # JIT tier: a single-control block (or a mid-block
-                        # resume landing on the terminator) executes through
-                        # the same exec-compiled scheme as segments; the
-                        # closure charges the instruction and performs the
-                        # transfer.  Budget guard mirrors the plain path's
-                        # increment-then-trap for one instruction.
-                        mask = top.mask
-                        if mask is not top.mask_obj:
-                            top.mask_obj = mask
-                            top.mask_full = count_nonzero(mask) == warp_size
-                        (jit_fns[0] if top.mask_full else jit_fns[1])(
-                            self, warp, top, mask, counters, profiles)
-                        transferred = True
-                        continue
+                instruction = (blocks[label].instructions[index]
+                               if step.kind == STEP_SEGMENT else step.instruction)
                 warp.instructions_executed += 1
                 if warp.instructions_executed > max_instructions:
                     self._trap(
                         f"dynamic instruction budget exceeded "
                         f"({max_instructions}); probable runaway loop",
-                        step.instruction)
-                mask = top.mask
-                cost = step.static_cost
-                key = step.counter_key
-                if key is not None:
-                    counters[key] = counters.get(key, 0.0) + cost
-                warp.cycles += cost
-                if profile_enabled:
-                    # Once per control transfer: the plain collector call
-                    # is fine here (only the segment loop inlines it).
-                    record(step.instruction, cost)
-                if kind == STEP_BR:
-                    top.pc = (step.target, 0)
-                    transferred = True
-                elif kind == STEP_CONDBR:
-                    cond = step.condition(self).astype(bool)
-                    if mask.all():
-                        # mask is all-true, so taken == cond and
-                        # not_taken == ~cond.
-                        if cond.all():
-                            top.pc = (step.true_target, 0)
-                            transferred = True
-                            continue
-                        if not cond.any():
-                            top.pc = (step.false_target, 0)
-                            transferred = True
-                            continue
-                        taken = cond
-                        not_taken = ~cond
-                    else:
-                        taken = mask & cond
-                        not_taken = mask & ~cond
-                    if not not_taken.any():
-                        top.pc = (step.true_target, 0)
-                    elif not taken.any():
-                        top.pc = (step.false_target, 0)
-                    else:
-                        reconvergence = step.reconvergence
-                        if reconvergence is None:
-                            # No common post-dominator: run each side to
-                            # completion under its own mask.
-                            top.pc = (step.false_target, 0)
-                            top.mask = not_taken
-                            stack.append(StackEntry(pc=(step.true_target, 0),
-                                                    mask=taken, reconvergence=None))
-                        else:
-                            top.pc = (reconvergence, 0)
-                            stack.append(StackEntry(pc=(step.false_target, 0),
-                                                    mask=not_taken,
-                                                    reconvergence=reconvergence))
-                            stack.append(StackEntry(pc=(step.true_target, 0),
-                                                    mask=taken,
-                                                    reconvergence=reconvergence))
-                    transferred = True
-                elif kind == STEP_RET:
-                    warp.retire_lanes(mask.copy())
-                    transferred = True
-                else:  # STEP_BARRIER
+                        instruction)
+                if step.kind == STEP_BARRIER:
+                    # Charge the baked cost instead of re-pricing the
+                    # barrier on the oracle (every warp meets it).
+                    cost = step.static_cost
+                    key = step.counter_key
+                    if key is not None:
+                        counters[key] = counters.get(key, 0.0) + cost
+                    warp.cycles += cost
+                    if profiles is not None:
+                        profiler.record(instruction, cost)
                     top.pc = (label, index + 1)
                     warp.status = WarpStatus.AT_BARRIER
                     return warp.status
+                self._execute(instruction, top)
+                if step.kind != STEP_SEGMENT:
+                    break
+                index += 1
 
     # -- single instruction -------------------------------------------------------
     def _charge(self, instruction: Instruction, mask: np.ndarray,

@@ -1,30 +1,30 @@
-"""Segment JIT: exec-compiled straight-line kernels for the decoded interpreter.
+"""Segment JIT: exec-compiled straight-line kernels for the simulator.
 
-The dispatch tier (:mod:`repro.gpu.decoded`) already removes per-step
-opcode dispatch, but a straight-line segment still pays, per executed
-instruction, one handler-closure call, one operand-getter call per
-operand, a register-dictionary round-trip per read and write, and a
-profiler-dictionary probe.  This module removes those too by *compiling*
-each exact straight-line :class:`~repro.gpu.decoded.Segment` into **one**
-Python function per activation shape (fully active warp / partial mask):
+The tree-walking oracle (:class:`~repro.gpu.interpreter.WarpExecutor`)
+pays, per executed instruction, a string-opcode dispatch, an operand
+resolution per operand, a register-dictionary round-trip per read and
+write, a cost-model call and a profiler-dictionary probe.  This module
+removes those by *compiling* each exact straight-line
+:class:`~repro.gpu.decoded.Segment` into **one** Python function per
+activation shape (fully active warp / partial mask):
 
-* operand getters become local-variable loads -- registers read once per
-  segment are cached in locals ("shadows"), constants are baked in as
-  shared read-only arrays;
-* handler closures are inlined into straight-line NumPy expressions
-  (``add`` becomes ``a + b``; the runtime dtype dispatch of
+* operand resolution becomes local-variable loads -- registers read once
+  per segment are cached in locals ("shadows"), constants are baked in
+  as shared read-only arrays;
+* the oracle's opcode handlers are inlined into straight-line NumPy
+  expressions (``add`` becomes ``a + b``; the runtime dtype dispatch of
   ``div``/``and``/``shl``/... is inlined with the same branches the
   shared arithmetic table takes);
 * register writes stay in the shadow locals and flush to the register
-  file once at segment end.  The full-mask variant replays the exact
-  dtype promotion of :meth:`~repro.gpu.warp.WarpState.write_register_full`;
-  the masked variant defers the per-write ``np.where`` merge of
-  :meth:`~repro.gpu.warp.WarpState.write_register` to the flush.  The
-  deferral is sound because the mask is constant inside a segment and
-  every inlined operation is element-wise, so unmerged inactive lanes
-  can never leak into active lanes (the cross-lane ``shfl`` opcodes
-  explicitly merge their operands first, and anything executed through
-  a fallback closure sees a fully flushed register file);
+  file once at segment end.  The full-mask variant stores each value
+  with the dtype promotion of a
+  :meth:`~repro.gpu.warp.WarpState.write_register` under a full mask;
+  the masked variant defers that method's per-write ``np.where`` merge
+  to the flush.  The deferral is sound because the mask is constant
+  inside a segment and every inlined operation is element-wise, so
+  unmerged inactive lanes can never leak into active lanes (the
+  cross-lane ``shfl`` opcodes explicitly merge their operands first, and
+  an instruction run on the oracle sees a fully flushed register file);
 * the masked variant skips the merge altogether for the segment's
   *local* registers (``Segment.local_registers``, computed once per
   decoded function by :func:`attach_jit`): a register that every
@@ -41,7 +41,7 @@ Python function per activation shape (fully active warp / partial mask):
   round-trip per executed block; control steps are *also* compiled on
   their own (an empty segment + folded terminator), so single-control
   blocks -- loop latches, header tests, bare returns -- execute through
-  the same scheme instead of the dispatch loop;
+  the same scheme;
 * the segment's pre-aggregated static cycles and cost-model counters are
   charged in one step, and per-instruction profiler bumps run over
   profile objects bound once per launch instead of probing the profiler
@@ -82,14 +82,17 @@ every kernel their edits do not write from the original module
 compiled kernels; a write clones exactly the touched function, which then
 decodes and compiles afresh.
 
-A compiled segment runs only in the case the dispatch tier's batch
-branch recognises -- entry at the segment start, exact aggregated costs,
-instruction budget not straddled -- everything else falls back to the
-dispatch loop, instruction by instruction, so traps, barrier resumes
-and budget exhaustion behave identically.  Equivalence with the dispatch
-tier and the tree-walking oracle -- cycles, counters, profiler
-statistics, output buffers, RNG streams and trap messages -- is pinned
-by the three-way battery in ``tests/gpu/test_fast_path_equivalence.py``.
+Atomics and opcodes this compiler does not know run inside the compiled
+function on the oracle's :meth:`~WarpExecutor._execute_straightline`.
+A compiled segment runs only from its start, with exact aggregated costs
+and when it cannot straddle the instruction budget; everything else --
+a non-exact segment, the last partial segment of a runaway warp -- runs
+instruction by instruction on the oracle (see
+:meth:`~repro.gpu.interpreter.WarpExecutor._run_decoded`), so traps and
+budget exhaustion behave identically.  Equivalence with the oracle --
+cycles, counters, profiler statistics, output buffers, RNG streams and
+trap messages -- is pinned by the battery in
+``tests/gpu/test_fast_path_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -126,7 +129,6 @@ from .memory import (
 )
 from .profiler import InstructionProfile
 from .rng import counter_uniform
-from .timing import MemoryAccessInfo
 from .warp import StackEntry
 
 _INT = np.int64
@@ -193,7 +195,8 @@ def _unsupported_operand(ex, operand, instruction):
 
 
 def _promote(existing, value):
-    """The dtype promotion :meth:`WarpState.write_register_full` applies."""
+    """The dtype :meth:`WarpState.write_register` gives *value* under a
+    full mask, when the register already holds an array."""
     common = np.result_type(existing.dtype, value.dtype)
     if value.dtype != common:
         return value.astype(common)
@@ -236,7 +239,6 @@ def _bind_static_profiles(profiles, items):
 _BASE_ENV: Dict[str, object] = {
     "_nd": np.ndarray,
     "_BH": BufferHandle,
-    "_MI": MemoryAccessInfo,
     "_IP": InstructionProfile,
     "_SE": StackEntry,
     "_INT": _INT,
@@ -317,8 +319,6 @@ def _resolve_plan(plan: tuple, segment: Segment,
                                        warp_size))
         elif kind == "uid":
             values.append(body[item[1]].uid)
-        elif kind == "execute":
-            values.append(body[item[1]].execute)
         elif kind == "handler":
             values.append(_ARITHMETIC[item[1]])
         elif kind == "operand":
@@ -536,7 +536,8 @@ class _SegmentCompiler:
             self._write_masked(dest, value_var)
 
     def _write_full(self, dest: str, value_var: str) -> None:
-        """Shadowed equivalent of ``write_register_full(dest, value)``.
+        """Shadowed equivalent of ``write_register(dest, value, mask)``
+        under a full mask.
 
         Also the masked shape's write of a segment-local register: the
         merged value a masked write would store has exactly this dtype, and
@@ -547,7 +548,7 @@ class _SegmentCompiler:
                 self.emit(f"if {shadow.var}.dtype != {value_var}.dtype:")
                 self.emit(f"    {value_var} = _pr({shadow.var}, {value_var})")
             # A buffer-handle shadow is simply rebound (no promotion),
-            # exactly like write_register_full with a handle existing.
+            # exactly like write_register with a handle existing.
             self.emit(f"{shadow.var} = {value_var}")
             shadow.kind = "array"
             shadow.base = "dirty"
@@ -631,8 +632,8 @@ class _SegmentCompiler:
     # -- dynamic (memory) pricing ------------------------------------------
     def memory_cost(self, inst_var: str, info_expr: str, decoded,
                     source_index: int) -> None:
-        """Price through the live cost model (fallback instructions only:
-        atomics and unknown opcodes, whose access the closure performed)."""
+        """Price through the live cost model (the instructions run on the
+        oracle: atomics and unknown opcodes)."""
         self._needs_memory_cost = True
         cost = self.temp("_c")
         self.emit(f"{cost} = _mc({inst_var}, {self.active_lanes()}, {info_expr})")
@@ -750,20 +751,18 @@ class _SegmentCompiler:
         self.emit("warp.cycles += _dyn")
 
     # -- per-instruction bodies --------------------------------------------
-    def closure_fallback(self, decoded, inst_var: str, source_index: int) -> None:
-        """Run the instruction through its decoded handler closure (the
-        uncommon opcodes); shadows are flushed so the closure sees a
+    def oracle_fallback(self, decoded, inst_var: str, source_index: int) -> None:
+        """Run the instruction on the oracle's ``_execute_straightline``
+        (atomics and unknown opcodes); shadows are flushed so it sees a
         coherent register file, and its destination shadow is dropped."""
         self.flush_dirty()
-        execute = self.bind("_EX", ("execute", source_index))
-        full = "True" if self.full else "False"
         if decoded.static_cost is None:
             info = self.temp("_mi")
-            self.emit(f"{info} = {execute}(ex, mask, {full})")
+            self.emit(f"{info} = ex._execute_straightline({inst_var}, mask)")
             self.drop_shadow(decoded.instruction.dest)
             self.memory_cost(inst_var, info, decoded, source_index)
         else:
-            self.emit(f"{execute}(ex, mask, {full})")
+            self.emit(f"ex._execute_straightline({inst_var}, mask)")
             self.drop_shadow(decoded.instruction.dest)
 
     def compile_instruction(self, decoded, source_index: int) -> None:
@@ -926,7 +925,7 @@ class _SegmentCompiler:
             # is gathered across lanes, and the lane/delta operand shapes
             # the gather's indices at *every* position -- an unmerged
             # inactive-lane delta could index out of range where the
-            # dispatch tier's merged register stays in bounds.
+            # oracle's merged register stays in bounds.
             value = numeric(1, merged=True)
             lane = numeric(2, merged=True)
             lanes = self.temp("_ln")
@@ -969,7 +968,7 @@ class _SegmentCompiler:
 
         # Atomics and anything else (including unimplemented opcodes,
         # which trap with the interpreter's exact message).
-        self.closure_fallback(decoded, inst_var, source_index)
+        self.oracle_fallback(decoded, inst_var, source_index)
 
     def lanes_var(self) -> str:
         if "_lanes" not in (name for name, _ in self.plan):
@@ -1006,8 +1005,9 @@ class _SegmentCompiler:
     # -- the folded terminator ----------------------------------------------
     def compile_terminator(self) -> None:
         """Emit the block terminator inline (after the register flush):
-        the same transfer/divergence discipline as the dispatch loop's
-        control-step branch, minus one loop round-trip per block."""
+        the same transfer/divergence discipline as the oracle's
+        :meth:`~WarpExecutor._branch`, minus one loop round-trip per
+        block."""
         step = self.terminator
         kind = step.kind
         if kind == STEP_BR:
@@ -1259,8 +1259,8 @@ def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
     control step additionally gets a *single-instruction* record of its
     own -- an empty segment with the terminator folded in -- so blocks with
     no preceding straight-line segment (loop latches, header tests, bare
-    returns) and mid-block resumes landing on the terminator execute
-    compiled too; barriers keep going through the dispatch loop.  Each
+    returns) and entries landing on the terminator execute compiled too;
+    barriers charge their baked cost in the run loop.  Each
     exact segment also learns its local registers
     (:func:`_observed_registers`), which its masked shape stores
     unmerged.  *arch* supplies the memory pricing the generated source
@@ -1270,7 +1270,6 @@ def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
     observed = _observed_registers(decoded)
     for label, block in decoded.blocks.items():
         steps = block.steps
-        index = 0
         for position, step in enumerate(steps):
             if step.kind == STEP_SEGMENT:
                 if step.exact and step.jit_fns is None:
@@ -1281,18 +1280,13 @@ def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
                     step.jit_fns = _jit_record(
                         step, warp_size, label, arch,
                         _folded_terminator(steps, position))
-                index += len(step.body)
-                continue
-            if (step.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
+            elif (step.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
                     and step.jit_fns is None
                     and float(step.static_cost).is_integer()):
-                # An empty segment starting at the control step makes the
-                # folded terminator's pc_after equal the step's own index,
-                # so the compiled RET leaves top.pc exactly where the
-                # dispatch loop's plain path does.
-                step.jit_fns = _jit_record(Segment(index), warp_size, label,
-                                           arch, step)
-            index += 1
+                # An empty segment starting at the control step: the
+                # folded terminator's pc_after is the step's own index.
+                step.jit_fns = _jit_record(Segment(step.start), warp_size,
+                                           label, arch, step)
     decoded.jit_ready = True
 
 

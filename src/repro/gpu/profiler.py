@@ -44,7 +44,7 @@ class ProfileCollector:
                                            compare=False)
 
     def record(self, instruction: Instruction, cycles: float) -> None:
-        # The decoded fast path (WarpExecutor._run_decoded) inlines this
+        # The segment JIT (repro.gpu.jitted) inlines this
         # get-or-create-then-bump body for speed; keep the two in sync.
         if not self.enabled:
             return

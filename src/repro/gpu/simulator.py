@@ -2,7 +2,8 @@
 
 :class:`GpuDevice` is the host-facing entry point: it binds host numpy
 arrays as global buffers, runs every thread block of the launch through
-the SIMT interpreter, applies the block-level scheduling model (warps of a
+the SIMT interpreter (the segment JIT by default, or the tree-walking
+oracle), applies the block-level scheduling model (warps of a
 block round-robin between ``__syncthreads`` barriers; blocks fill the
 device in waves limited by the architecture's concurrent-block capacity),
 and converts the resulting cycle counts into milliseconds.
@@ -22,9 +23,8 @@ import numpy as np
 from ..errors import KernelTrap, LaunchError
 from ..ir.analysis import immediate_postdominators
 from ..ir.function import Function, Module
-from .arch import GpuArch, P100, normalize_interpreter_tier
+from .arch import GpuArch, P100, check_interpreter_tier
 from .batched import BatchAbort, batchable_function, execute_batched
-from .decoded import decode_function
 from .interpreter import WarpExecutor
 from .jitted import jit_function, structural_function_key
 from .memory import GlobalMemory, SharedMemoryBlock
@@ -92,26 +92,18 @@ class GpuDevice:
         profile: bool = True,
         unified_memory_arena: bool = False,
         arena_guard_elements: int = 24,
-        fast_path: Union[bool, str, None] = None,
+        fast_path: Optional[str] = None,
     ):
         self.arch = arch
         self.zero_init_shared = zero_init_shared
         self.max_instructions_per_warp = max_instructions_per_warp
         self.profile_enabled = profile
-        #: Which of the three bit-for-bit-equivalent interpreter tiers this
-        #: device executes through: the tree-walking ``"oracle"``, the
-        #: decode-once ``"dispatch"`` tables, or the segment-``"jit"``
-        #: (the default).  ``fast_path`` accepts a tier name or the
-        #: historical booleans (``True`` -> jit, ``False`` -> oracle) and
-        #: defaults to the architecture's ``fast_path`` selector.
-        selector = arch.fast_path if fast_path is None else fast_path
-        try:
-            self.interpreter_tier = normalize_interpreter_tier(selector)
-        except ValueError as error:
-            raise LaunchError(str(error)) from None
-        #: Backwards-compatible view of the tier: ``False`` only for the
-        #: reference oracle.
-        self.fast_path = self.interpreter_tier != "oracle"
+        #: Which of the two bit-for-bit-equivalent interpreter tiers this
+        #: device executes through: the segment ``"jit"`` or the
+        #: tree-walking ``"oracle"``.  ``fast_path`` names one and defaults
+        #: to the architecture's ``fast_path``.
+        self.interpreter_tier = check_interpreter_tier(
+            arch.fast_path if fast_path is None else fast_path)
         #: Shared read-only scalar-parameter broadcast arrays, built once
         #: per distinct scalar-argument tuple instead of once per warp per
         #: launch (drivers re-launch the same kernel with the same scalars
@@ -162,16 +154,12 @@ class GpuDevice:
         global_memory.finalize_arena()
         global_bindings = {name: global_memory.get(name) for name in buffer_names}
 
-        tier = self.interpreter_tier
-        if tier == "oracle":
-            decoded = None
-            postdominators = immediate_postdominators(function)
-        elif tier == "jit":
+        if self.interpreter_tier == "jit":
             decoded = jit_function(function, self.arch)
             postdominators = decoded.postdominators
         else:
-            decoded = decode_function(function, self.arch)
-            postdominators = decoded.postdominators
+            decoded = None
+            postdominators = immediate_postdominators(function)
         scalar_arrays = self._shared_scalar_arrays(scalar_bindings)
         profiler = ProfileCollector(enabled=self.profile_enabled)
         #: Most recent launch's profile; read back by the runtime's
@@ -190,7 +178,7 @@ class GpuDevice:
                     function, (bx, by), block_dim, grid_dim,
                     global_bindings, scalar_bindings,
                     postdominators, cost_model, profiler, budget, decoded,
-                    jit=(tier == "jit"), scalar_arrays=scalar_arrays,
+                    scalar_arrays=scalar_arrays,
                 )
                 block_results.append(result)
                 total_instructions += result.instructions
@@ -414,7 +402,6 @@ class GpuDevice:
         profiler: ProfileCollector,
         budget: int,
         decoded=None,
-        jit: bool = False,
         scalar_arrays: Optional[Dict[str, np.ndarray]] = None,
     ) -> BlockResult:
         warp_size = self.arch.warp_size
@@ -436,7 +423,7 @@ class GpuDevice:
             executors.append(WarpExecutor(
                 function, warp, shared, global_bindings, scalar_bindings,
                 postdominators, cost_model, profiler, max_instructions=budget,
-                decoded=decoded, jit=jit, scalar_arrays=scalar_arrays,
+                decoded=decoded, scalar_arrays=scalar_arrays,
             ))
 
         self._run_warps_to_completion(executors)

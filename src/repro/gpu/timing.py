@@ -31,8 +31,6 @@ from .memory import (
     BufferHandle,
     bank_conflicts,
     coalesced_transactions,
-    conflicts_from_stats,
-    transactions_from_stats,
 )
 
 import numpy as np
@@ -44,11 +42,6 @@ class MemoryAccessInfo:
 
     handle: BufferHandle
     indices: np.ndarray
-    #: ``(min, max)`` of ``indices`` when the access path already reduced
-    #: them (the decoded/JIT tiers fuse the reductions into the bounds
-    #: check; ``(0, -1)`` encodes an empty access).  ``None`` means the
-    #: pricing re-reduces from ``indices`` -- same result either way.
-    stats: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -111,25 +104,21 @@ class CostModel:
     ) -> float:
         """Price one resolved warp memory access and bump its counters.
 
-        The single dynamic-pricing seam shared by all three interpreter
-        tiers (the JIT tier inlines the equivalent arithmetic into its
-        generated source, baking the same ``GpuArch`` geometry and
-        latencies as literals).  Geometry -- transaction segment width and
-        bank count -- always comes from the arch, never from literals.
+        The single dynamic-pricing seam of the oracle, which also prices
+        the atomics the JIT runs on it (for loads and stores the JIT
+        inlines the equivalent arithmetic into its generated source,
+        baking the same ``GpuArch`` geometry and latencies as literals).
+        Geometry -- transaction segment width and bank count -- always
+        comes from the arch, never from literals.
         Every charge lands in a counter, so the counter sums equal the
         total cycles charged; ``global_transactions`` / ``shared_conflicts``
         record the per-access evidence the multi-objective fitness reads.
         """
         arch = self.arch
         space = memory.handle.space
-        stats = memory.stats
         if space == GLOBAL_SPACE:
-            if stats is not None:
-                transactions = transactions_from_stats(
-                    memory.indices, stats[0], stats[1], arch.memory_segment_size)
-            else:
-                transactions = coalesced_transactions(
-                    memory.indices, arch.memory_segment_size)
+            transactions = coalesced_transactions(memory.indices,
+                                                  arch.memory_segment_size)
             base = arch.global_store_latency if is_store else arch.global_latency
             cost = base + arch.global_per_transaction * max(0, transactions - 1)
             if is_atomic:
@@ -139,11 +128,7 @@ class CostModel:
             self._bump("global_transactions", transactions)
             return float(cost)
         if space == SHARED_SPACE:
-            if stats is not None:
-                conflict = conflicts_from_stats(
-                    memory.indices, stats[0], stats[1], arch.shared_banks)
-            else:
-                conflict = bank_conflicts(memory.indices, arch.shared_banks)
+            conflict = bank_conflicts(memory.indices, arch.shared_banks)
             base = arch.shared_store_latency if is_store else arch.shared_latency
             cost = base + arch.shared_conflict_penalty * max(0, conflict - 1)
             if is_atomic:

@@ -228,26 +228,5 @@ class WarpState:
             value = value.astype(common)
         self.registers[name] = np.where(mask, value, base)
 
-    def write_register_full(self, name: str, value: np.ndarray) -> None:
-        """Write *value* under a fully-active mask.
-
-        Equivalent to :meth:`write_register` with an all-true mask -- the
-        merge with the previous contents keeps nothing, so the masked
-        ``np.where`` collapses to storing *value* (promoted against the
-        existing register's dtype exactly as the merge would).  *value*
-        must be a freshly produced array the caller does not retain; the
-        decoded fast path's handlers guarantee this.
-        """
-        if isinstance(value, BufferHandle):
-            self.registers[name] = value
-            return
-        existing = self.registers.get(name)
-        if (existing is not None and not isinstance(existing, BufferHandle)
-                and existing.dtype != value.dtype):
-            common = np.result_type(existing.dtype, value.dtype)
-            if value.dtype != common:
-                value = value.astype(common)
-        self.registers[name] = value
-
     def snapshot_cycles(self) -> float:
         return self.cycles

@@ -162,10 +162,6 @@ class SearchCheckpoint:
     evaluations: int
     history: Dict[str, object]
     baseline_runtime: float
-    #: Algorithm-specific payload (population, counters, working
-    #: individuals ...); the owning search defines its shape.
-    state: Dict[str, object] = field(default_factory=dict)
-    cache_entries: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: Cache keys of every edit set *this search* has submitted -- the
     #: :class:`EvaluationLedger`'s known set.  Recorded separately from
     #: ``cache_entries`` because the two answer different questions: the
@@ -174,14 +170,14 @@ class SearchCheckpoint:
     #: namespaced by workload+arch, not seed), while the ledger set is
     #: "what this timeline has been charged for".  Seeding a resumed
     #: ledger from ``cache_entries`` would mark sibling legs' entries
-    #: pre-known and undercount the replay; ``None`` (legacy checkpoints)
-    #: falls back to that approximation, which is exact for unshared
-    #: caches.
-    ledger_keys: Optional[List[str]] = None
-    #: Architecture the run evaluated on.  Optional for backward
-    #: compatibility (pre-crash-exactness checkpoints lack it); when
-    #: present, resume refuses a mismatched architecture.
-    arch_name: Optional[str] = None
+    #: pre-known and undercount the replay.
+    ledger_keys: List[str]
+    #: Architecture the run evaluated on; resume refuses a mismatch.
+    arch_name: str
+    #: Algorithm-specific payload (population, counters, working
+    #: individuals ...); the owning search defines its shape.
+    state: Dict[str, object] = field(default_factory=dict)
+    cache_entries: Dict[str, Dict[str, object]] = field(default_factory=dict)
     version: int = CHECKPOINT_FORMAT_VERSION
 
     # -- construction ------------------------------------------------------------------
@@ -189,9 +185,8 @@ class SearchCheckpoint:
     def capture(cls, *, algorithm: str, workload_id: str, config: GevoConfig,
                 rng_state, evaluations: int, history: SearchHistory,
                 baseline_runtime: float, state: Dict[str, object],
+                ledger_keys: Iterable[str], arch_name: str,
                 cache_entries: Optional[Dict[str, Dict[str, object]]] = None,
-                ledger_keys: Optional[Iterable[str]] = None,
-                arch_name: Optional[str] = None,
                 ) -> "SearchCheckpoint":
         return cls(
             algorithm=algorithm,
@@ -201,10 +196,10 @@ class SearchCheckpoint:
             evaluations=evaluations,
             history=serialize_history(history),
             baseline_runtime=baseline_runtime,
+            ledger_keys=sorted(ledger_keys),
+            arch_name=arch_name,
             state=dict(state),
             cache_entries=dict(cache_entries or {}),
-            ledger_keys=None if ledger_keys is None else sorted(ledger_keys),
-            arch_name=arch_name,
         )
 
     # -- restoration -------------------------------------------------------------------
@@ -248,6 +243,11 @@ class SearchCheckpoint:
             raise SearchError(
                 f"checkpoint format version {data.get('version')!r} is not supported "
                 f"(expected {CHECKPOINT_FORMAT_VERSION})")
+        for name in ("ledger_keys", "arch_name"):
+            if data.get(name) is None:
+                raise SearchError(
+                    f"checkpoint has no {name!r} field (it predates "
+                    "crash-exact resume); start a fresh search")
         fields = {f.name for f in dataclasses.fields(cls)}
         return cls(**{key: value for key, value in data.items() if key in fields})
 
@@ -343,13 +343,10 @@ class EvaluationLedger:
         pre-known undercounts every post-resume submission of an edit
         set a sibling happened to evaluate first.  The checkpoint's
         ``ledger_keys`` field is exactly the set this timeline had been
-        charged for at the round boundary; legacy checkpoints without it
-        fall back to ``cache_entries``, which is equivalent whenever the
-        cache was not shared.
+        charged for at the round boundary.
         """
-        known = (checkpoint.cache_entries.keys()
-                 if checkpoint.ledger_keys is None else checkpoint.ledger_keys)
-        return cls(known_keys=known, count=checkpoint.evaluations)
+        return cls(known_keys=checkpoint.ledger_keys,
+                   count=checkpoint.evaluations)
 
     def charge(self, keys: Iterable[str]) -> int:
         """Charge each not-yet-known key once; returns how many were new.
@@ -453,7 +450,7 @@ def resolve_checkpoint(resume_from: Union[str, SearchCheckpoint], *,
 
     ``resume_from`` may be a path or an already-loaded checkpoint.  The
     checkpoint must have been written by the same *algorithm*, for the
-    same *workload* (and *arch*, when both sides record one), under the
+    same *workload* (and *arch*, when the request names one), under the
     same *config*; any mismatch raises :class:`SearchError` (resuming
     under different settings would silently produce a run that matches
     neither the old nor a fresh one).
@@ -468,8 +465,7 @@ def resolve_checkpoint(resume_from: Union[str, SearchCheckpoint], *,
         raise SearchError(
             f"checkpoint belongs to workload {checkpoint.workload_id!r}, "
             f"not {workload_id!r}")
-    if (arch_name is not None and checkpoint.arch_name is not None
-            and checkpoint.arch_name != arch_name):
+    if arch_name is not None and checkpoint.arch_name != arch_name:
         raise SearchError(
             f"checkpoint was recorded on architecture {checkpoint.arch_name!r}, "
             f"not {arch_name!r}; resume with the original --arch (or start fresh)")

@@ -195,7 +195,7 @@ _worker_telemetry: Telemetry = NULL_TELEMETRY
 
 
 def _prewarm_worker_caches(adapter, module) -> None:
-    """Pre-decode *module* for the adapter's interpreter tier.
+    """Pre-decode and JIT *module* unless the adapter runs on the oracle.
 
     The per-function decode cache is a ``WeakKeyDictionary`` of unpicklable
     artifacts, so it never travels to pool workers: without this, every
@@ -211,24 +211,16 @@ def _prewarm_worker_caches(adapter, module) -> None:
     if arch is None or not functions:
         return
     try:
-        from ..gpu.arch import normalize_interpreter_tier
-
-        tier = normalize_interpreter_tier(getattr(arch, "fast_path", True))
-        if tier == "oracle":
+        if arch.fast_path == "oracle":
             return
-        if tier == "jit":
-            from ..gpu.batched import batched_program
-            from ..gpu.jitted import jit_function as warm
-        else:
-            from ..gpu.decoded import decode_function as warm
+        from ..gpu.batched import batched_program
+        from ..gpu.jitted import jit_function
 
-            batched_program = None
         for function in functions.values():
-            warm(function, arch)
-            if batched_program is not None:
-                # Also warm the batched launch factories so a pool worker
-                # handed a batch group does not recompile them per group.
-                batched_program(function, arch)
+            jit_function(function, arch)
+            # Also warm the batched launch factories so a pool worker
+            # handed a batch group does not recompile them per group.
+            batched_program(function, arch)
     except Exception:  # noqa: BLE001 - best-effort warm-up only
         pass
 

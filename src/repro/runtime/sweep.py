@@ -82,8 +82,8 @@ def make_adapter(workload: str, arch_name: str,
     The single factory the CLI and the sweep orchestrator share, so a
     sweep leg evaluates exactly what ``repro search`` would.  Workload
     modules import lazily to keep startup cheap.  ``interpreter_tier``
-    pins one of the simulator's bit-for-bit-equivalent tiers
-    (``oracle``/``dispatch``/``jit``).
+    pins one of the simulator's two bit-for-bit-equivalent tiers
+    (``jit`` or ``oracle``).
     """
     arch = get_arch(arch_name)
     if interpreter_tier is not None:

@@ -1,15 +1,16 @@
-"""Differential battery: all three interpreter tiers against each other.
+"""Differential battery: the segment JIT against the oracle.
 
-The decode-once dispatch tables (:mod:`repro.gpu.decoded`) and the
-exec-compiled segment JIT (:mod:`repro.gpu.jitted`) must both be
+The exec-compiled segment JIT (:mod:`repro.gpu.jitted`) must be
 **bit-for-bit** equivalent to the tree-walking reference interpreter:
 identical cycle counts, cost-model counters, per-uid profiler statistics,
 output buffers, seeded RNG streams and trap messages.  Everything cached
 in a persisted :class:`FitnessResult` depends on this, so the battery
-runs the three tiers against each other on every workload (toy,
+runs the two tiers against each other on every workload (toy,
 ADEPT-V0/V1, SIMCoV), on every architecture, and on seeded random edit
 sets that exercise divergence, partial warps, traps and degenerate
-control flow.  The JIT's process-wide access memo is checked by
+control flow.  The steps the JIT leaves to the oracle (atomics, the
+segment that straddles the instruction budget) are checked to stay off
+the hot path.  The JIT's process-wide access memo is checked by
 launching twice on one device (the second launch runs on memo hits),
 and its segment-local registers by kernels whose temporaries other
 lanes or other blocks read.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -58,13 +60,6 @@ def launch_tiers(module, grid, block, args, arch, *, kernel_name=None,
     return {tier: launch_outcome(GpuDevice(arch, fast_path=tier, **device_kwargs),
                                  module, grid, block, args, kernel_name)
             for tier in tiers}
-
-
-def launch_both(module, grid, block, args, arch, *, kernel_name=None, **device_kwargs):
-    """Backwards-compatible pair view: (jit outcome, oracle outcome)."""
-    outcomes = launch_tiers(module, grid, block, args, arch,
-                            kernel_name=kernel_name, **device_kwargs)
-    return outcomes["jit"], outcomes["oracle"]
 
 
 def assert_same_outcome(candidate, reference, tier):
@@ -107,14 +102,9 @@ def case_tuples(result):
 
 
 def assert_equivalent_fitness(make_adapter, module=None):
-    """Evaluate *module* (default: the original) on one adapter per tier.
-
-    ``make_adapter`` takes the historical fast-path selector: ``False``
-    builds the oracle adapter and a tier name pins that tier, so existing
-    workload factories keep working unchanged.
-    """
-    adapters = {tier: make_adapter(tier if tier != "oracle" else False)
-                for tier in TIERS}
+    """Evaluate *module* (default: the original) on one adapter per tier;
+    ``make_adapter`` takes the tier name."""
+    adapters = {tier: make_adapter(tier) for tier in TIERS}
     target = module if module is not None else adapters["jit"].original_module()
     results = {tier: adapter.evaluate(target)
                for tier, adapter in adapters.items()}
@@ -136,7 +126,7 @@ def assert_same_fitness(result, reference, tier):
 def test_toy_workload_equivalent_on_every_arch(arch_name):
     arch = get_arch(arch_name)
     assert_equivalent_fitness(
-        lambda fast: ToyWorkloadAdapter(arch.with_overrides(fast_path=fast)))
+        lambda tier: ToyWorkloadAdapter(arch.with_overrides(fast_path=tier)))
 
 
 @pytest.mark.parametrize("arch_name", ["P100", "V100"])
@@ -145,8 +135,8 @@ def test_adept_v1_workload_equivalent(arch_name):
 
     arch = get_arch(arch_name)
     result = assert_equivalent_fitness(
-        lambda fast: AdeptWorkloadAdapter(
-            "v1", arch.with_overrides(fast_path=fast),
+        lambda tier: AdeptWorkloadAdapter(
+            "v1", arch.with_overrides(fast_path=tier),
             fitness_cases=[search_pairs()]))
     assert result.valid
 
@@ -156,8 +146,8 @@ def test_adept_v0_workload_equivalent():
 
     pairs = generate_pairs(1, reference_length=36, query_length=22, seed=5)
     result = assert_equivalent_fitness(
-        lambda fast: AdeptWorkloadAdapter(
-            "v0", get_arch("P100").with_overrides(fast_path=fast),
+        lambda tier: AdeptWorkloadAdapter(
+            "v0", get_arch("P100").with_overrides(fast_path=tier),
             fitness_cases=[pairs]))
     assert result.valid
 
@@ -166,8 +156,8 @@ def test_simcov_workload_equivalent():
     from repro.workloads.simcov import SimCovParams, SimCovWorkloadAdapter
 
     result = assert_equivalent_fitness(
-        lambda fast: SimCovWorkloadAdapter(
-            get_arch("P100").with_overrides(fast_path=fast),
+        lambda tier: SimCovWorkloadAdapter(
+            get_arch("P100").with_overrides(fast_path=tier),
             fitness_params=SimCovParams.quick()))
     assert result.valid
 
@@ -180,11 +170,11 @@ def test_adept_discovered_edits_equivalent():
         search_pairs,
     )
 
-    def make(fast):
-        return AdeptWorkloadAdapter("v1", get_arch("P100").with_overrides(fast_path=fast),
+    def make(tier):
+        return AdeptWorkloadAdapter("v1", get_arch("P100").with_overrides(fast_path=tier),
                                     fitness_cases=[search_pairs()])
 
-    adapter = make(True)
+    adapter = make("jit")
     edits = adept_v1_discovered_edits(adapter.driver.kernel)
     variant = apply_edits(adapter.original_module(), edits).module
     assert_equivalent_fitness(make, module=variant)
@@ -267,7 +257,7 @@ def test_rand_uniform_stream_equivalent():
 
 # --------------------------------------------------------------------------- traps and budgets
 def test_instruction_budget_trap_equivalent():
-    """Both paths trap the runaway-loop budget with the same message."""
+    """Both tiers trap the runaway-loop budget with the same message."""
     from repro.ir import KernelBuilder, Param, build_module
 
     b = KernelBuilder("spin", params=[Param("out", "buffer")])
@@ -280,7 +270,7 @@ def test_instruction_budget_trap_equivalent():
     outcomes = launch_tiers(module, 1, 32, {"out": out}, get_arch("P100"),
                             kernel_name="spin",
                             max_instructions_per_warp=5_000)
-    assert outcomes["jit"] == outcomes["dispatch"] == outcomes["oracle"]
+    assert outcomes["jit"] == outcomes["oracle"]
     assert outcomes["oracle"][0] == "error"
     assert "budget exceeded" in outcomes["oracle"][2]
 
@@ -294,7 +284,7 @@ def test_out_of_bounds_trap_equivalent():
     outcomes = launch_tiers(
         kernel.module, 4, 64, {"x": x, "y": y, "out": out, "n": 256},
         get_arch("P100"), kernel_name="saxpy_wasteful")
-    assert outcomes["jit"] == outcomes["dispatch"] == outcomes["oracle"]
+    assert outcomes["jit"] == outcomes["oracle"]
     assert outcomes["oracle"][0] == "error"
     assert "out-of-bounds" in outcomes["oracle"][2]
 
@@ -310,7 +300,7 @@ def test_decode_cache_invalidated_by_edits():
     y = rng.normal(size=128)
     args = {"x": x, "y": y, "out": np.zeros(128), "n": 128}
 
-    device = GpuDevice(arch, fast_path=True)
+    device = GpuDevice(arch, fast_path="jit")
     before = device.launch(module, 2, 64, dict(args, out=np.zeros(128)),
                            kernel_name="saxpy_wasteful")
     # Mutate the already-decoded module in place through a GEVO edit.
@@ -321,7 +311,7 @@ def test_decode_cache_invalidated_by_edits():
                           kernel_name="saxpy_wasteful")
     assert after.cycles < before.cycles
     # And the re-decoded program still matches the reference interpreter.
-    reference = GpuDevice(arch, fast_path=False).launch(
+    reference = GpuDevice(arch, fast_path="oracle").launch(
         module, 2, 64, dict(args, out=np.zeros(128)), kernel_name="saxpy_wasteful")
     assert after.cycles == reference.cycles
     assert after.counters == reference.counters
@@ -339,7 +329,7 @@ def test_decode_cache_invalidated_by_operand_replace():
     x = rng.normal(size=64)
     y = rng.normal(size=64)
 
-    device = GpuDevice(arch, fast_path=True)
+    device = GpuDevice(arch, fast_path="jit")
     out_before = np.zeros(64)
     device.launch(module, 1, 64, {"x": x, "y": y, "out": out_before, "n": 64},
                   kernel_name="saxpy_wasteful")
@@ -352,57 +342,119 @@ def test_decode_cache_invalidated_by_operand_replace():
     np.testing.assert_array_equal(out_after, 5.0 * x + y)
 
     out_reference = np.zeros(64)
-    GpuDevice(arch, fast_path=False).launch(
+    GpuDevice(arch, fast_path="oracle").launch(
         module, 1, 64, {"x": x, "y": y, "out": out_reference, "n": 64},
         kernel_name="saxpy_wasteful")
     np.testing.assert_array_equal(out_after, out_reference)
 
 
+def assert_removed_selector_fails(selector, replacement):
+    """A removed ``fast_path`` value fails on the device and on the arch,
+    naming the tier that replaces it."""
+    message = re.escape(f"interpreter tier {selector!r} was removed; "
+                        f"use {replacement!r}")
+    with pytest.raises(LaunchError, match=message):
+        GpuDevice(get_arch("P100"), fast_path=selector)
+    with pytest.raises(LaunchError, match=message):
+        get_arch("P100").with_overrides(fast_path=selector)
+
+
 def test_fast_path_default_and_opt_out():
-    """fast_path defaults on via the arch and can be disabled per device."""
+    """The arch defaults to the JIT, a device or arch can pin the oracle,
+    and the boolean selectors fail naming their replacement."""
     arch = get_arch("P100")
-    assert GpuDevice(arch).fast_path is True
-    assert GpuDevice(arch, fast_path=False).fast_path is False
-    assert GpuDevice(arch.with_overrides(fast_path=False)).fast_path is False
-    assert GpuDevice(arch.with_overrides(fast_path=False), fast_path=True).fast_path is True
+    assert arch.fast_path == "jit"
+    assert GpuDevice(arch).interpreter_tier == "jit"
+    assert GpuDevice(arch, fast_path="oracle").interpreter_tier == "oracle"
+    oracle_arch = arch.with_overrides(fast_path="oracle")
+    assert GpuDevice(oracle_arch).interpreter_tier == "oracle"
+    assert GpuDevice(oracle_arch, fast_path="jit").interpreter_tier == "jit"
+    assert_removed_selector_fails(True, "jit")
+    assert_removed_selector_fails(False, "oracle")
 
 
 # --------------------------------------------------------------------------- tier selection
 def test_interpreter_tier_selection():
-    """Booleans and tier names resolve to the documented tiers."""
+    """Tier names select their tier; the removed dispatch tier and the
+    old aliases fail naming their replacement, unknown names fail too."""
     arch = get_arch("P100")
-    assert GpuDevice(arch).interpreter_tier == "jit"
-    assert GpuDevice(arch, fast_path=True).interpreter_tier == "jit"
-    assert GpuDevice(arch, fast_path=False).interpreter_tier == "oracle"
-    for tier in ("oracle", "dispatch", "jit"):
+    assert INTERPRETER_TIERS == ("oracle", "jit")
+    for tier in INTERPRETER_TIERS:
         assert GpuDevice(arch, fast_path=tier).interpreter_tier == tier
         assert GpuDevice(arch.with_overrides(fast_path=tier)).interpreter_tier == tier
-    assert GpuDevice(arch, fast_path="reference").interpreter_tier == "oracle"
-    assert GpuDevice(arch, fast_path="dispatch").fast_path is True
-    with pytest.raises(LaunchError):
+    for selector in ("dispatch", "decoded", "fast"):
+        assert_removed_selector_fails(selector, "jit")
+    assert_removed_selector_fails("reference", "oracle")
+    with pytest.raises(LaunchError, match="unknown interpreter tier 'turbo'"):
         GpuDevice(arch, fast_path="turbo")
 
 
-def test_jit_tier_leaves_dispatch_uncompiled():
-    """The dispatch tier must measure (and run) the pure dispatch loop:
-    only a jit-tier device triggers segment compilation."""
+# --------------------------------------------------------------------------- the oracle off the hot path
+def test_budget_straddling_segment_runs_once_per_instruction_on_the_oracle(
+        monkeypatch):
+    """A runaway loop whose budget runs out inside its body segment runs
+    only that last partial segment on the oracle: at most one
+    ``_execute`` call per instruction of the segment, for every budget
+    that lands the trap at a different position in the body."""
     from repro.gpu import decode_function
+    from repro.gpu.interpreter import STEP_SEGMENT, WarpExecutor
+    from repro.ir import KernelBuilder, Param, build_module
 
-    kernel = build_toy_kernel()
-    module = kernel.module
+    b = KernelBuilder("spin", params=[Param("out", "buffer")])
+    b.block("entry")
+    with b.for_range("i", 0, 1_000_000):
+        for _ in range(8):
+            b.add(b.reg("i"), 1, dest="sink")
+    b.ret()
+    module = build_module("spin_m", b.build())
     arch = get_arch("P100")
-    rng = np.random.default_rng(3)
-    args = {"x": rng.normal(size=64), "y": rng.normal(size=64),
-            "out": np.zeros(64), "n": 64}
-    GpuDevice(arch, fast_path="dispatch").launch(module, 1, 64, dict(args),
-                                                 kernel_name="saxpy_wasteful")
-    function = module.get_function("saxpy_wasteful")
-    decoded = decode_function(function, arch)
-    assert not decoded.jit_ready
-    GpuDevice(arch, fast_path="jit").launch(module, 1, 64, dict(args),
-                                            kernel_name="saxpy_wasteful")
-    assert decode_function(function, arch) is decoded
-    assert decoded.jit_ready
+    body = max(len(step.body)
+               for block in decode_function(module.get_function("spin"),
+                                            arch).blocks.values()
+               for step in block.steps if step.kind == STEP_SEGMENT)
+    calls = []
+    execute = WarpExecutor._execute
+
+    def counting(self, instruction, entry):
+        calls[-1] += 1
+        return execute(self, instruction, entry)
+
+    monkeypatch.setattr(WarpExecutor, "_execute", counting)
+    for budget in range(5_000, 5_000 + body + 2):
+        calls.append(0)
+        outcome = launch_tiers(module, 1, 32, {"out": np.zeros(32)}, arch,
+                               kernel_name="spin", tiers=("jit",),
+                               max_instructions_per_warp=budget)["jit"]
+        assert outcome[0] == "error" and "budget exceeded" in outcome[2]
+        assert calls[-1] <= body, (budget, calls)
+    assert max(calls) == body, calls
+
+
+def test_jit_runs_only_atomics_on_the_oracle(monkeypatch):
+    """On the original ADEPT-V1 and SimCov kernels the JIT runs every
+    opcode compiled except the atomics, which run on the oracle."""
+    from repro.gpu.interpreter import WarpExecutor
+    from repro.workloads.adept import AdeptWorkloadAdapter, search_pairs
+    from repro.workloads.simcov import SimCovParams, SimCovWorkloadAdapter
+
+    opcodes = set()
+    straightline = WarpExecutor._execute_straightline
+
+    def recording(self, instruction, mask):
+        opcodes.add(instruction.opcode)
+        return straightline(self, instruction, mask)
+
+    monkeypatch.setattr(WarpExecutor, "_execute_straightline", recording)
+    arch = get_arch("P100")
+    adapters = {
+        "adept-v1": AdeptWorkloadAdapter("v1", arch, fitness_cases=[search_pairs()]),
+        "simcov": SimCovWorkloadAdapter(arch, fitness_params=SimCovParams.quick()),
+    }
+    for name, adapter in adapters.items():
+        opcodes.clear()
+        assert adapter.evaluate(adapter.original_module()).valid, name
+        assert opcodes, name
+        assert all(opcode.startswith("atomic.") for opcode in opcodes), (name, opcodes)
 
 
 # --------------------------------------------------------------------------- atomics with NaN/Inf
@@ -442,9 +494,9 @@ def build_atomic_kernel(opcode):
 @pytest.mark.parametrize("opcode", ["atomic.max", "atomic.cas"])
 @pytest.mark.parametrize("collide", [False, True])
 def test_atomic_nan_inf_equivalent(opcode, collide):
-    """atomic.max / atomic.cas with NaN/Inf operands agree across all
-    tiers on both the unique-address (vectorized) and colliding
-    (per-lane loop) paths, under full and partial warps."""
+    """atomic.max / atomic.cas with NaN/Inf operands agree across the
+    tiers on unique and colliding addresses, under full and partial
+    warps."""
     n = 48  # partial final warp
     rng = np.random.default_rng(11)
     values = rng.normal(size=n)
@@ -470,7 +522,7 @@ def test_atomic_nan_inf_equivalent(opcode, collide):
 
 @pytest.mark.parametrize("opcode", ["atomic.add", "atomic.exch"])
 def test_atomic_add_exch_nan_equivalent(opcode):
-    """The previously vectorized atomics stay pinned with NaN/Inf too."""
+    """atomic.add / atomic.exch with NaN/Inf operands agree too."""
     n = 32
     rng = np.random.default_rng(13)
     values = rng.normal(size=n)
@@ -549,7 +601,7 @@ def test_jit_cache_invalidated_by_edits():
     assert after.jit_ready
     np.testing.assert_array_equal(out_jit, 7.0 * x + y)
 
-    # And the recompiled program still matches the other tiers exactly.
+    # And the recompiled program still matches the oracle exactly.
     assert_equivalent_launch(module, 2, 64, args, arch,
                              kernel_name="saxpy_wasteful")
 
@@ -590,7 +642,7 @@ def test_full_warp_launch_builds_no_masked_kernel(monkeypatch):
 def test_masked_shape_first_run_on_later_launch_equivalent(monkeypatch):
     """A masked kernel first compiled on a later launch of an already
     JIT-ed function (here: a partial final warp after a full-warp launch)
-    still agrees bit-for-bit with the other tiers."""
+    still agrees bit-for-bit with the oracle."""
     shapes = record_compiled_shapes(monkeypatch)
     module = build_toy_kernel().module
     arch = get_arch("P100")
@@ -645,7 +697,7 @@ def _build_geometry_module():
 
 @pytest.mark.parametrize("arch_name", ["P100", "G80"])
 def test_bank_conflict_kernel_equivalent(arch_name):
-    """Three-way equivalence holds on the non-default G80 geometry too."""
+    """Equivalence holds on the non-default G80 geometry too."""
     module = _build_geometry_module()
     rng = np.random.default_rng(7)
     x = rng.normal(size=128)
@@ -678,7 +730,7 @@ def test_geometry_is_observable_end_to_end():
 def test_toy_workload_equivalent_on_g80():
     arch = get_arch("G80")
     assert_equivalent_fitness(
-        lambda fast: ToyWorkloadAdapter(arch.with_overrides(fast_path=fast)))
+        lambda tier: ToyWorkloadAdapter(arch.with_overrides(fast_path=tier)))
 
 
 # --------------------------------------------------------------------------- solo control blocks
@@ -687,7 +739,7 @@ def test_solo_control_blocks_equivalent():
 
     The divergent CONDBR exercises both the full- and masked-mask compiled
     variants; the empty join block pins the compiled solo-RET's pc
-    semantics against the plain dispatch path.
+    semantics against the oracle.
     """
     from repro.ir import KernelBuilder, Param, build_module
 
@@ -720,7 +772,7 @@ def test_load_cost_override_equivalent():
 
     Pins the JIT fix: the compiled path used to charge the override in its
     static prelude *and* run the dynamic pricing, double-charging relative
-    to the dispatch/oracle tiers.
+    to the oracle.
     """
     arch = get_arch("P100").with_overrides(cost_overrides={"load": 7})
     kernel = build_toy_kernel()
@@ -770,6 +822,33 @@ def test_condbr_at_count_boundaries_equivalent(block, true_lanes):
         _build_branch_module(), 1, block, {"flags": flags, "out": np.zeros(block)},
         get_arch("P100"), kernel_name="branchk")
     assert result is not None
+
+
+def test_fractional_cost_overrides_run_on_the_oracle_equivalent(monkeypatch):
+    """Non-integer baked costs leave a segment, and a terminator, without
+    a JIT record: the JIT device runs them instruction by instruction on
+    the oracle, between compiled steps, and still agrees bit for bit --
+    under full and partial warps, on both sides of a divergent branch."""
+    from repro.gpu.interpreter import WarpExecutor
+
+    arch = get_arch("P100").with_overrides(
+        cost_overrides={"mul": 2.5, "condbr": 6.5})
+    opcodes = set()
+    execute = WarpExecutor._execute
+
+    def recording(self, instruction, entry):
+        opcodes.add(instruction.opcode)
+        return execute(self, instruction, entry)
+
+    monkeypatch.setattr(WarpExecutor, "_execute", recording)
+    lanes = np.arange(48)
+    flags = np.where(lanes % 3 == 0, lanes + 1.0, 0.0)
+    result = assert_equivalent_launch(
+        _build_branch_module(), 1, 48, {"flags": flags, "out": np.zeros(48)},
+        arch, kernel_name="branchk")
+    assert result is not None
+    assert result.counters["override_cycles"] > 0
+    assert {"mul", "condbr"} <= opcodes
 
 
 def _build_division_module(opcode):
@@ -855,7 +934,7 @@ def test_non_finite_scalar_argument_equivalent(scalar):
 # --------------------------------------------------------------------------- access memo
 def assert_memo_exact(module, grid, block, args, arch, *, kernel_name,
                       **device_kwargs):
-    """Three-way equivalence, then two launches on one JIT device from an
+    """Equivalence with the oracle, then two launches on one JIT device from an
     empty access memo: the first fills it, the second runs on its hits
     alone (it adds no entry), and both match the oracle.  Returns the
     oracle outcome."""
@@ -1099,8 +1178,8 @@ def test_edit_reading_a_local_register_elsewhere_recomputes_the_set():
     from repro.ir.values import Reg
     from repro.workloads.adept import AdeptWorkloadAdapter, search_pairs
 
-    def make(fast):
-        return AdeptWorkloadAdapter("v1", get_arch("P100").with_overrides(fast_path=fast),
+    def make(tier):
+        return AdeptWorkloadAdapter("v1", get_arch("P100").with_overrides(fast_path=tier),
                                     fitness_cases=[search_pairs()])
 
     adapter = make("jit")

@@ -125,19 +125,20 @@ class TestResume:
         with pytest.raises(SearchError, match="architecture 'V100'"):
             GevoSearch(adapter, config).run(resume_from=path)
 
-    def test_checkpoint_without_arch_field_still_resumes(
-            self, adapter, tmp_path):
-        # Checkpoints written before the arch field existed carry None;
-        # the architecture check is skipped rather than rejecting them.
+    @pytest.mark.parametrize("field", ["arch_name", "ledger_keys"])
+    def test_checkpoint_without_field_is_rejected(self, adapter, tmp_path,
+                                                  field):
+        # Checkpoints written before crash-exact resume lack these fields;
+        # resuming one could miscount evaluations, so it fails cleanly.
         path = str(tmp_path / "ckpt.json")
         self._interrupted_run(adapter, path, stop_at=3)
         document = json.loads(open(path).read())
-        document.pop("arch_name")
+        document.pop(field)
         open(path, "w").write(json.dumps(document))
         config = GevoConfig.quick(**CONFIG)
-        resumed = GevoSearch(adapter, config).run(resume_from=path)
-        uninterrupted = GevoSearch(adapter, config).run()
-        assert resumed.evaluations == uninterrupted.evaluations
+        with pytest.raises(SearchError,
+                           match=f"no '{field}' field.*start a fresh search"):
+            GevoSearch(adapter, config).run(resume_from=path)
 
     def test_resume_rejects_workload_mismatch(self, adapter, tmp_path):
         path = str(tmp_path / "ckpt.json")

@@ -147,6 +147,7 @@ class TestFsyncPolicy:
         synced = self._record_fsyncs(monkeypatch)
         checkpoint = SearchCheckpoint(
             algorithm="gevo", workload_id="toy", config={}, rng_state=[],
-            evaluations=0, history={}, baseline_runtime=1.0)
+            evaluations=0, history={}, baseline_runtime=1.0, ledger_keys=[],
+            arch_name="P100")
         checkpoint.save(str(tmp_path / "ckpt.json"))
         assert len(synced) == 2

@@ -174,7 +174,7 @@ class TestWorkerPrewarm:
         from repro.ir.function import _DECODE_CACHES
         from repro.runtime import engine as engine_module
 
-        adapter = ToyWorkloadAdapter(get_arch("P100").with_overrides(fast_path=False))
+        adapter = ToyWorkloadAdapter(get_arch("P100").with_overrides(fast_path="oracle"))
         engine_module._init_worker(pickle.dumps(adapter))
         try:
             module = engine_module._worker_original

@@ -79,13 +79,21 @@ class TestCli:
 
 class TestInterpreterTierFlags:
     def test_search_accepts_each_tier(self, capsys):
-        for tier in ("jit", "dispatch", "oracle"):
+        for tier in ("jit", "oracle"):
             assert main(["search", "toy", "--population", "4",
                          "--generations", "1", "--seed", "3",
                          "--interpreter-tier", tier]) == 0
             assert "best speedup" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tier", ["oracle", "dispatch"])
+    def test_removed_dispatch_tier_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "toy", "--population", "4", "--generations", "1",
+                  "--interpreter-tier", "dispatch"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "--interpreter-tier" in error and "invalid choice" in error
+
+    @pytest.mark.parametrize("tier", ["oracle"])
     @pytest.mark.parametrize("command", [
         ["search", "toy"],
         ["baseline", "random", "toy"],
@@ -105,14 +113,14 @@ class TestInterpreterTierFlags:
 
     def test_tier_results_are_bit_identical(self, capsys):
         outputs = []
-        for tier in ("jit", "dispatch", "oracle"):
+        for tier in ("jit", "oracle"):
             assert main(["search", "toy", "--population", "6",
                          "--generations", "2", "--seed", "7",
                          "--interpreter-tier", tier]) == 0
             output = capsys.readouterr().out
             outputs.append(next(line for line in output.splitlines()
                                 if line.startswith("best speedup")))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
 
 class TestBaselineCli:
