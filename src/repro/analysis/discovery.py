@@ -32,10 +32,6 @@ class DiscoverySequence:
     events: List[DiscoveryEvent]
     speedup_series: List[Optional[float]]
 
-    def ordered_labels(self) -> List[str]:
-        """Labels in discovery order (undiscovered edits last)."""
-        return [event.label for event in self.events]
-
     def discovered(self) -> List[DiscoveryEvent]:
         return [event for event in self.events if event.generation is not None]
 

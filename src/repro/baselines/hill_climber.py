@@ -6,8 +6,8 @@ can find independent edits but cannot assemble interdependent clusters
 whose members are individually invalid -- which is exactly the paper's
 argument for why population-based EC matters (Section V / VII).
 
-Like :class:`~repro.gevo.search.GevoSearch`, the climb conforms to
-:class:`~repro.runtime.checkpoint.CheckpointableSearch`: pass
+Like :class:`~repro.gevo.search.GevoSearch`, the climb's steps are the
+rounds of :class:`~repro.runtime.checkpoint.CheckpointableSearch`: pass
 ``checkpoint_path=`` to snapshot the run (current individual, step
 counter, accepted/rejected tallies, RNG state, history and fitness-cache
 contents), and ``resume_from=`` to continue an interrupted climb
@@ -17,17 +17,16 @@ bit-for-bit without re-simulating anything it already evaluated.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..errors import SearchError
 from ..gevo.config import GevoConfig
-from ..gevo.fitness import FitnessResult, GenomeEvaluator, WorkloadAdapter
+from ..gevo.fitness import FitnessResult, WorkloadAdapter
 from ..gevo.genome import Individual
 from ..gevo.history import SearchHistory
-from ..gevo.mutation import EditGenerator
+from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint, serialize_individual
 
 
 @dataclass
@@ -49,137 +48,49 @@ class HillClimbResult:
         return self.baseline.runtime_ms / self.best.fitness
 
 
-class HillClimber:
+class HillClimber(CheckpointableSearch):
     """Greedy first-improvement search over single-edit mutations."""
 
     algorithm = "hill_climber"
 
     def __init__(self, adapter: WorkloadAdapter, config: GevoConfig, *, engine=None):
-        self.adapter = adapter
-        self.config = config
-        self.rng = random.Random(config.seed)
-        self.evaluator = GenomeEvaluator(adapter, engine=engine)
-        self.generator = EditGenerator(self.evaluator.original, self.rng,
-                                       weights=config.edit_weights)
+        super().__init__(adapter, config, engine=engine)
         # Working state of the climb (captured by checkpoints).
         self._current: Optional[Individual] = None
-        self._history: Optional[SearchHistory] = None
-        self._step = 0
         self._budget = 0
         self._accepted = 0
         self._rejected = 0
-        # Crash-exact evaluation accounting; created by run()/restore_checkpoint().
-        self._ledger = None
+        # The step budget the current run() asked for, if any.
+        self._requested_steps: Optional[int] = None
 
     def run(self, steps: Optional[int] = None, *,
-            checkpoint_path: Optional[str] = None,
-            checkpoint_every: int = 1,
-            resume_from: Optional[Union[str, "SearchCheckpoint"]] = None,
-            ) -> HillClimbResult:
+            checkpoint_every: Optional[int] = None, **options) -> HillClimbResult:
         """Climb for the configured number of steps.
 
-        With ``checkpoint_path`` the full state is written there every
-        ``checkpoint_every`` steps; ``resume_from`` (a path or a loaded
-        checkpoint) continues an interrupted climb instead of starting
-        fresh.  A resumed climb keeps the checkpoint's recorded step
-        budget; passing a conflicting ``steps`` raises
-        :class:`~repro.errors.SearchError`.
+        ``steps`` replaces the population x generations budget.  A
+        resumed climb keeps the checkpoint's recorded budget; passing a
+        conflicting ``steps`` raises :class:`~repro.errors.SearchError`.
+        A step is one evaluation and every checkpoint re-serialises the
+        search's cache entries, so ``checkpoint_every`` defaults to the
+        population size, not to every step.  The other *options* are
+        ``checkpoint_path`` and ``resume_from``, as documented on
+        :meth:`~repro.runtime.checkpoint.CheckpointableSearch._run_rounds`.
         """
-        from ..runtime.checkpoint import EvaluationLedger, resolve_checkpoint
-        from ..runtime.faultpoints import kill_point
-        from ..runtime.telemetry import telemetry_of
-
+        self._requested_steps = steps
         start = time.perf_counter()
-        engine = self.evaluator.engine
-        telemetry = telemetry_of(engine)
-        budget = steps if steps is not None else (
-            self.config.population_size * self.config.generations)
-        self._step = 0
-        self._accepted = 0
-        self._rejected = 0
-
-        if resume_from is not None:
-            checkpoint = resolve_checkpoint(resume_from, algorithm=self.algorithm,
-                                            workload_id=engine.workload_id,
-                                            config=self.config,
-                                            arch_name=engine.arch_name)
-            self.restore_checkpoint(checkpoint)
-            if steps is not None and self._budget != steps:
-                raise SearchError(
-                    f"checkpoint was recorded with a budget of {self._budget} steps, "
-                    f"not {steps}; resume with the original budget (or start fresh)")
-            budget = self._budget
-            baseline = engine.baseline()
-            telemetry.event("search.resume_replay", algorithm=self.algorithm,
-                            round=self._step,
-                            evaluations=self._ledger.count,
-                            cached_entries=len(checkpoint.cache_entries))
-        else:
-            self._budget = budget
-            # The ledger starts empty: evaluation counts are a pure
-            # function of the climb's timeline, not of how warm any
-            # shared cache happens to be, so a crash at *any* point
-            # (even before the first checkpoint) resumes to the same
-            # totals an uninterrupted climb reports.
-            self._ledger = EvaluationLedger()
-            baseline = engine.baseline()
-            self._ledger.charge([engine.cache_key([]).to_string()])
-            self._history = SearchHistory(baseline_runtime=baseline.runtime_ms)
-            self._current = Individual()
-            self.evaluator.evaluate_individual(self._current, ledger=self._ledger)
-        history = self._history
+        baseline = self._run_rounds(
+            checkpoint_every=checkpoint_every or max(1, self.config.population_size),
+            **options)
         current = self._current
-        telemetry.event("search.start", algorithm=self.algorithm,
-                        workload=engine.workload_id, budget=budget,
-                        seed=self.config.seed, resumed=resume_from is not None)
-
-        for step in range(self._step + 1, budget + 1):
-            self._step = step
-            edit = self.generator.random_edit()
-            if edit is None:
-                continue
-            candidate = current.with_additional_edit(edit)
-            kill_point("search.round.spawned")
-            self.evaluator.evaluate_individual(candidate, ledger=self._ledger)
-            kill_point("search.round.evaluated")
-            current_fitness = current.fitness if current.valid else math.inf
-            candidate_fitness = candidate.fitness if candidate.valid else math.inf
-            if candidate.valid and candidate_fitness < current_fitness:
-                current = candidate
-                self._accepted += 1
-                accepted = True
-            else:
-                self._rejected += 1
-                accepted = False
-            self._current = current
-            history.record_generation(step, [current], current, step)
-            if telemetry.enabled:
-                telemetry.event(
-                    "search.step", step=step, accepted=accepted,
-                    best_fitness=current.fitness if current.valid else None,
-                    edits=len(current.edits))
-            kill_point("search.round.scored")
-            if checkpoint_path is not None and step % max(1, checkpoint_every) == 0:
-                self.capture_checkpoint().save(checkpoint_path)
-                telemetry.event("search.checkpoint", path=str(checkpoint_path),
-                                round=step)
-                kill_point("search.round.checkpointed")
-        if checkpoint_path is not None:
-            # Final state, regardless of the cadence: re-running the same
-            # command resumes (and immediately finishes) instead of
-            # repeating the tail since the last periodic checkpoint.
-            self.capture_checkpoint().save(checkpoint_path)
-        kill_point("search.finished")
-
-        telemetry.event(
-            "search.end", algorithm=self.algorithm, steps=self._step,
+        self._telemetry.event(
+            "search.end", algorithm=self.algorithm, steps=self._round,
             accepted=self._accepted, rejected=self._rejected,
             best_fitness=current.fitness if current.valid else None,
             evaluations=self._ledger.count,
             wall_clock_seconds=time.perf_counter() - start)
         return HillClimbResult(
             best=current,
-            history=history,
+            history=self._history,
             baseline=baseline,
             accepted_edits=self._accepted,
             rejected_edits=self._rejected,
@@ -188,23 +99,61 @@ class HillClimber:
         )
 
     # -- CheckpointableSearch ----------------------------------------------------------
-    def capture_checkpoint(self):
-        from ..runtime.checkpoint import capture_search_checkpoint, serialize_individual
+    def _start_fields(self):
+        return {"budget": self._budget}
 
-        return capture_search_checkpoint(self, state={
-            "step": self._step,
+    def _start_fresh(self, baseline) -> None:
+        self._budget = (self._requested_steps if self._requested_steps is not None
+                        else self.config.population_size * self.config.generations)
+        self._accepted = 0
+        self._rejected = 0
+        self._current = Individual()
+        self.evaluator.evaluate_population([self._current], ledger=self._ledger)
+
+    def _spawn(self) -> Optional[List[Individual]]:
+        while self._round < self._budget:
+            self._round += 1
+            edit = self.generator.random_edit()
+            # A step with no edit to try still spends its place in the
+            # budget, but is not a round: nothing is evaluated or scored.
+            if edit is not None:
+                return [self._current.with_additional_edit(edit)]
+        return None
+
+    def _score(self, individuals: List[Individual]) -> None:
+        (candidate,) = individuals
+        current = self._current
+        current_fitness = current.fitness if current.valid else math.inf
+        candidate_fitness = candidate.fitness if candidate.valid else math.inf
+        if candidate.valid and candidate_fitness < current_fitness:
+            current = self._current = candidate
+            self._accepted += 1
+            accepted = True
+        else:
+            self._rejected += 1
+            accepted = False
+        self._history.record_generation(self._round, [current], current, self._round)
+        self._telemetry.event(
+            "search.step", step=self._round, accepted=accepted,
+            best_fitness=current.fitness if current.valid else None,
+            edits=len(current.edits))
+
+    def capture_checkpoint(self) -> SearchCheckpoint:
+        return self._capture({
+            "step": self._round,
             "budget": self._budget,
             "accepted": self._accepted,
             "rejected": self._rejected,
             "current": serialize_individual(self._current),
         })
 
-    def restore_checkpoint(self, checkpoint) -> None:
-        from ..runtime.checkpoint import restore_search_checkpoint
-
-        restore_search_checkpoint(self, checkpoint)
-        self._current = checkpoint.restore_individual("current")
-        self._step = int(checkpoint.state.get("step", 0))
+    def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
         self._budget = int(checkpoint.state.get("budget", 0))
+        if self._requested_steps is not None and self._budget != self._requested_steps:
+            raise SearchError(
+                f"checkpoint was recorded with a budget of {self._budget} steps, "
+                f"not {self._requested_steps}; resume with the original budget "
+                "(or start fresh)")
+        self._current = checkpoint.restore_individual("current")
         self._accepted = int(checkpoint.state.get("accepted", 0))
         self._rejected = int(checkpoint.state.get("rejected", 0))

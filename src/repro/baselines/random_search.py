@@ -6,8 +6,8 @@ edit lists is the natural null hypothesis.  The baseline draws individuals
 with random edit lists (no selection, no crossover) under the same
 evaluation budget so its best-found variant can be compared with GEVO's.
 
-Like :class:`~repro.gevo.search.GevoSearch`, the sampling loop conforms to
-:class:`~repro.runtime.checkpoint.CheckpointableSearch`: pass
+Like :class:`~repro.gevo.search.GevoSearch`, the sampling waves are the
+rounds of :class:`~repro.runtime.checkpoint.CheckpointableSearch`: pass
 ``checkpoint_path=`` to snapshot the run (RNG state, best-so-far, history
 and fitness-cache contents) after each sampling wave, and
 ``resume_from=`` to continue an interrupted run bit-for-bit without
@@ -17,16 +17,15 @@ re-simulating anything it already evaluated.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..gevo.config import GevoConfig
-from ..gevo.fitness import FitnessResult, GenomeEvaluator, WorkloadAdapter
+from ..gevo.fitness import FitnessResult, WorkloadAdapter
 from ..gevo.genome import Individual
 from ..gevo.history import SearchHistory
-from ..gevo.mutation import EditGenerator
+from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint, serialize_individual
 
 
 @dataclass
@@ -46,27 +45,18 @@ class RandomSearchResult:
         return self.baseline.runtime_ms / self.best.fitness
 
 
-class RandomSearch:
+class RandomSearch(CheckpointableSearch):
     """Samples random edit lists under a GEVO-equivalent evaluation budget."""
 
     algorithm = "random_search"
 
     def __init__(self, adapter: WorkloadAdapter, config: GevoConfig,
                  max_edits_per_individual: int = 8, *, engine=None):
-        self.adapter = adapter
-        self.config = config
+        super().__init__(adapter, config, engine=engine)
         self.max_edits_per_individual = max_edits_per_individual
-        self.rng = random.Random(config.seed)
-        self.evaluator = GenomeEvaluator(adapter, engine=engine)
-        self.generator = EditGenerator(self.evaluator.original, self.rng,
-                                       weights=config.edit_weights)
         # Working state of the sampling loop (captured by checkpoints).
         self._best: Optional[Individual] = None
-        self._history: Optional[SearchHistory] = None
-        self._generation = 0
         self._evaluated = 0
-        # Crash-exact evaluation accounting; created by run()/restore_checkpoint().
-        self._ledger = None
 
     def _random_individual(self) -> Individual:
         length = self.rng.randint(1, self.max_edits_per_individual)
@@ -77,119 +67,69 @@ class RandomSearch:
                 edits.append(edit)
         return Individual(edits=edits)
 
-    def run(self, *, checkpoint_path: Optional[str] = None,
-            checkpoint_every: int = 1,
-            resume_from: Optional[Union[str, "SearchCheckpoint"]] = None,
-            ) -> RandomSearchResult:
+    def run(self, **options) -> RandomSearchResult:
         """Sample until the evaluation budget is spent.
 
-        With ``checkpoint_path`` the full state is written there every
-        ``checkpoint_every`` sampling waves; ``resume_from`` (a path or a
-        loaded checkpoint) continues an interrupted run instead of
-        starting fresh.
+        *options* are ``checkpoint_path``, ``checkpoint_every`` (in
+        sampling waves) and ``resume_from``, as documented on
+        :meth:`~repro.runtime.checkpoint.CheckpointableSearch._run_rounds`.
         """
-        from ..runtime.checkpoint import EvaluationLedger, resolve_checkpoint
-        from ..runtime.faultpoints import kill_point
-        from ..runtime.telemetry import telemetry_of
-
         start = time.perf_counter()
-        engine = self.evaluator.engine
-        telemetry = telemetry_of(engine)
-        config = self.config
-        budget = config.population_size * config.generations
-        self._generation = 0
-        self._evaluated = 0
-        self._best = None
-
-        if resume_from is not None:
-            checkpoint = resolve_checkpoint(resume_from, algorithm=self.algorithm,
-                                            workload_id=engine.workload_id,
-                                            config=config,
-                                            arch_name=engine.arch_name)
-            self.restore_checkpoint(checkpoint)
-            baseline = engine.baseline()
-            telemetry.event("search.resume_replay", algorithm=self.algorithm,
-                            round=self._generation,
-                            evaluations=self._ledger.count,
-                            cached_entries=len(checkpoint.cache_entries))
-        else:
-            # The ledger starts empty: evaluation counts are a pure
-            # function of the sampling timeline, not of cache warmth, so
-            # a crash at *any* point (even before the first checkpoint)
-            # resumes to the same totals an uninterrupted run reports.
-            self._ledger = EvaluationLedger()
-            baseline = engine.baseline()
-            self._ledger.charge([engine.cache_key([]).to_string()])
-            self._history = SearchHistory(baseline_runtime=baseline.runtime_ms)
-        history = self._history
-        telemetry.event("search.start", algorithm=self.algorithm,
-                        workload=engine.workload_id, budget=budget,
-                        seed=config.seed, resumed=resume_from is not None)
-
-        generation_size = config.population_size
-        while self._evaluated < budget:
-            batch = [self._random_individual()
-                     for _ in range(min(generation_size, budget - self._evaluated))]
-            kill_point("search.round.spawned")
-            # One concurrent wave per batch (parallel under a pool-backed engine).
-            self.evaluator.evaluate_population(batch, ledger=self._ledger)
-            kill_point("search.round.evaluated")
-            self._evaluated += len(batch)
-            self._generation += 1
-            for individual in batch:
-                if individual.valid and (
-                        self._best is None
-                        or (individual.fitness or math.inf) < (self._best.fitness or math.inf)):
-                    self._best = individual
-            history.record_generation(self._generation, batch, self._best, self._evaluated)
-            if telemetry.enabled:
-                valid = [ind.fitness for ind in batch
-                         if ind.valid and ind.fitness is not None]
-                telemetry.event(
-                    "search.generation", generation=self._generation,
-                    best_fitness=self._best.fitness if self._best is not None else None,
-                    mean_fitness=sum(valid) / len(valid) if valid else None,
-                    valid_count=len(valid), stagnation=0,
-                    evaluations=self._evaluated)
-            kill_point("search.round.scored")
-            if checkpoint_path is not None and self._generation % max(1, checkpoint_every) == 0:
-                self.capture_checkpoint().save(checkpoint_path)
-                telemetry.event("search.checkpoint", path=str(checkpoint_path),
-                                round=self._generation)
-                kill_point("search.round.checkpointed")
-        if checkpoint_path is not None:
-            # Final state, regardless of the cadence (see HillClimber.run).
-            self.capture_checkpoint().save(checkpoint_path)
-        kill_point("search.finished")
-
-        telemetry.event(
-            "search.end", algorithm=self.algorithm, generations=self._generation,
+        baseline = self._run_rounds(**options)
+        self._telemetry.event(
+            "search.end", algorithm=self.algorithm, generations=self._round,
             best_fitness=self._best.fitness if self._best is not None else None,
             evaluations=self._ledger.count,
             wall_clock_seconds=time.perf_counter() - start)
         return RandomSearchResult(
             best=self._best,
-            history=history,
+            history=self._history,
             baseline=baseline,
             evaluations=self._ledger.count,
             wall_clock_seconds=time.perf_counter() - start,
         )
 
     # -- CheckpointableSearch ----------------------------------------------------------
-    def capture_checkpoint(self):
-        from ..runtime.checkpoint import capture_search_checkpoint, serialize_individual
+    def _start_fields(self):
+        return {"budget": self.config.population_size * self.config.generations}
 
-        return capture_search_checkpoint(self, state={
-            "generation": self._generation,
+    def _start_fresh(self, baseline) -> None:
+        self._best = None
+        self._evaluated = 0
+
+    def _spawn(self) -> Optional[List[Individual]]:
+        # One wave per round (parallel under a pool-backed engine).
+        config = self.config
+        remaining = config.population_size * config.generations - self._evaluated
+        if remaining <= 0:
+            return None
+        return [self._random_individual()
+                for _ in range(min(config.population_size, remaining))]
+
+    def _score(self, batch: List[Individual]) -> None:
+        self._evaluated += len(batch)
+        self._round += 1
+        for individual in batch:
+            if individual.valid and (
+                    self._best is None
+                    or (individual.fitness or math.inf) < (self._best.fitness or math.inf)):
+                self._best = individual
+        record = self._history.record_generation(self._round, batch, self._best,
+                                                 self._evaluated)
+        self._telemetry.event(
+            "search.generation", generation=self._round,
+            best_fitness=record.best_fitness, mean_fitness=record.mean_fitness,
+            valid_count=record.valid_count, stagnation=0,
+            evaluations=record.evaluations)
+
+    def capture_checkpoint(self) -> SearchCheckpoint:
+        return self._capture({
+            "generation": self._round,
             "evaluated": self._evaluated,
             "best": (serialize_individual(self._best)
                      if self._best is not None else None),
         })
 
-    def restore_checkpoint(self, checkpoint) -> None:
-        from ..runtime.checkpoint import restore_search_checkpoint
-
-        restore_search_checkpoint(self, checkpoint)
+    def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
         self._best = checkpoint.restore_best()
-        self._generation = checkpoint.generation
         self._evaluated = int(checkpoint.state.get("evaluated", 0))

@@ -24,7 +24,6 @@ benchmark harness, so the CLI is simply another front end over
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -35,7 +34,7 @@ from .errors import ReproError
 from .experiments import available_experiments, get_experiment
 from .gevo import GevoConfig, GevoSearch
 from .gpu import EVALUATION_ORDER, available_archs, parse_arch_list
-from .runtime import EvaluationEngine, FitnessCache, SearchCheckpoint, make_executor
+from .runtime import EvaluationEngine, FitnessCache, make_executor
 from .runtime.console import ConsoleReporter, configure_console, console_logger
 from .runtime.sweep import (
     METHOD_CHOICES,
@@ -260,45 +259,16 @@ def _make_engine(adapter, arguments: argparse.Namespace,
         batch_launches=_resolve_batch_launches(arguments))
 
 
-def _load_resume_checkpoint(arguments: argparse.Namespace, config: GevoConfig,
-                            *, algorithm: str) -> Optional[SearchCheckpoint]:
-    """The checkpoint for --resume, if the file exists.
+def _resume_from(arguments: argparse.Namespace) -> Optional[str]:
+    """The --resume checkpoint to continue from: its path, if the file exists.
 
-    A checkpoint written by a different algorithm, on a different
-    architecture, or under a different configuration is rejected with a
-    :class:`~repro.errors.ReproError` naming exactly what differs.
-    (Earlier versions silently adopted the checkpoint's configuration,
-    which made a typo'd ``--seed`` resume a different run than the one
-    asked for; the search layer's ``resolve_checkpoint`` re-checks the
-    same invariants, so the CLI refusal is just the earlier, friendlier
-    surface for it.)
+    The search validates it (algorithm, workload, --arch, configuration)
+    and refuses a mismatch with a :class:`~repro.errors.SearchError`
+    naming what differs.
     """
-    if arguments.resume is None or not os.path.exists(arguments.resume):
-        return None
-    checkpoint = SearchCheckpoint.load(arguments.resume)
-    if checkpoint.algorithm != algorithm:
-        raise ReproError(
-            f"checkpoint {arguments.resume} was written by the "
-            f"{checkpoint.algorithm!r} search, not {algorithm!r}; use the "
-            "matching subcommand (or start fresh with a new checkpoint path)")
-    if checkpoint.arch_name is not None and checkpoint.arch_name != arguments.arch:
-        raise ReproError(
-            f"checkpoint {arguments.resume} was recorded on architecture "
-            f"{checkpoint.arch_name!r}, not {arguments.arch!r}; pass the "
-            "original --arch (or start fresh with a new checkpoint path)")
-    restored = checkpoint.restore_config()
-    if restored != config:
-        from .runtime.checkpoint import describe_config_mismatch
-
-        raise ReproError(
-            f"checkpoint {arguments.resume} was recorded with a different "
-            f"configuration ({describe_config_mismatch(checkpoint.config, dataclasses.asdict(config))}); "
-            "pass the original --population/--generations/--seed flags, or "
-            "start fresh with a new checkpoint path")
-    _log.info(f"resuming from {arguments.resume} "
-              f"(round {checkpoint.generation}, "
-              f"{len(checkpoint.cache_entries)} cached fitness results)")
-    return checkpoint
+    if arguments.resume is not None and os.path.exists(arguments.resume):
+        return arguments.resume
+    return None
 
 
 def _command_list() -> int:
@@ -334,7 +304,6 @@ def _command_search(arguments: argparse.Namespace) -> int:
     config = GevoConfig.quick(seed=arguments.seed,
                               population_size=arguments.population,
                               generations=arguments.generations)
-    resume_from = _load_resume_checkpoint(arguments, config, algorithm="gevo")
     engine = _make_engine(adapter, arguments, telemetry)
 
     _log.info(f"searching {adapter.name}: population={config.population_size}, "
@@ -343,8 +312,8 @@ def _command_search(arguments: argparse.Namespace) -> int:
         result = GevoSearch(adapter, config, engine=engine).run(
             validate_best=True,
             checkpoint_path=arguments.resume,
-            checkpoint_every=arguments.checkpoint_every or 1,
-            resume_from=resume_from,
+            checkpoint_every=arguments.checkpoint_every,
+            resume_from=_resume_from(arguments),
         )
     finally:
         engine.close()
@@ -369,9 +338,6 @@ def _command_baseline(arguments: argparse.Namespace) -> int:
     config = GevoConfig.quick(seed=arguments.seed,
                               population_size=arguments.population,
                               generations=arguments.generations)
-    resume_from = _load_resume_checkpoint(
-        arguments, config,
-        algorithm="random_search" if arguments.method == "random" else "hill_climber")
     engine = _make_engine(adapter, arguments, telemetry)
 
     method = "random search" if arguments.method == "random" else "hill climbing"
@@ -380,34 +346,23 @@ def _command_baseline(arguments: argparse.Namespace) -> int:
               else config.population_size * config.generations)
     _log.info(f"{method} on {adapter.name}: budget={budget}, "
               f"executor={engine.executor.name}")
+    options = dict(checkpoint_path=arguments.resume,
+                   checkpoint_every=arguments.checkpoint_every,
+                   resume_from=_resume_from(arguments))
     try:
         if arguments.method == "random":
-            search = RandomSearch(adapter, config, engine=engine)
-            result = search.run(checkpoint_path=arguments.resume,
-                                checkpoint_every=arguments.checkpoint_every or 1,
-                                resume_from=resume_from)
-            edits = len(result.best.edits) if result.best is not None else 0
-            _log.info(f"best speedup: {result.speedup:.3f}x with {edits} edits "
-                      f"({result.evaluations} evaluations, "
-                      f"{result.wall_clock_seconds:.1f}s)")
+            result = RandomSearch(adapter, config, engine=engine).run(**options)
+            tallies = ""
         else:
-            # A hill-climbing "round" is one evaluation, and every
-            # checkpoint re-serialises the whole cache: default to one
-            # checkpoint per population-size steps, not per step.
-            checkpoint_every = (arguments.checkpoint_every
-                                or max(1, config.population_size))
-            search = HillClimber(adapter, config, engine=engine)
-            result = search.run(steps=arguments.steps,
-                                checkpoint_path=arguments.resume,
-                                checkpoint_every=checkpoint_every,
-                                resume_from=resume_from)
-            _log.info(f"best speedup: {result.speedup:.3f}x with {len(result.best.edits)} "
-                      f"edits ({result.accepted_edits} accepted / "
-                      f"{result.rejected_edits} rejected, "
-                      f"{result.evaluations} evaluations, "
-                      f"{result.wall_clock_seconds:.1f}s)")
+            result = HillClimber(adapter, config, engine=engine).run(
+                steps=arguments.steps, **options)
+            tallies = (f"{result.accepted_edits} accepted / "
+                       f"{result.rejected_edits} rejected, ")
     finally:
         engine.close()
+    edits = len(result.best.edits) if result.best is not None else 0
+    _log.info(f"best speedup: {result.speedup:.3f}x with {edits} edits ({tallies}"
+              f"{result.evaluations} evaluations, {result.wall_clock_seconds:.1f}s)")
     _log.info(f"runtime: {engine.stats().summary()}")
     if arguments.trace:
         emit_module_hotspots(telemetry, adapter, adapter.original_module(),

@@ -160,19 +160,9 @@ class GenomeEvaluator:
     def cache_hits(self) -> int:
         return self.engine.cache_hits - self._hits_offset
 
-    def evaluate_individual(self, individual: Individual, *,
-                            ledger=None) -> FitnessResult:
-        """Evaluate *individual*, filling in its fitness/validity fields.
-
-        ``ledger`` is an optional
-        :class:`~repro.runtime.checkpoint.EvaluationLedger`; the
-        individual's canonical key is charged only after the evaluation
-        succeeds, so a crash mid-evaluation leaves nothing charged and
-        the replayed attempt charges it exactly once.
-        """
+    def evaluate_individual(self, individual: Individual) -> FitnessResult:
+        """Evaluate *individual*, filling in its fitness/validity fields."""
         result = self.engine.evaluate(individual.edits)
-        if ledger is not None:
-            ledger.charge([self.engine.cache_key(individual.edits).to_string()])
         individual.mark_evaluated(
             result.runtime_ms if result.valid else None, result.valid)
         return result

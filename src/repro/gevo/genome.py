@@ -80,17 +80,6 @@ class Individual:
     def edit_keys(self) -> Tuple[Tuple, ...]:
         return tuple(edit.key() for edit in self.edits)
 
-    def deduplicated_edits(self) -> List[Edit]:
-        """Edit list with exact duplicates removed (first occurrence kept)."""
-        seen = set()
-        unique: List[Edit] = []
-        for edit in self.edits:
-            key = edit.key()
-            if key not in seen:
-                seen.add(key)
-                unique.append(edit)
-        return unique
-
     def with_additional_edit(self, edit: Edit) -> "Individual":
         child = self.copy()
         child.edits.append(edit)

@@ -10,28 +10,29 @@ II-A and III-E of the paper; runtime is the fitness, invalid variants
 Fitness evaluation routes through the evaluation runtime
 (:mod:`repro.runtime`): each generation is submitted as one batch, so an
 engine with a process-pool executor evaluates the whole population
-concurrently.  Long searches can be checkpointed after every generation
-(``checkpoint_path=``) and resumed exactly -- population, RNG state,
-history and fitness-cache contents are all restored, so a resumed run
-reproduces the uninterrupted one bit-for-bit and never re-simulates a
-variant evaluated before the interruption.
+concurrently.  The generations are the rounds of
+:class:`~repro.runtime.checkpoint.CheckpointableSearch`, which
+checkpoints them (``checkpoint_path=``) and resumes them exactly --
+population, RNG state, history and fitness-cache contents are all
+restored, so a resumed run reproduces the uninterrupted one bit-for-bit
+and never re-simulates a variant evaluated before the interruption.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from ..errors import SearchError
+from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint, serialize_individual
 from .config import GevoConfig
 from .crossover import maybe_crossover
-from .fitness import FitnessResult, GenomeEvaluator, WorkloadAdapter
+from .fitness import FitnessResult, WorkloadAdapter
 from .genome import Individual, apply_edits, seed_population
 from .history import SearchHistory
-from .mutation import EditGenerator, maybe_mutate
+from .mutation import maybe_mutate
 from .selection import best_individual, select_elites, select_parents
 
 
@@ -59,13 +60,12 @@ class SearchResult:
         return list(self.best.edits) if self.best is not None else []
 
 
-class GevoSearch:
+class GevoSearch(CheckpointableSearch):
     """Evolutionary search driver.
 
-    Conforms to :class:`~repro.runtime.checkpoint.CheckpointableSearch`:
-    the working state of the generational loop lives on the instance, so
-    :meth:`capture_checkpoint` / :meth:`restore_checkpoint` can snapshot
-    and restore a run at any generation boundary.
+    Its rounds are generations, run by
+    :class:`~repro.runtime.checkpoint.CheckpointableSearch`, which can
+    checkpoint and resume the search at any generation boundary.
     """
 
     algorithm = "gevo"
@@ -74,176 +74,73 @@ class GevoSearch:
                  *, progress: Optional[Callable[[int, SearchHistory], None]] = None,
                  candidate_edits=None, candidate_probability: float = 0.0,
                  engine=None):
-        self.adapter = adapter
-        self.config = config
+        super().__init__(adapter, config, engine=engine,
+                         candidate_edits=candidate_edits,
+                         candidate_probability=candidate_probability)
         self.progress = progress
-        self.rng = random.Random(config.seed)
-        self.evaluator = GenomeEvaluator(adapter, engine=engine)
-        self.generator = EditGenerator(self.evaluator.original, self.rng,
-                                       weights=config.edit_weights,
-                                       candidate_edits=candidate_edits,
-                                       candidate_probability=candidate_probability)
         # Working state of the generational loop (captured by checkpoints).
         self._population: List[Individual] = []
         self._best: Optional[Individual] = None
-        self._generation = 0
         self._stagnation = 0
-        self._history: Optional[SearchHistory] = None
-        # Crash-exact evaluation accounting; created by run()/restore_checkpoint().
-        self._ledger = None
 
-    # -- main loop -----------------------------------------------------------------------
-    def run(self, *, validate_best: bool = False,
-            checkpoint_path: Optional[str] = None,
-            checkpoint_every: int = 1,
-            resume_from: Optional[Union[str, "SearchCheckpoint"]] = None) -> SearchResult:
+    def run(self, *, validate_best: bool = False, **options) -> SearchResult:
         """Run the configured number of generations and return the result.
 
-        With ``checkpoint_path`` the full search state is written there
-        every ``checkpoint_every`` generations; ``resume_from`` (a path or
-        a loaded :class:`~repro.runtime.checkpoint.SearchCheckpoint`)
-        continues an interrupted run from its last checkpoint instead of
-        starting fresh.
+        *options* are ``checkpoint_path``, ``checkpoint_every`` (in
+        generations) and ``resume_from``, as documented on
+        :meth:`~repro.runtime.checkpoint.CheckpointableSearch._run_rounds`.
+        ``validate_best`` also runs the best variant's held-out tests.
         """
-        from ..runtime.checkpoint import EvaluationLedger, resolve_checkpoint
-        from ..runtime.faultpoints import kill_point
-        from ..runtime.telemetry import telemetry_of
-
-        config = self.config
-        engine = self.evaluator.engine
-        telemetry = telemetry_of(engine)
         start = time.perf_counter()
-        self._stagnation = 0
-        self._generation = 0
-
-        if resume_from is not None:
-            checkpoint = resolve_checkpoint(resume_from, algorithm=self.algorithm,
-                                            workload_id=engine.workload_id,
-                                            config=config,
-                                            arch_name=engine.arch_name)
-            self.restore_checkpoint(checkpoint)
-            baseline = engine.baseline()
-            telemetry.event("search.resume_replay", algorithm=self.algorithm,
-                            round=self._generation,
-                            evaluations=self._ledger.count,
-                            cached_entries=len(checkpoint.cache_entries))
-        else:
-            # The ledger starts empty: evaluation counts are a pure
-            # function of the search timeline, not of cache warmth, so a
-            # crash at *any* point (even before the first checkpoint)
-            # resumes to the same totals an uninterrupted run reports.
-            self._ledger = EvaluationLedger()
-            baseline = engine.baseline()
-            if not baseline.valid:
-                raise SearchError(
-                    f"the unmodified program of workload {self.adapter.name!r} fails its own "
-                    "test cases; fix the workload before searching")
-            self._ledger.charge([engine.cache_key([]).to_string()])
-            self._history = SearchHistory(baseline_runtime=baseline.runtime_ms)
-            self._population = seed_population(config.population_size)
-            self.evaluator.evaluate_population(self._population, ledger=self._ledger)
-            self._best = best_individual(self._population)
-        history = self._history
-        telemetry.event("search.start", algorithm=self.algorithm,
-                        workload=engine.workload_id,
-                        generations=config.generations,
-                        population_size=config.population_size,
-                        seed=config.seed, resumed=resume_from is not None)
-
-        for generation in range(self._generation + 1, config.generations + 1):
-            # Checked at the top so a resumed run that had already stopped
-            # on stagnation stops again immediately instead of evaluating
-            # one extra generation (which would break resume equivalence).
-            if config.stagnation_limit and self._stagnation >= config.stagnation_limit:
-                break
-            self._population = self._next_generation(self._population)
-            kill_point("search.round.spawned")
-            self.evaluator.evaluate_population(self._population, ledger=self._ledger)
-            kill_point("search.round.evaluated")
-            generation_best = best_individual(self._population)
-            if generation_best is not None and (
-                    self._best is None
-                    or (generation_best.fitness or math.inf) < (self._best.fitness or math.inf)):
-                self._best = generation_best
-                self._stagnation = 0
-            else:
-                self._stagnation += 1
-            self._generation = generation
-            history.record_generation(generation, self._population, self._best,
-                                      self._ledger.count)
-            if telemetry.enabled:
-                valid = [ind.fitness for ind in self._population
-                         if ind.valid and ind.fitness is not None]
-                telemetry.event(
-                    "search.generation", generation=generation,
-                    best_fitness=self._best.fitness if self._best is not None else None,
-                    mean_fitness=sum(valid) / len(valid) if valid else None,
-                    valid_count=len(valid), stagnation=self._stagnation,
-                    evaluations=self._ledger.count)
-            if self.progress is not None:
-                self.progress(generation, history)
-            kill_point("search.round.scored")
-            if checkpoint_path is not None and generation % max(1, checkpoint_every) == 0:
-                self.capture_checkpoint().save(checkpoint_path)
-                telemetry.event("search.checkpoint", path=str(checkpoint_path),
-                                round=generation)
-                kill_point("search.round.checkpointed")
-        if checkpoint_path is not None:
-            # Final state, regardless of the cadence: re-running the same
-            # command resumes (and immediately finishes) instead of
-            # repeating the tail since the last periodic checkpoint.
-            self.capture_checkpoint().save(checkpoint_path)
-        kill_point("search.finished")
-
+        baseline = self._run_rounds(**options)
         validation = None
         if validate_best and self._best is not None:
             applied = apply_edits(self.evaluator.original, self._best.edits)
             validation = self.adapter.validate(applied.module)
 
-        telemetry.event(
+        self._telemetry.event(
             "search.end", algorithm=self.algorithm,
-            generations=self._generation,
+            generations=self._round,
             best_fitness=self._best.fitness if self._best is not None else None,
             evaluations=self._ledger.count,
             wall_clock_seconds=time.perf_counter() - start)
         return SearchResult(
             best=self._best,
-            history=history,
+            history=self._history,
             baseline=baseline,
-            config=config,
+            config=self.config,
             evaluations=self._ledger.count,
             wall_clock_seconds=time.perf_counter() - start,
             validation=validation,
         )
 
-    def total_evaluations(self) -> int:
-        """Distinct edit sets this search has charged (crash-exact, see ledger)."""
-        return self._ledger.count if self._ledger is not None else 0
-
     # -- CheckpointableSearch ----------------------------------------------------------
-    def capture_checkpoint(self):
-        from ..runtime.checkpoint import capture_search_checkpoint, serialize_individual
+    def _start_fields(self):
+        return {"generations": self.config.generations,
+                "population_size": self.config.population_size}
 
-        return capture_search_checkpoint(self, state={
-            "generation": self._generation,
-            "stagnation": self._stagnation,
-            "population": [serialize_individual(ind) for ind in self._population],
-            "best": (serialize_individual(self._best)
-                     if self._best is not None else None),
-        })
+    def _start_fresh(self, baseline: FitnessResult) -> None:
+        if not baseline.valid:
+            raise SearchError(
+                f"the unmodified program of workload {self.adapter.name!r} fails its own "
+                "test cases; fix the workload before searching")
+        self._stagnation = 0
+        self._population = seed_population(self.config.population_size)
+        self.evaluator.evaluate_population(self._population, ledger=self._ledger)
+        self._best = best_individual(self._population)
 
-    def restore_checkpoint(self, checkpoint) -> None:
-        from ..runtime.checkpoint import restore_search_checkpoint
-
-        restore_search_checkpoint(self, checkpoint)
-        self._population = checkpoint.restore_population()
-        self._best = checkpoint.restore_best()
-        self._stagnation = int(checkpoint.state.get("stagnation", 0))
-        self._generation = checkpoint.generation
-
-    # -- generation construction ------------------------------------------------------------
-    def _next_generation(self, population: List[Individual]) -> List[Individual]:
+    def _spawn(self) -> Optional[List[Individual]]:
+        """Breed the next generation: elitism, tournament selection,
+        crossover and per-individual mutation."""
         config = self.config
+        # Checked before breeding so a resumed run that had already
+        # stopped on stagnation stops again immediately instead of
+        # evaluating one extra generation (which would break resume
+        # equivalence).
+        if self._round >= config.generations or (
+                config.stagnation_limit and self._stagnation >= config.stagnation_limit):
+            return None
+        population = self._population
         next_population: List[Individual] = select_elites(population, config.elitism)
         needed = config.population_size - len(next_population)
         parents = select_parents(population, needed + 1, config.tournament_size, self.rng)
@@ -259,7 +156,42 @@ class GevoSearch:
                 children.append(child_two)
         mutated = [maybe_mutate(child, self.generator, config, self.rng) for child in children]
         next_population.extend(mutated)
+        self._population = next_population
         return next_population
+
+    def _score(self, population: List[Individual]) -> None:
+        generation_best = best_individual(population)
+        if generation_best is not None and (
+                self._best is None
+                or (generation_best.fitness or math.inf) < (self._best.fitness or math.inf)):
+            self._best = generation_best
+            self._stagnation = 0
+        else:
+            self._stagnation += 1
+        self._round += 1
+        record = self._history.record_generation(self._round, population, self._best,
+                                                 self._ledger.count)
+        self._telemetry.event(
+            "search.generation", generation=self._round,
+            best_fitness=record.best_fitness, mean_fitness=record.mean_fitness,
+            valid_count=record.valid_count, stagnation=self._stagnation,
+            evaluations=record.evaluations)
+        if self.progress is not None:
+            self.progress(self._round, self._history)
+
+    def capture_checkpoint(self) -> SearchCheckpoint:
+        return self._capture({
+            "generation": self._round,
+            "stagnation": self._stagnation,
+            "population": [serialize_individual(ind) for ind in self._population],
+            "best": (serialize_individual(self._best)
+                     if self._best is not None else None),
+        })
+
+    def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
+        self._population = checkpoint.restore_population()
+        self._best = checkpoint.restore_best()
+        self._stagnation = int(checkpoint.state.get("stagnation", 0))
 
 
 def run_repeated_searches(adapter: WorkloadAdapter, config: GevoConfig, runs: int,

@@ -67,14 +67,6 @@ class ProfileCollector:
         ranked = sorted(self.instructions.values(), key=lambda p: p.cycles, reverse=True)
         return tuple(ranked[:top])
 
-    def by_source_line(self) -> Dict[str, float]:
-        """Cycles aggregated per source location string (``file:line``)."""
-        lines: Dict[str, float] = {}
-        for profile in self.instructions.values():
-            key = profile.location or "<unknown>"
-            lines[key] = lines.get(key, 0.0) + profile.cycles
-        return lines
-
     def by_opcode_category(self, function: Function) -> Dict[str, float]:
         """Cycles aggregated per opcode category for instructions of *function*.
 

@@ -48,9 +48,6 @@ class StackEntry:
     mask_obj: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     mask_full: bool = field(default=False, repr=False, compare=False)
 
-    def active_lane_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
 
 @dataclass
 class ThreadIdentity:
@@ -227,6 +224,3 @@ class WarpState:
             base = base.astype(common)
             value = value.astype(common)
         self.registers[name] = np.where(mask, value, base)
-
-    def snapshot_cycles(self) -> float:
-        return self.cycles

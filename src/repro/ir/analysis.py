@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..errors import IRError
 from .function import Function
 from .values import Const, Reg
 
@@ -80,13 +79,6 @@ def immediate_postdominators(func: Function) -> Dict[str, Optional[str]]:
     return result
 
 
-def block_distance_from_entry(func: Function) -> Dict[str, int]:
-    """Shortest CFG distance (in edges) from the entry block to each block."""
-    graph = build_cfg(func)
-    lengths = nx.single_source_shortest_path_length(graph, func.entry_label)
-    return dict(lengths)
-
-
 def collect_registers(func: Function) -> Tuple[str, ...]:
     """Every register name that appears (as dest or operand) in *func*."""
     names: List[str] = []
@@ -134,40 +126,6 @@ def collect_operand_pool(func: Function) -> Tuple[object, ...]:
     pool: List[object] = [Reg(name) for name in collect_registers(func)]
     pool.extend(collect_constants(func))
     return tuple(pool)
-
-
-def defining_instructions(func: Function) -> Dict[str, List[int]]:
-    """Map register name -> uids of instructions that write it."""
-    defs: Dict[str, List[int]] = {}
-    for inst in func.instructions():
-        if inst.dest is not None:
-            defs.setdefault(inst.dest, []).append(inst.uid)
-    return defs
-
-
-def using_instructions(func: Function) -> Dict[str, List[int]]:
-    """Map register name -> uids of instructions that read it."""
-    uses: Dict[str, List[int]] = {}
-    for inst in func.instructions():
-        for op in inst.operands:
-            if isinstance(op, Reg):
-                uses.setdefault(op.name, []).append(inst.uid)
-    return uses
-
-
-def loop_back_edges(func: Function) -> Tuple[Tuple[str, str], ...]:
-    """CFG back edges (tail, head) -- a cheap loop detector used in reports."""
-    graph = build_cfg(func)
-    back: List[Tuple[str, str]] = []
-    try:
-        order = {label: i for i, label in enumerate(nx.dfs_preorder_nodes(graph, func.entry_label))}
-    except nx.NetworkXError as exc:
-        raise IRError(f"cannot analyse CFG of {func.name}: {exc}") from exc
-    for tail, head in graph.edges():
-        if tail in order and head in order and order[head] <= order[tail]:
-            if nx.has_path(graph, head, tail):
-                back.append((tail, head))
-    return tuple(back)
 
 
 def static_instruction_mix(func: Function) -> Dict[str, int]:

@@ -45,11 +45,6 @@ class KernelBuilder:
         self._current = blk
         return blk
 
-    def switch_to(self, label: str) -> BasicBlock:
-        """Make an existing block current."""
-        self._current = self.function.get_block(label)
-        return self._current
-
     @property
     def current_block(self) -> BasicBlock:
         if self._current is None:
@@ -146,9 +141,6 @@ class KernelBuilder:
 
     def neg(self, a, dest=None) -> Reg:
         return self.emit("neg", a, dest=dest)
-
-    def not_(self, a, dest=None) -> Reg:
-        return self.emit("not", a, dest=dest)
 
     def abs(self, a, dest=None) -> Reg:
         return self.emit("abs", a, dest=dest)

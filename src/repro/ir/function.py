@@ -182,14 +182,6 @@ class Function:
                 return block, idx
         return None
 
-    def defined_registers(self) -> Tuple[str, ...]:
-        """All register names written anywhere in the function, plus params and shared handles."""
-        names = [p.name for p in self.params] + [s.name for s in self.shared]
-        for inst in self.instructions():
-            if inst.dest is not None and inst.dest not in names:
-                names.append(inst.dest)
-        return tuple(names)
-
     def shared_names(self) -> Tuple[str, ...]:
         return tuple(s.name for s in self.shared)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .opcodes import opcode_info
-from .values import Const, Reg, Value, as_value, format_value
+from .values import Reg, Value, as_value, format_value
 
 _uid_counter = itertools.count(1)
 
@@ -209,13 +209,3 @@ class Instruction:
 
     def __repr__(self) -> str:
         return f"<Instruction uid={self.uid} {self}>"
-
-
-def make_const(value) -> Const:
-    """Convenience constructor for constant operands."""
-    return Const(value)
-
-
-def make_reg(name: str) -> Reg:
-    """Convenience constructor for register operands."""
-    return Reg(name)

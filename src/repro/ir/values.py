@@ -58,11 +58,6 @@ class Const:
 Value = Union[Reg, Const]
 
 
-def is_value(obj) -> bool:
-    """Return ``True`` if *obj* is a valid IR operand."""
-    return isinstance(obj, (Reg, Const))
-
-
 def as_value(obj) -> Value:
     """Coerce *obj* into an IR operand.
 

@@ -17,8 +17,9 @@ See :mod:`repro.runtime.engine` (the batch API over the serial and
 process-pool executors), :mod:`repro.runtime.cache` (content-addressed
 fitness cache), :mod:`repro.runtime.sqlite_store` (its incremental
 WAL-mode SQLite disk tier, which also imports JSON cache documents),
-:mod:`repro.runtime.checkpoint` (the :class:`CheckpointableSearch`
-protocol behind checkpoint/resume for GEVO and both baselines) and
+:mod:`repro.runtime.checkpoint` (:class:`CheckpointableSearch`, the
+base class whose one round loop runs GEVO and both baselines with
+crash-exact checkpoint/resume) and
 :mod:`repro.runtime.sweep` (the multi-architecture sweep orchestrator
 behind ``repro sweep``).
 Observability lives in :mod:`repro.runtime.telemetry` (the run-scoped

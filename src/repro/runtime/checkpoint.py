@@ -20,11 +20,13 @@ of the search loops needs to continue exactly where it stopped:
   its generation counter and best-so-far; the hill climber its current
   individual, step counter and accepted/rejected tallies.
 
-Any search that wants checkpointing implements the tiny
-:class:`CheckpointableSearch` shape -- ``algorithm`` plus
-``capture_checkpoint()`` / ``restore_checkpoint()`` -- and validates an
-incoming checkpoint through :func:`resolve_checkpoint`, which funnels all
-the algorithm/workload/config mismatch checks through one place.
+Every search subclasses :class:`CheckpointableSearch`, whose one round
+loop owns the whole protocol -- fresh start or resume (validated by
+:func:`resolve_checkpoint`, which funnels all the
+algorithm/workload/arch/config mismatch checks through one place), the
+kill points of every round, the checkpoint cadence and the final
+checkpoint -- while the search supplies only its rounds and its
+``state`` payload.
 
 Checkpoints are plain JSON; ``inf`` fitness values round-trip through
 JSON's ``Infinity`` literal.  Resuming with the same seed reproduces the
@@ -39,14 +41,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import SearchError
 from ..gevo.config import GevoConfig
 from ..gevo.edits import Edit, edit_from_dict
+from ..gevo.fitness import FitnessResult, GenomeEvaluator
 from ..gevo.genome import Individual
 from ..gevo.history import GenerationRecord, SearchHistory
+from ..gevo.mutation import EditGenerator
 from .faultpoints import kill_point
 
 #: Version 2 added the ``algorithm`` discriminator and moved the
@@ -179,28 +184,6 @@ class SearchCheckpoint:
     state: Dict[str, object] = field(default_factory=dict)
     cache_entries: Dict[str, Dict[str, object]] = field(default_factory=dict)
     version: int = CHECKPOINT_FORMAT_VERSION
-
-    # -- construction ------------------------------------------------------------------
-    @classmethod
-    def capture(cls, *, algorithm: str, workload_id: str, config: GevoConfig,
-                rng_state, evaluations: int, history: SearchHistory,
-                baseline_runtime: float, state: Dict[str, object],
-                ledger_keys: Iterable[str], arch_name: str,
-                cache_entries: Optional[Dict[str, Dict[str, object]]] = None,
-                ) -> "SearchCheckpoint":
-        return cls(
-            algorithm=algorithm,
-            workload_id=workload_id,
-            config=dataclasses.asdict(config),
-            rng_state=serialize_rng_state(rng_state),
-            evaluations=evaluations,
-            history=serialize_history(history),
-            baseline_runtime=baseline_runtime,
-            ledger_keys=sorted(ledger_keys),
-            arch_name=arch_name,
-            state=dict(state),
-            cache_entries=dict(cache_entries or {}),
-        )
 
     # -- restoration -------------------------------------------------------------------
     def restore_config(self) -> GevoConfig:
@@ -368,107 +351,170 @@ class EvaluationLedger:
         return sorted(self._known)
 
 
-# -- the resumable-search contract ---------------------------------------------------
+# -- the round loop every search runs ------------------------------------------------
 
 class CheckpointableSearch:
-    """Shape a search loop implements to participate in checkpoint/resume.
+    """Base class that runs a search's rounds under crash-exact checkpoint/resume.
 
-    This is a protocol in spirit (``typing.Protocol`` is avoided to keep
-    the runtime dependency-free and subclass-friendly): a search declares
-    its ``algorithm`` name and can serialise itself into / restore itself
-    from a :class:`SearchCheckpoint`.  ``GevoSearch``, ``RandomSearch``
-    and ``HillClimber`` all conform; anything new (simulated annealing,
-    multi-start portfolios) only has to fill in the ``state`` payload.
+    GEVO, random search and the hill climber are one loop of *rounds*:
+    spawn individuals, evaluate them as one batch, score them.
+    :meth:`_run_rounds` owns the protocol around that loop -- the fresh
+    start (a new :class:`EvaluationLedger` charged for the unmodified
+    program) or the resume (ledger, history, RNG and fitness cache
+    restored from a validated checkpoint), the ``search.start`` and
+    ``search.resume_replay`` events, the four kill points of every
+    round, the checkpoint cadence and the final checkpoint.  A search
+    keeps only its own state and supplies:
 
-    Conforming searches expose ``config``, ``rng``, an ``evaluator``
-    (whose engine owns the cache), a recorded ``_history`` and an
-    :class:`EvaluationLedger` at ``_ledger``; with those in place the
-    algorithm-agnostic plumbing is handled by
-    :func:`capture_search_checkpoint` / :func:`restore_search_checkpoint`
-    and only the ``state`` payload is per-algorithm.
+    * ``_start_fresh(baseline)`` -- its state before the first round;
+    * ``_spawn()`` -- the next round's individuals, or ``None`` when done;
+    * ``_score(individuals)`` -- score one evaluated round: advance
+      ``_round``, record the history, emit the per-round event through
+      ``_telemetry``;
+    * its ``state`` payload, both ways: ``capture_checkpoint()``, which
+      returns ``self._capture(state)``, and ``_restore_state(checkpoint)``
+      (``_round`` is restored before it is called);
+    * ``_start_fields()`` -- its budget fields of the ``search.start`` event.
     """
 
     #: Discriminator recorded in every checkpoint this search writes.
     algorithm: str = "search"
 
-    def capture_checkpoint(self) -> SearchCheckpoint:
-        raise NotImplementedError
+    def __init__(self, adapter, config: GevoConfig, *, engine=None,
+                 **generator_options):
+        self.adapter = adapter
+        self.config = config
+        self.rng = random.Random(config.seed)
+        self.evaluator = GenomeEvaluator(adapter, engine=engine)
+        self.generator = EditGenerator(self.evaluator.original, self.rng,
+                                       weights=config.edit_weights,
+                                       **generator_options)
+        # Protocol state, set by a fresh start or a resume.
+        self._history: Optional[SearchHistory] = None
+        self._ledger: Optional[EvaluationLedger] = None
+        self._round = 0
+        self._telemetry = None
 
-    def restore_checkpoint(self, checkpoint: SearchCheckpoint) -> None:
-        raise NotImplementedError
+    def _run_rounds(self, *, checkpoint_path: Optional[str] = None,
+                    checkpoint_every: Optional[int] = None,
+                    resume_from: Optional[str] = None) -> FitnessResult:
+        """Run every round from a fresh start or a checkpoint; returns the baseline.
+
+        With ``checkpoint_path`` the full search state is written there
+        every ``checkpoint_every`` rounds (default: every round) and once
+        more at the end, so re-running a finished command resumes and
+        finishes at once.  ``resume_from`` is the path of a checkpoint to
+        continue from instead of starting fresh; it must match this
+        search's algorithm, workload, architecture and configuration.
+        """
+        # Imported here: telemetry imports the cache, which imports gevo,
+        # and gevo.search imports this module.
+        from .telemetry import telemetry_of
+
+        engine = self.evaluator.engine
+        telemetry = self._telemetry = telemetry_of(engine)
+        if resume_from is not None:
+            checkpoint = resolve_checkpoint(resume_from, algorithm=self.algorithm,
+                                            workload_id=engine.workload_id,
+                                            config=self.config,
+                                            arch_name=engine.arch_name)
+            engine.cache.import_entries(checkpoint.cache_entries)
+            self._history = checkpoint.restore_history()
+            self._ledger = EvaluationLedger.from_checkpoint(checkpoint)
+            self.rng.setstate(checkpoint.restore_rng_state())
+            self._round = checkpoint.generation
+            self._restore_state(checkpoint)
+            baseline = engine.baseline()
+            telemetry.event("search.resume_replay", algorithm=self.algorithm,
+                            round=self._round, evaluations=self._ledger.count,
+                            cached_entries=len(checkpoint.cache_entries),
+                            path=str(resume_from))
+        else:
+            # The ledger starts empty: evaluation counts are a pure
+            # function of the search timeline, not of cache warmth, so a
+            # crash at *any* point (even before the first checkpoint)
+            # resumes to the same totals an uninterrupted run reports.
+            self._ledger = EvaluationLedger()
+            baseline = engine.baseline()
+            self._ledger.charge([engine.cache_key([]).to_string()])
+            self._history = SearchHistory(baseline_runtime=baseline.runtime_ms)
+            self._round = 0
+            self._start_fresh(baseline)
+        telemetry.event("search.start", algorithm=self.algorithm,
+                        workload=engine.workload_id, **self._start_fields(),
+                        seed=self.config.seed, resumed=resume_from is not None)
+
+        every = max(1, checkpoint_every or 1)
+        while (individuals := self._spawn()) is not None:
+            kill_point("search.round.spawned")
+            self.evaluator.evaluate_population(individuals, ledger=self._ledger)
+            kill_point("search.round.evaluated")
+            self._score(individuals)
+            kill_point("search.round.scored")
+            if checkpoint_path is not None and self._round % every == 0:
+                self.capture_checkpoint().save(checkpoint_path)
+                telemetry.event("search.checkpoint", path=str(checkpoint_path),
+                                round=self._round)
+                kill_point("search.round.checkpointed")
+        if checkpoint_path is not None:
+            # Final state, regardless of the cadence: re-running the same
+            # command resumes (and immediately finishes) instead of
+            # repeating the tail since the last periodic checkpoint.
+            self.capture_checkpoint().save(checkpoint_path)
+        kill_point("search.finished")
+        return baseline
+
+    def _capture(self, state: Dict[str, object]) -> SearchCheckpoint:
+        """This search's checkpoint around its own *state* payload."""
+        engine = self.evaluator.engine
+        return SearchCheckpoint(
+            algorithm=self.algorithm,
+            workload_id=engine.workload_id,
+            config=dataclasses.asdict(self.config),
+            rng_state=serialize_rng_state(self.rng.getstate()),
+            evaluations=self._ledger.count,
+            history=serialize_history(self._history),
+            baseline_runtime=self._history.baseline_runtime,
+            # The ledger's own submitted set, NOT the cache snapshot below:
+            # under a sweep's shared cache the snapshot includes sibling
+            # legs' entries, which must not be treated as pre-charged on
+            # resume (see EvaluationLedger.from_checkpoint).
+            ledger_keys=self._ledger.known_keys(),
+            arch_name=engine.arch_name,
+            state=state,
+            # Restricted to this search's own key namespace: a search
+            # sharing a multi-leg cache (a sweep) must not re-serialise
+            # every other leg's entries into each of its checkpoints.
+            cache_entries=engine.cache.export_entries(
+                workload_id=engine.workload_id, arch_name=engine.arch_name),
+        )
 
 
-def capture_search_checkpoint(search, state: Dict[str, object]) -> SearchCheckpoint:
-    """The algorithm-agnostic half of ``capture_checkpoint``.
+def resolve_checkpoint(path: str, *, algorithm: str, workload_id: str,
+                       config: GevoConfig, arch_name: str) -> SearchCheckpoint:
+    """Load the checkpoint at *path* and validate it for one resume request.
 
-    Snapshots everything every search records identically -- RNG state,
-    config, history, cumulative evaluations and the fitness-cache
-    contents -- around the algorithm-specific *state* payload.
+    The checkpoint must have been written by the same *algorithm*, for
+    the same *workload* and *arch*, under the same *config*; any mismatch
+    raises :class:`SearchError` naming what differs (resuming under
+    different settings would silently produce a run that matches neither
+    the old nor a fresh one).
     """
-    engine = search.evaluator.engine
-    return SearchCheckpoint.capture(
-        algorithm=search.algorithm,
-        workload_id=engine.workload_id,
-        config=search.config,
-        rng_state=search.rng.getstate(),
-        evaluations=search._ledger.count,
-        history=search._history,
-        baseline_runtime=search._history.baseline_runtime,
-        state=state,
-        # Restricted to this search's own key namespace: a search sharing
-        # a multi-leg cache (a sweep) must not re-serialise every other
-        # leg's entries into each of its checkpoints.
-        cache_entries=engine.cache.export_entries(
-            workload_id=engine.workload_id, arch_name=engine.arch_name),
-        # The ledger's own submitted set, NOT the cache snapshot above:
-        # under a sweep's shared cache the snapshot includes sibling
-        # legs' entries, which must not be treated as pre-charged on
-        # resume (see EvaluationLedger.from_checkpoint).
-        ledger_keys=search._ledger.known_keys(),
-        arch_name=engine.arch_name,
-    )
-
-
-def restore_search_checkpoint(search, checkpoint: SearchCheckpoint) -> None:
-    """The algorithm-agnostic half of ``restore_checkpoint``.
-
-    Re-imports the cache, history, evaluation ledger and RNG state; the
-    caller then applies its own ``state`` payload.
-    """
-    engine = search.evaluator.engine
-    engine.cache.import_entries(checkpoint.cache_entries)
-    search._history = checkpoint.restore_history()
-    search._ledger = EvaluationLedger.from_checkpoint(checkpoint)
-    search.rng.setstate(checkpoint.restore_rng_state())
-
-
-def resolve_checkpoint(resume_from: Union[str, SearchCheckpoint], *,
-                       algorithm: str, workload_id: str,
-                       config: GevoConfig,
-                       arch_name: Optional[str] = None) -> SearchCheckpoint:
-    """Load and validate a checkpoint for one specific resume request.
-
-    ``resume_from`` may be a path or an already-loaded checkpoint.  The
-    checkpoint must have been written by the same *algorithm*, for the
-    same *workload* (and *arch*, when the request names one), under the
-    same *config*; any mismatch raises :class:`SearchError` (resuming
-    under different settings would silently produce a run that matches
-    neither the old nor a fresh one).
-    """
-    checkpoint = (SearchCheckpoint.load(resume_from)
-                  if isinstance(resume_from, str) else resume_from)
+    checkpoint = SearchCheckpoint.load(path)
     if checkpoint.algorithm != algorithm:
         raise SearchError(
             f"checkpoint was written by the {checkpoint.algorithm!r} search, "
             f"not {algorithm!r}; use the matching subcommand (or start fresh)")
+    # Before the workload: a workload id may name its arch too, and the
+    # arch message says which flag to fix.
+    if checkpoint.arch_name != arch_name:
+        raise SearchError(
+            f"checkpoint was recorded on architecture {checkpoint.arch_name!r}, "
+            f"not {arch_name!r}; resume with the original --arch (or start fresh)")
     if checkpoint.workload_id != workload_id:
         raise SearchError(
             f"checkpoint belongs to workload {checkpoint.workload_id!r}, "
             f"not {workload_id!r}")
-    if arch_name is not None and checkpoint.arch_name != arch_name:
-        raise SearchError(
-            f"checkpoint was recorded on architecture {checkpoint.arch_name!r}, "
-            f"not {arch_name!r}; resume with the original --arch (or start fresh)")
     if checkpoint.restore_config() != config:
         raise SearchError(
             "checkpoint was recorded with a different configuration "

@@ -14,10 +14,11 @@ that with one path:
   telemetry events themselves drive the progress lines -- one emission,
   two consumers (the JSONL trace and the console), zero drift.
 
-Severity mapping: per-leg sweep progress renders at INFO (the default),
-per-generation / per-wave search progress and checkpoint writes at DEBUG
-(visible with ``--verbose``); ``--quiet`` raises the threshold to
-WARNING so only problems surface.
+Severity mapping: per-leg sweep progress and a search resuming from its
+checkpoint render at INFO (the default), per-generation / per-wave
+search progress and checkpoint writes at DEBUG (visible with
+``--verbose``); ``--quiet`` raises the threshold to WARNING so only
+problems surface.
 """
 
 from __future__ import annotations
@@ -94,6 +95,11 @@ class ConsoleReporter:
             fields.get("status", "?"), fields.get("leg_id", "?"),
             float(fields.get("speedup", 0.0)), fields.get("evaluations", 0),
             fields.get("fresh_evaluations", 0), event.dur or 0.0)
+
+    def _render_search_resume_replay(self, fields, event) -> None:
+        self.logger.info("resuming from %s (round %s, %s cached fitness results)",
+                         fields.get("path", "?"), fields.get("round", "?"),
+                         fields.get("cached_entries", 0))
 
     def _render_search_generation(self, fields, event) -> None:
         best = fields.get("best_fitness")

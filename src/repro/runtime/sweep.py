@@ -9,9 +9,11 @@ orchestrator here runs the whole grid through the existing
 
 * the grid is a :class:`SweepSpec` -- architectures x workloads x seeds,
   one search method (GEVO or a baseline) and the per-leg search budget;
-* each cell is a :class:`SweepLeg`, executed as a
-  :class:`~repro.runtime.checkpoint.CheckpointableSearch` with its own
-  checkpoint file under the sweep directory, so an interrupted sweep
+* each cell is a :class:`SweepLeg`, run as one
+  :class:`~repro.runtime.checkpoint.CheckpointableSearch` of its method
+  (at the search's own default checkpoint cadence unless
+  ``checkpoint_every`` is given) with its own checkpoint file under the
+  sweep directory, so an interrupted sweep
   resumed with ``resume=True`` (CLI ``repro sweep --resume``) **skips
   finished legs entirely and restarts unfinished ones from their last
   checkpoint with zero re-evaluation** -- completed work is never
@@ -435,31 +437,15 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
                               cache=cache,
                               telemetry=telemetry,
                               batch_launches=batch_launches)
+    search_class = {"gevo": GevoSearch, "random": RandomSearch,
+                    "hill": HillClimber}[leg.method]
     hits_before = engine.cache_hits
     start = time.perf_counter()
     try:
-        if leg.method == "gevo":
-            result = GevoSearch(adapter, config, engine=engine).run(
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every or 1,
-                resume_from=resume_from)
-            best_runtime = result.best.fitness if result.best is not None else math.inf
-            best_edits = len(result.best_edits())
-        elif leg.method == "random":
-            result = RandomSearch(adapter, config, engine=engine).run(
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every or 1,
-                resume_from=resume_from)
-            best_runtime = (result.best.fitness
-                            if result.best is not None else math.inf)
-            best_edits = len(result.best.edits) if result.best is not None else 0
-        else:
-            result = HillClimber(adapter, config, engine=engine).run(
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every or max(1, config.population_size),
-                resume_from=resume_from)
-            best_runtime = result.best.fitness
-            best_edits = len(result.best.edits)
+        result = search_class(adapter, config, engine=engine).run(
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            resume_from=resume_from)
     finally:
         # The shared cache outlives the leg: stop only this leg's workers
         # and persist what the leg added.
@@ -470,6 +456,7 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
         emit_module_hotspots(telemetry, adapter, adapter.original_module(),
                              label=leg.leg_id)
 
+    best = result.best
     return LegOutcome(
         workload=leg.workload,
         arch=leg.arch,
@@ -477,9 +464,10 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
         method=leg.method,
         status="resumed" if resume_from is not None else "completed",
         speedup=result.speedup,
-        best_runtime_ms=best_runtime if best_runtime is not None else math.inf,
+        best_runtime_ms=(best.fitness if best is not None and best.fitness is not None
+                         else math.inf),
         baseline_runtime_ms=result.baseline.runtime_ms,
-        best_edits=best_edits,
+        best_edits=len(best.edits) if best is not None else 0,
         evaluations=result.evaluations,
         fresh_evaluations=engine.evaluations,
         cache_hits=engine.cache_hits - hits_before,

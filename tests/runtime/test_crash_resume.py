@@ -192,6 +192,7 @@ class TestZeroReEvaluation:
         assert fields["round"] >= 1
         assert fields["evaluations"] > 0
         assert fields["cached_entries"] > 0
+        assert fields["path"] == os.path.join(workdir, "ckpt.json")
 
 
 class TestSharedCacheAccounting:

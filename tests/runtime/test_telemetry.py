@@ -343,6 +343,17 @@ class TestConsoleReporter:
         out = capsys.readouterr().out
         assert "[completed] leg-0: 1.500x, 10 evaluations (4 fresh, 1.2s)" in out
 
+    def test_resume_replay_event_renders_at_info(self, capsys):
+        configure_console()
+        reporter = ConsoleReporter()
+        reporter(TraceEvent(run_id="r", emitter="main", seq=1, kind="event",
+                            name="search.resume_replay", t=0.0,
+                            fields={"algorithm": "gevo", "round": 3,
+                                    "evaluations": 17, "cached_entries": 12,
+                                    "path": "/tmp/ckpt.json"}))
+        out = capsys.readouterr().out
+        assert "resuming from /tmp/ckpt.json (round 3, 12 cached fitness results)" in out
+
     def test_quiet_suppresses_progress(self, capsys):
         configure_console(quiet=True)
         try:

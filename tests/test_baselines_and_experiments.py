@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import HillClimber, RandomSearch
 from repro.experiments import ExperimentResult, available_experiments, get_experiment
 from repro.gevo import GevoConfig
+from repro.runtime import SearchCheckpoint, faultpoints
 from repro.workloads import ToyWorkloadAdapter
 
 
@@ -34,6 +35,35 @@ class TestBaselines:
         series = [value for value in result.history.best_fitness_series() if value is not None]
         assert all(later <= earlier + 1e-12
                    for earlier, later in zip(series, series[1:]))
+
+    def test_hill_step_without_an_edit_spends_budget_but_is_no_round(
+            self, toy_adapter, monkeypatch, tmp_path):
+        config = GevoConfig.quick(seed=34, population_size=8, generations=4)
+        climber = HillClimber(toy_adapter, config)
+        draw = climber.generator.random_edit
+        steps = []
+
+        def every_third_step_has_no_edit():
+            steps.append(len(steps) + 1)
+            return None if steps[-1] % 3 == 0 else draw()
+
+        monkeypatch.setattr(climber.generator, "random_edit",
+                            every_third_step_has_no_edit)
+        path = str(tmp_path / "ckpt.json")
+        faultpoints.observe()
+        try:
+            result = climber.run(steps=9, checkpoint_path=path, checkpoint_every=3)
+            hits = faultpoints.hit_counts()
+        finally:
+            faultpoints.disarm()
+        assert steps == list(range(1, 10))
+        assert [record.generation for record in result.history.records] == [1, 2, 4, 5, 7, 8]
+        assert result.accepted_edits + result.rejected_edits == 6
+        assert hits["search.round.spawned"] == hits["search.round.scored"] == 6
+        # Steps 3, 6 and 9 were no rounds, so the every-3 cadence never
+        # fired; only the final checkpoint, at the end of the budget.
+        assert "search.round.checkpointed" not in hits
+        assert SearchCheckpoint.load(path).generation == 9
 
 
 class TestExperimentRegistry:

@@ -166,15 +166,21 @@ class TestBaselineCli:
         output = capsys.readouterr().out
         assert "executor=parallel" in output and "best speedup" in output
 
-    def test_mismatched_resume_is_a_clean_error(self, capsys, tmp_path):
-        checkpoint = str(tmp_path / "ckpt.json")
-        assert main(["baseline", "random", "toy", "--population", "6",
-                     "--generations", "2", "--seed", "3",
-                     "--resume", checkpoint]) == 0
+    @pytest.mark.parametrize("command, named", [
+        (["hill", "toy", "--seed", "3"], "'random_search' search, not 'hill_climber'"),
+        (["random", "toy", "--seed", "3", "--arch", "V100"],
+         "architecture 'P100', not 'V100'"),
+        (["random", "toy", "--seed", "4"], "seed: checkpoint has 3, requested 4"),
+    ], ids=["algorithm", "arch", "seed"])
+    def test_mismatched_resume_is_a_clean_error(self, command, named, capsys,
+                                                tmp_path):
+        resume = ["--population", "6", "--generations", "2",
+                  "--resume", str(tmp_path / "ckpt.json")]
+        assert main(["baseline", "random", "toy", "--seed", "3", *resume]) == 0
         capsys.readouterr()
-        # Same checkpoint, different algorithm: refused, not mangled.
-        assert main(["baseline", "hill", "toy", "--resume", checkpoint]) == 2
-        assert "random_search" in capsys.readouterr().err
+        # Same checkpoint, one setting changed: refused, not mangled.
+        assert main(["baseline", *command, *resume]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestSweepCli:
