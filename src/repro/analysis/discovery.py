@@ -10,7 +10,7 @@ narrative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..gevo.edits import Edit
 from ..gevo.history import SearchHistory

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..gevo.edits import Edit
 from ..gevo.fitness import EditSetEvaluator, WorkloadAdapter
@@ -57,7 +57,6 @@ class EpistasisResult:
 
 def separate_edits(adapter: WorkloadAdapter, edits: Sequence[Edit],
                    agreement_tolerance: float = 0.35,
-                   evaluator: Optional[EditSetEvaluator] = None,
                    engine=None) -> EpistasisResult:
     """Run Algorithm 2 over *edits*.
 
@@ -70,7 +69,7 @@ def separate_edits(adapter: WorkloadAdapter, edits: Sequence[Edit],
     independent of the loop's accumulated state, so the singletons are
     evaluated as one concurrent wave up front.
     """
-    evaluator = evaluator or EditSetEvaluator(adapter, edits, engine=engine)
+    evaluator = EditSetEvaluator(adapter, edits, engine=engine)
     all_edits = list(edits)
     independent: List[Edit] = []
     baseline = evaluator.baseline_fitness()

@@ -11,8 +11,8 @@ remaining edits preserve almost all of the variant's improvement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from ..gevo.edits import Edit
 from ..gevo.fitness import EditSetEvaluator, WorkloadAdapter
@@ -56,7 +56,6 @@ class MinimizationResult:
 
 def identify_weak_edits(adapter: WorkloadAdapter, edits: Sequence[Edit],
                         threshold: float = 0.01,
-                        evaluator: Optional[EditSetEvaluator] = None,
                         engine=None) -> MinimizationResult:
     """Run Algorithm 1 over *edits*.
 
@@ -74,7 +73,7 @@ def identify_weak_edits(adapter: WorkloadAdapter, edits: Sequence[Edit],
     and its reported ``evaluations`` count is identical under any
     executor.
     """
-    evaluator = evaluator or EditSetEvaluator(adapter, edits, engine=engine)
+    evaluator = EditSetEvaluator(adapter, edits, engine=engine)
     working: List[Edit] = list(edits)
     weak: List[Edit] = []
     baseline = evaluator.baseline_fitness()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..gevo.edits import Edit, InstructionDelete, InstructionSwap, OperandReplace
+from ..gevo.edits import Edit
 from ..ir.function import Module
 
 

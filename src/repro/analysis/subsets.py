@@ -105,7 +105,6 @@ class SubsetAnalysis:
 def exhaustive_subset_analysis(adapter: WorkloadAdapter, edits: Sequence[Edit],
                                labels: Optional[Sequence[str]] = None,
                                max_edits: int = 16,
-                               evaluator: Optional[EditSetEvaluator] = None,
                                engine=None) -> SubsetAnalysis:
     """Evaluate every non-empty subset of *edits* (2^n - 1 evaluations).
 
@@ -126,7 +125,7 @@ def exhaustive_subset_analysis(adapter: WorkloadAdapter, edits: Sequence[Edit],
         raise ValueError("labels and edits must have the same length")
     label_map = {edit.key(): label for edit, label in zip(edits, labels)}
 
-    evaluator = evaluator or EditSetEvaluator(adapter, edits, engine=engine)
+    evaluator = EditSetEvaluator(adapter, edits, engine=engine)
     baseline = evaluator.baseline_fitness()
     analysis = SubsetAnalysis(edits=edits, labels=label_map, baseline_runtime=baseline)
 

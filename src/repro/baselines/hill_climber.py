@@ -17,46 +17,38 @@ bit-for-bit without re-simulating anything it already evaluated.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import SearchError
 from ..gevo.config import GevoConfig
-from ..gevo.fitness import FitnessResult, WorkloadAdapter
+from ..gevo.fitness import WorkloadAdapter
 from ..gevo.genome import Individual
-from ..gevo.history import SearchHistory
+from ..gevo.history import SearchResult
 from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint, serialize_individual
 
 
 @dataclass
-class HillClimbResult:
-    """Outcome of a hill-climbing run."""
+class HillClimbResult(SearchResult):
+    """Outcome of a hill-climbing run: a search result plus the step tallies."""
 
-    best: Individual
-    history: SearchHistory
-    baseline: FitnessResult
-    accepted_edits: int
-    rejected_edits: int
-    evaluations: int
-    wall_clock_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        if not self.best.valid or not self.best.fitness:
-            return 1.0
-        return self.baseline.runtime_ms / self.best.fitness
+    accepted_edits: int = 0
+    rejected_edits: int = 0
 
 
 class HillClimber(CheckpointableSearch):
-    """Greedy first-improvement search over single-edit mutations."""
+    """Greedy first-improvement search over single-edit mutations.
+
+    Its best individual is the current one: a step replaces it only when
+    the candidate improves on it.
+    """
 
     algorithm = "hill_climber"
+    result_type = HillClimbResult
 
     def __init__(self, adapter: WorkloadAdapter, config: GevoConfig, *, engine=None):
         super().__init__(adapter, config, engine=engine)
         # Working state of the climb (captured by checkpoints).
-        self._current: Optional[Individual] = None
         self._budget = 0
         self._accepted = 0
         self._rejected = 0
@@ -73,30 +65,12 @@ class HillClimber(CheckpointableSearch):
         A step is one evaluation and every checkpoint re-serialises the
         search's cache entries, so ``checkpoint_every`` defaults to the
         population size, not to every step.  The other *options* are
-        ``checkpoint_path`` and ``resume_from``, as documented on
-        :meth:`~repro.runtime.checkpoint.CheckpointableSearch._run_rounds`.
+        those of :meth:`~repro.runtime.checkpoint.CheckpointableSearch.run`.
         """
         self._requested_steps = steps
-        start = time.perf_counter()
-        baseline = self._run_rounds(
+        return super().run(
             checkpoint_every=checkpoint_every or max(1, self.config.population_size),
             **options)
-        current = self._current
-        self._telemetry.event(
-            "search.end", algorithm=self.algorithm, steps=self._round,
-            accepted=self._accepted, rejected=self._rejected,
-            best_fitness=current.fitness if current.valid else None,
-            evaluations=self._ledger.count,
-            wall_clock_seconds=time.perf_counter() - start)
-        return HillClimbResult(
-            best=current,
-            history=self._history,
-            baseline=baseline,
-            accepted_edits=self._accepted,
-            rejected_edits=self._rejected,
-            evaluations=self._ledger.count,
-            wall_clock_seconds=time.perf_counter() - start,
-        )
 
     # -- CheckpointableSearch ----------------------------------------------------------
     def _start_fields(self):
@@ -107,8 +81,8 @@ class HillClimber(CheckpointableSearch):
                         else self.config.population_size * self.config.generations)
         self._accepted = 0
         self._rejected = 0
-        self._current = Individual()
-        self.evaluator.evaluate_population([self._current], ledger=self._ledger)
+        self._best = Individual()
+        self._evaluate([self._best])
 
     def _spawn(self) -> Optional[List[Individual]]:
         while self._round < self._budget:
@@ -117,16 +91,16 @@ class HillClimber(CheckpointableSearch):
             # A step with no edit to try still spends its place in the
             # budget, but is not a round: nothing is evaluated or scored.
             if edit is not None:
-                return [self._current.with_additional_edit(edit)]
+                return [self._best.with_additional_edit(edit)]
         return None
 
     def _score(self, individuals: List[Individual]) -> None:
         (candidate,) = individuals
-        current = self._current
+        current = self._best
         current_fitness = current.fitness if current.valid else math.inf
         candidate_fitness = candidate.fitness if candidate.valid else math.inf
         if candidate.valid and candidate_fitness < current_fitness:
-            current = self._current = candidate
+            current = self._best = candidate
             self._accepted += 1
             accepted = True
         else:
@@ -138,13 +112,20 @@ class HillClimber(CheckpointableSearch):
             best_fitness=current.fitness if current.valid else None,
             edits=len(current.edits))
 
+    def _end_fields(self) -> Dict[str, object]:
+        return {"steps": self._round, "accepted": self._accepted,
+                "rejected": self._rejected}
+
+    def _finish(self) -> Dict[str, object]:
+        return {"accepted_edits": self._accepted, "rejected_edits": self._rejected}
+
     def capture_checkpoint(self) -> SearchCheckpoint:
         return self._capture({
             "step": self._round,
             "budget": self._budget,
             "accepted": self._accepted,
             "rejected": self._rejected,
-            "current": serialize_individual(self._current),
+            "current": serialize_individual(self._best),
         })
 
     def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
@@ -154,6 +135,6 @@ class HillClimber(CheckpointableSearch):
                 f"checkpoint was recorded with a budget of {self._budget} steps, "
                 f"not {self._requested_steps}; resume with the original budget "
                 "(or start fresh)")
-        self._current = checkpoint.restore_individual("current")
+        self._best = checkpoint.restore_individual("current")
         self._accepted = int(checkpoint.state.get("accepted", 0))
         self._rejected = int(checkpoint.state.get("rejected", 0))

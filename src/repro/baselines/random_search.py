@@ -17,36 +17,19 @@ re-simulating anything it already evaluated.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from typing import List, Optional
 
 from ..gevo.config import GevoConfig
-from ..gevo.fitness import FitnessResult, WorkloadAdapter
+from ..gevo.fitness import WorkloadAdapter
 from ..gevo.genome import Individual
-from ..gevo.history import SearchHistory
 from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint, serialize_individual
 
 
-@dataclass
-class RandomSearchResult:
-    """Outcome of a random-search run."""
-
-    best: Optional[Individual]
-    history: SearchHistory
-    baseline: FitnessResult
-    evaluations: int
-    wall_clock_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        if self.best is None or not self.best.valid or not self.best.fitness:
-            return 1.0
-        return self.baseline.runtime_ms / self.best.fitness
-
-
 class RandomSearch(CheckpointableSearch):
-    """Samples random edit lists under a GEVO-equivalent evaluation budget."""
+    """Samples random edit lists under a GEVO-equivalent evaluation budget.
+
+    Its rounds are sampling waves; ``run(checkpoint_every=)`` counts them.
+    """
 
     algorithm = "random_search"
 
@@ -55,7 +38,6 @@ class RandomSearch(CheckpointableSearch):
         super().__init__(adapter, config, engine=engine)
         self.max_edits_per_individual = max_edits_per_individual
         # Working state of the sampling loop (captured by checkpoints).
-        self._best: Optional[Individual] = None
         self._evaluated = 0
 
     def _random_individual(self) -> Individual:
@@ -66,28 +48,6 @@ class RandomSearch(CheckpointableSearch):
             if edit is not None:
                 edits.append(edit)
         return Individual(edits=edits)
-
-    def run(self, **options) -> RandomSearchResult:
-        """Sample until the evaluation budget is spent.
-
-        *options* are ``checkpoint_path``, ``checkpoint_every`` (in
-        sampling waves) and ``resume_from``, as documented on
-        :meth:`~repro.runtime.checkpoint.CheckpointableSearch._run_rounds`.
-        """
-        start = time.perf_counter()
-        baseline = self._run_rounds(**options)
-        self._telemetry.event(
-            "search.end", algorithm=self.algorithm, generations=self._round,
-            best_fitness=self._best.fitness if self._best is not None else None,
-            evaluations=self._ledger.count,
-            wall_clock_seconds=time.perf_counter() - start)
-        return RandomSearchResult(
-            best=self._best,
-            history=self._history,
-            baseline=baseline,
-            evaluations=self._ledger.count,
-            wall_clock_seconds=time.perf_counter() - start,
-        )
 
     # -- CheckpointableSearch ----------------------------------------------------------
     def _start_fields(self):

@@ -24,32 +24,47 @@ benchmark harness, so the CLI is simply another front end over
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 from typing import List, Optional
 
-from .baselines import HillClimber, RandomSearch
 from .errors import ReproError
 from .experiments import available_experiments, get_experiment
-from .gevo import GevoConfig, GevoSearch
+from .gevo import GevoConfig
 from .gpu import EVALUATION_ORDER, available_archs, parse_arch_list
-from .runtime import EvaluationEngine, FitnessCache, make_executor
+from .runtime import FitnessCache
 from .runtime.console import ConsoleReporter, configure_console, console_logger
 from .runtime.sweep import (
     METHOD_CHOICES,
+    WORKLOAD_CHOICES,
     SweepSpec,
     make_adapter,
     resolve_workload,
+    run_search,
     run_sweep,
 )
-from .runtime.telemetry import Telemetry, emit_module_hotspots
+from .runtime.telemetry import Telemetry
 from .runtime.trace_format import summarize_trace
 
-#: Workload names accepted by ``search`` / ``baseline`` / ``sweep``.
-WORKLOADS = ["toy", "adept-v1", "simcov"]
+#: The line a search or baseline command opens with, per algorithm,
+#: rendered from the ``search.start`` event (which carries the budget
+#: the search actually runs, a resumed hill climb's included).
+_START_LINES = {
+    "gevo": "searching {workload}: population={population_size}, "
+            "generations={generations}, executor={executor}",
+    "random_search": "random search on {workload}: budget={budget}, executor={executor}",
+    "hill_climber": "hill climbing on {workload}: budget={budget}, executor={executor}",
+}
 
 _log = console_logger("cli")
+
+
+def _render_start_line(event) -> None:
+    """Telemetry sink: print a search's opening line from ``search.start``."""
+    if event.name == "search.start":
+        _log.info(_START_LINES[event.fields["algorithm"]].format(**event.fields))
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -130,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     search_parser = subparsers.add_parser(
         "search", help="run a scaled-down live GEVO search on one workload")
-    search_parser.add_argument("workload", choices=WORKLOADS)
+    search_parser.add_argument("workload", choices=WORKLOAD_CHOICES)
     search_parser.add_argument("--arch", choices=list(available_archs()), default="P100")
     search_parser.add_argument("--population", type=int, default=12)
     search_parser.add_argument("--generations", type=int, default=8)
@@ -139,9 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     baseline_parser = subparsers.add_parser(
         "baseline", help="run a non-evolutionary search baseline on one workload")
-    baseline_parser.add_argument("method", choices=["random", "hill"],
+    baseline_parser.add_argument("method",
+                                 choices=[m for m in METHOD_CHOICES if m != "gevo"],
                                  help="random sampling or first-improvement hill climbing")
-    baseline_parser.add_argument("workload", choices=WORKLOADS)
+    baseline_parser.add_argument("workload", choices=WORKLOAD_CHOICES)
     baseline_parser.add_argument("--arch", choices=list(available_archs()), default="P100")
     baseline_parser.add_argument("--population", type=int, default=12,
                                  help="budget factor (budget = population x generations)")
@@ -249,16 +265,6 @@ def _finish_telemetry(arguments: argparse.Namespace, telemetry: Telemetry) -> No
                   f"run {telemetry.run_id})")
 
 
-def _make_engine(adapter, arguments: argparse.Namespace,
-                 telemetry: Optional[Telemetry] = None) -> EvaluationEngine:
-    return EvaluationEngine(
-        adapter,
-        executor=make_executor(arguments.jobs),
-        cache=FitnessCache(arguments.cache),
-        telemetry=telemetry,
-        batch_launches=_resolve_batch_launches(arguments))
-
-
 def _resume_from(arguments: argparse.Namespace) -> Optional[str]:
     """The --resume checkpoint to continue from: its path, if the file exists.
 
@@ -278,6 +284,21 @@ def _command_list() -> int:
     return 0
 
 
+def _arch_arguments(experiment, arch: str) -> dict:
+    """The keyword arguments that restrict *experiment* to the GPU *arch*.
+
+    Architecture-sweep experiments take an ``architectures`` list, the
+    single-GPU analyses an ``arch_name``; the rest run on no particular
+    GPU and take neither.
+    """
+    parameters = inspect.signature(experiment).parameters
+    if "architectures" in parameters:
+        return {"architectures": [arch]}
+    if "arch_name" in parameters:
+        return {"arch_name": arch}
+    return {}
+
+
 def _command_run(arguments: argparse.Namespace) -> int:
     try:
         experiment = get_experiment(arguments.experiment)
@@ -286,87 +307,49 @@ def _command_run(arguments: argparse.Namespace) -> int:
         return 2
     kwargs = {}
     if arguments.arch is not None:
-        # Architecture-sweep experiments accept an `architectures` list; the
-        # single-GPU analyses accept `arch_name`.
-        if arguments.experiment in ("figure4", "figure5", "ballot_sync", "generality"):
-            kwargs["architectures"] = [arguments.arch]
-        elif arguments.experiment in ("figure6", "figure7", "figure8", "boundary"):
-            kwargs["arch_name"] = arguments.arch
+        kwargs = _arch_arguments(experiment, arguments.arch)
     result = experiment(**kwargs)
     print(result.to_table())
     return 0
 
 
 def _command_search(arguments: argparse.Namespace) -> int:
+    """``repro search`` (GEVO) and ``repro baseline`` (random or hill)."""
+    method = getattr(arguments, "method", "gevo")
     telemetry = _make_telemetry(arguments)
+    telemetry.add_sink(_render_start_line)
     adapter = make_adapter(arguments.workload, arguments.arch,
                            interpreter_tier=_resolve_interpreter_tier(arguments))
     config = GevoConfig.quick(seed=arguments.seed,
                               population_size=arguments.population,
                               generations=arguments.generations)
-    engine = _make_engine(adapter, arguments, telemetry)
-
-    _log.info(f"searching {adapter.name}: population={config.population_size}, "
-              f"generations={config.generations}, executor={engine.executor.name}")
+    if method == "gevo":
+        options, label = {"validate_best": True}, f"search-{arguments.workload}"
+    else:
+        options = {"steps": arguments.steps} if method == "hill" else {}
+        label = f"baseline-{method}-{arguments.workload}"
+    cache = FitnessCache(arguments.cache)
     try:
-        result = GevoSearch(adapter, config, engine=engine).run(
-            validate_best=True,
+        result, engine = run_search(
+            method, adapter, config, cache, label=label, jobs=arguments.jobs,
+            telemetry=telemetry, batch_launches=_resolve_batch_launches(arguments),
             checkpoint_path=arguments.resume,
             checkpoint_every=arguments.checkpoint_every,
-            resume_from=_resume_from(arguments),
-        )
+            resume_from=_resume_from(arguments), **options)
+        engine.record_stats_metrics()
     finally:
-        engine.close()
+        cache.close()
+    tallies = (f"{result.accepted_edits} accepted / {result.rejected_edits} rejected, "
+               if method == "hill" else "")
     _log.info(f"best speedup: {result.speedup:.3f}x with {len(result.best_edits())} edits "
-              f"({result.evaluations} evaluations, {result.wall_clock_seconds:.1f}s)")
+              f"({tallies}{result.evaluations} evaluations, "
+              f"{result.wall_clock_seconds:.1f}s)")
     _log.info(f"runtime: {engine.stats().summary()}")
     if result.validation is not None:
         _log.info(f"held-out validation: {'pass' if result.validation.valid else 'FAIL'}")
-    for edit in result.best_edits():
-        _log.info(f"  - {edit.describe(adapter.original_module())}")
-    if arguments.trace:
-        emit_module_hotspots(telemetry, adapter, adapter.original_module(),
-                             label=f"search-{arguments.workload}")
-    _finish_telemetry(arguments, telemetry)
-    return 0
-
-
-def _command_baseline(arguments: argparse.Namespace) -> int:
-    telemetry = _make_telemetry(arguments)
-    adapter = make_adapter(arguments.workload, arguments.arch,
-                           interpreter_tier=_resolve_interpreter_tier(arguments))
-    config = GevoConfig.quick(seed=arguments.seed,
-                              population_size=arguments.population,
-                              generations=arguments.generations)
-    engine = _make_engine(adapter, arguments, telemetry)
-
-    method = "random search" if arguments.method == "random" else "hill climbing"
-    budget = (arguments.steps
-              if arguments.method == "hill" and arguments.steps is not None
-              else config.population_size * config.generations)
-    _log.info(f"{method} on {adapter.name}: budget={budget}, "
-              f"executor={engine.executor.name}")
-    options = dict(checkpoint_path=arguments.resume,
-                   checkpoint_every=arguments.checkpoint_every,
-                   resume_from=_resume_from(arguments))
-    try:
-        if arguments.method == "random":
-            result = RandomSearch(adapter, config, engine=engine).run(**options)
-            tallies = ""
-        else:
-            result = HillClimber(adapter, config, engine=engine).run(
-                steps=arguments.steps, **options)
-            tallies = (f"{result.accepted_edits} accepted / "
-                       f"{result.rejected_edits} rejected, ")
-    finally:
-        engine.close()
-    edits = len(result.best.edits) if result.best is not None else 0
-    _log.info(f"best speedup: {result.speedup:.3f}x with {edits} edits ({tallies}"
-              f"{result.evaluations} evaluations, {result.wall_clock_seconds:.1f}s)")
-    _log.info(f"runtime: {engine.stats().summary()}")
-    if arguments.trace:
-        emit_module_hotspots(telemetry, adapter, adapter.original_module(),
-                             label=f"baseline-{arguments.method}-{arguments.workload}")
+    if method == "gevo":
+        for edit in result.best_edits():
+            _log.info(f"  - {edit.describe(adapter.original_module())}")
     _finish_telemetry(arguments, telemetry)
     return 0
 
@@ -447,8 +430,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arguments.command == "trace":
         return _command_trace(arguments)
     try:
-        if arguments.command == "baseline":
-            return _command_baseline(arguments)
         if arguments.command == "sweep":
             return _command_sweep(arguments)
         return _command_search(arguments)

@@ -12,7 +12,7 @@ for SIMCoV).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..gevo import GevoConfig, run_repeated_searches
 from ..gpu import get_arch

@@ -9,8 +9,6 @@ the dependent edits 8 and 10 only afterwards, and edit 5 last.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis import cumulative_discovery_table, discovery_sequence
 from ..gevo import GevoConfig, GevoSearch
 from ..gpu import get_arch

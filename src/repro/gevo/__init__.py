@@ -26,17 +26,11 @@ from .edits import (
     edit_from_dict,
     edit_kinds,
 )
-from .fitness import (
-    CaseResult,
-    EditSetEvaluator,
-    FitnessResult,
-    GenomeEvaluator,
-    WorkloadAdapter,
-)
-from .genome import AppliedGenome, Individual, apply_edits, seed_population, unique_edit_keys
-from .history import GenerationRecord, SearchHistory, merge_speedup_distributions
+from .fitness import CaseResult, EditSetEvaluator, FitnessResult, WorkloadAdapter
+from .genome import AppliedGenome, Individual, apply_edits, seed_population
+from .history import GenerationRecord, SearchHistory, SearchResult
 from .mutation import EditGenerator, maybe_mutate, mutate
-from .search import GevoSearch, SearchResult, run_repeated_searches
+from .search import GevoSearch, run_repeated_searches
 from .selection import best_individual, rank_population, select_elites, tournament_select
 
 __all__ = [
@@ -48,7 +42,6 @@ __all__ = [
     "EditSetEvaluator",
     "FitnessResult",
     "GenerationRecord",
-    "GenomeEvaluator",
     "GevoConfig",
     "GevoSearch",
     "Individual",
@@ -67,7 +60,6 @@ __all__ = [
     "edit_kinds",
     "maybe_crossover",
     "maybe_mutate",
-    "merge_speedup_distributions",
     "mutate",
     "one_point_crossover",
     "rank_population",
@@ -75,6 +67,5 @@ __all__ = [
     "seed_population",
     "select_elites",
     "tournament_select",
-    "unique_edit_keys",
     "uniform_crossover",
 ]

@@ -27,7 +27,7 @@ semantically wrong and fail their test cases.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import EditError
 from ..ir.function import BasicBlock, Function, Module

@@ -8,21 +8,18 @@ from the fitness calculation (Section III-E).  The pieces here are:
 * :class:`WorkloadAdapter` -- the interface a workload (ADEPT, SIMCoV, or a
   user's own kernel) implements so GEVO, the baselines and the analysis
   algorithms can all drive it.
-* :class:`GenomeEvaluator` -- applies a genome to the original module and
-  runs the adapter's fitness tests, memoising results by canonical
-  (order-insensitive) edit-set key so repeated evaluations of identical
-  genomes (common under elitism) are free.
 * :class:`EditSetEvaluator` -- the ``f(S)`` function of Algorithms 1 and 2,
   evaluating arbitrary *sets* of edits with caching; used by the
   minimization and epistasis analyses.
 
-Both evaluators route every evaluation through a
-:class:`repro.runtime.engine.EvaluationEngine`, which owns the cache
-(shared canonical keys with :mod:`repro.runtime.cache`, optionally
+The searches evaluate their individuals through
+:class:`~repro.runtime.checkpoint.CheckpointableSearch`, and
+:class:`EditSetEvaluator` its subsets; both route every evaluation
+through a :class:`repro.runtime.engine.EvaluationEngine`, which owns the
+cache (shared canonical keys with :mod:`repro.runtime.cache`, optionally
 disk-persisted) and the execution strategy (serial or process-pool).  By
-default each evaluator builds its own serial in-memory engine, so the
-historical single-threaded behaviour is unchanged; pass ``engine=`` to
-share a cache across evaluators or to evaluate in parallel.
+default each builds its own serial in-memory engine; pass ``engine=`` to
+share a cache or to evaluate in parallel.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from typing import List, Sequence
 
 from ..ir.function import Module
 from .edits import Edit
-from .genome import Individual
 
 
 @dataclass
@@ -118,77 +114,6 @@ def _default_engine(adapter: WorkloadAdapter):
     from ..runtime.engine import EvaluationEngine
 
     return EvaluationEngine(adapter)
-
-
-class GenomeEvaluator:
-    """Evaluates individuals against a workload adapter with memoisation.
-
-    Evaluation flows through an :class:`~repro.runtime.engine.EvaluationEngine`
-    whose cache key is *canonical* -- order-insensitive over the edit
-    multiset -- so permuted but identical edit lists share one entry.  The
-    ``evaluations`` / ``cache_hits`` counters report this evaluator's own
-    activity even when the engine is shared with other evaluators.
-
-    Contract: a variant's identity is its edit **multiset**, following the
-    paper's set-based ``f(S)`` treatment (the seed's ``EditSetEvaluator``
-    already keyed by frozen edit-key set).  In the rare case where two
-    orderings of the same multiset replay to different programs (tolerant
-    skipping makes ``apply_edits`` order-sensitive when edits interact),
-    the first ordering evaluated defines the cached fitness for all of
-    them; ``validate_best`` style replays of a specific individual's edit
-    list still use that individual's true order, so a divergent variant
-    surfaces as a validation failure rather than silently shipping.
-    """
-
-    def __init__(self, adapter: WorkloadAdapter, *, engine=None):
-        self.adapter = adapter
-        self.engine = engine if engine is not None else _default_engine(adapter)
-        self._original = self.engine.original
-        self._evaluations_offset = self.engine.evaluations
-        self._hits_offset = self.engine.cache_hits
-
-    @property
-    def original(self) -> Module:
-        return self._original
-
-    @property
-    def evaluations(self) -> int:
-        """Adapter evaluations actually executed on this evaluator's behalf."""
-        return self.engine.evaluations - self._evaluations_offset
-
-    @property
-    def cache_hits(self) -> int:
-        return self.engine.cache_hits - self._hits_offset
-
-    def evaluate_individual(self, individual: Individual) -> FitnessResult:
-        """Evaluate *individual*, filling in its fitness/validity fields."""
-        result = self.engine.evaluate(individual.edits)
-        individual.mark_evaluated(
-            result.runtime_ms if result.valid else None, result.valid)
-        return result
-
-    def evaluate_edits(self, edits: Sequence[Edit]) -> FitnessResult:
-        """Evaluate one edit list (through the engine's cache)."""
-        return self.engine.evaluate(edits)
-
-    def evaluate_population(self, population: Sequence[Individual], *,
-                            ledger=None) -> None:
-        """Evaluate every unevaluated individual as one concurrent batch.
-
-        With a ``ledger``, the batch's canonical keys are charged after
-        the batch evaluates (never on a raising batch): crash-exact
-        evaluation accounting for the checkpointable searches.
-        """
-        pending = [ind for ind in population if ind.needs_evaluation()]
-        if not pending:
-            return
-        results = self.engine.evaluate_many([ind.edits for ind in pending])
-        if ledger is not None:
-            ledger.charge(self.engine.cache_key(ind.edits).to_string()
-                          for ind in pending)
-        for individual, result in zip(pending, results):
-            individual.mark_evaluated(
-                result.runtime_ms if result.valid else None, result.valid)
 
 
 class EditSetEvaluator:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import EditError
 from ..ir.function import Module
@@ -105,10 +105,3 @@ def seed_population(size: int) -> List[Individual]:
     """The initial population: *size* copies of the unmodified program."""
     return [Individual() for _ in range(size)]
 
-
-def unique_edit_keys(individuals: Iterable[Individual]) -> set:
-    """All distinct edit keys present in a collection of individuals."""
-    keys = set()
-    for individual in individuals:
-        keys.update(individual.edit_keys())
-    return keys

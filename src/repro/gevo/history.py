@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .config import GevoConfig
+from .fitness import FitnessResult
 from .genome import Individual
 
 
@@ -96,19 +98,25 @@ class SearchHistory:
         return sorted(pairs, key=lambda item: (item[1] is None, item[1]))
 
 
-def merge_speedup_distributions(histories: Sequence[SearchHistory]) -> Dict[str, List[float]]:
-    """Aggregate final speedups across runs (Figure 6 statistics).
+@dataclass
+class SearchResult:
+    """Outcome of one search run: GEVO, random search or the hill climber."""
 
-    Returns the final speedup of every run plus min / max / mean, ignoring
-    runs that never produced a valid individual.
-    """
-    finals = [history.final_speedup() for history in histories]
-    finals = [value for value in finals if value is not None]
-    if not finals:
-        return {"finals": [], "min": [], "max": [], "mean": []}
-    return {
-        "finals": finals,
-        "min": [min(finals)],
-        "max": [max(finals)],
-        "mean": [sum(finals) / len(finals)],
-    }
+    best: Optional[Individual]
+    history: SearchHistory
+    baseline: FitnessResult
+    config: GevoConfig
+    evaluations: int
+    wall_clock_seconds: float
+    #: Validation (held-out tests) of the final best individual, if requested.
+    validation: Optional[FitnessResult] = None
+
+    @property
+    def speedup(self) -> float:
+        """Speedup of the best discovered variant over the unmodified program."""
+        if self.best is None or not self.best.valid or not self.best.fitness:
+            return 1.0
+        return self.baseline.runtime_ms / self.best.fitness
+
+    def best_edits(self) -> List:
+        return list(self.best.edits) if self.best is not None else []

@@ -21,9 +21,7 @@ and never re-simulates a variant evaluated before the interruption.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import SearchError
 from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint, serialize_individual
@@ -31,33 +29,9 @@ from .config import GevoConfig
 from .crossover import maybe_crossover
 from .fitness import FitnessResult, WorkloadAdapter
 from .genome import Individual, apply_edits, seed_population
-from .history import SearchHistory
+from .history import SearchResult
 from .mutation import maybe_mutate
 from .selection import best_individual, select_elites, select_parents
-
-
-@dataclass
-class SearchResult:
-    """Outcome of one GEVO run."""
-
-    best: Optional[Individual]
-    history: SearchHistory
-    baseline: FitnessResult
-    config: GevoConfig
-    evaluations: int
-    wall_clock_seconds: float
-    #: Validation (held-out tests) of the final best individual, if requested.
-    validation: Optional[FitnessResult] = None
-
-    @property
-    def speedup(self) -> float:
-        """Speedup of the best discovered variant over the unmodified program."""
-        if self.best is None or not self.best.valid or not self.best.fitness:
-            return 1.0
-        return self.baseline.runtime_ms / self.best.fitness
-
-    def best_edits(self) -> List:
-        return list(self.best.edits) if self.best is not None else []
 
 
 class GevoSearch(CheckpointableSearch):
@@ -70,49 +44,27 @@ class GevoSearch(CheckpointableSearch):
 
     algorithm = "gevo"
 
-    def __init__(self, adapter: WorkloadAdapter, config: GevoConfig,
-                 *, progress: Optional[Callable[[int, SearchHistory], None]] = None,
+    def __init__(self, adapter: WorkloadAdapter, config: GevoConfig, *,
                  candidate_edits=None, candidate_probability: float = 0.0,
                  engine=None):
         super().__init__(adapter, config, engine=engine,
                          candidate_edits=candidate_edits,
                          candidate_probability=candidate_probability)
-        self.progress = progress
         # Working state of the generational loop (captured by checkpoints).
         self._population: List[Individual] = []
-        self._best: Optional[Individual] = None
         self._stagnation = 0
+        self._validate_best = False
 
     def run(self, *, validate_best: bool = False, **options) -> SearchResult:
         """Run the configured number of generations and return the result.
 
-        *options* are ``checkpoint_path``, ``checkpoint_every`` (in
-        generations) and ``resume_from``, as documented on
-        :meth:`~repro.runtime.checkpoint.CheckpointableSearch._run_rounds`.
         ``validate_best`` also runs the best variant's held-out tests.
+        The other *options* are those of
+        :meth:`~repro.runtime.checkpoint.CheckpointableSearch.run`
+        (``checkpoint_every`` counts generations).
         """
-        start = time.perf_counter()
-        baseline = self._run_rounds(**options)
-        validation = None
-        if validate_best and self._best is not None:
-            applied = apply_edits(self.evaluator.original, self._best.edits)
-            validation = self.adapter.validate(applied.module)
-
-        self._telemetry.event(
-            "search.end", algorithm=self.algorithm,
-            generations=self._round,
-            best_fitness=self._best.fitness if self._best is not None else None,
-            evaluations=self._ledger.count,
-            wall_clock_seconds=time.perf_counter() - start)
-        return SearchResult(
-            best=self._best,
-            history=self._history,
-            baseline=baseline,
-            config=self.config,
-            evaluations=self._ledger.count,
-            wall_clock_seconds=time.perf_counter() - start,
-            validation=validation,
-        )
+        self._validate_best = validate_best
+        return super().run(**options)
 
     # -- CheckpointableSearch ----------------------------------------------------------
     def _start_fields(self):
@@ -126,8 +78,14 @@ class GevoSearch(CheckpointableSearch):
                 "test cases; fix the workload before searching")
         self._stagnation = 0
         self._population = seed_population(self.config.population_size)
-        self.evaluator.evaluate_population(self._population, ledger=self._ledger)
+        self._evaluate(self._population)
         self._best = best_individual(self._population)
+
+    def _finish(self) -> Dict[str, object]:
+        if not self._validate_best or self._best is None:
+            return {}
+        applied = apply_edits(self.original, self._best.edits)
+        return {"validation": self.adapter.validate(applied.module)}
 
     def _spawn(self) -> Optional[List[Individual]]:
         """Breed the next generation: elitism, tournament selection,
@@ -176,8 +134,6 @@ class GevoSearch(CheckpointableSearch):
             best_fitness=record.best_fitness, mean_fitness=record.mean_fitness,
             valid_count=record.valid_count, stagnation=self._stagnation,
             evaluations=record.evaluations)
-        if self.progress is not None:
-            self.progress(self._round, self._history)
 
     def capture_checkpoint(self) -> SearchCheckpoint:
         return self._capture({

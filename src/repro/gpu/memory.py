@@ -250,22 +250,19 @@ class GlobalMemory:
 class SharedMemoryBlock:
     """The shared memory of one thread block.
 
-    One array is allocated per ``shared`` declaration of the kernel.  The
-    fill value is poison (NaN) by default; a simulator option allows a zero
-    fill to mimic debugging environments, but the default matches hardware
+    One array is allocated per ``shared`` declaration of the kernel,
+    filled with poison (NaN, or a large negative int), matching hardware
     semantics where shared memory contents are undefined at kernel start.
     """
 
-    def __init__(self, function: Function, zero_fill: bool = False):
+    def __init__(self, function: Function):
         self._arrays: Dict[str, BufferHandle] = {}
         self.bytes_allocated = 0
         for decl in function.shared:
             if decl.dtype == "int":
-                fill = 0 if zero_fill else np.iinfo(np.int64).min // 2
-                array = np.full(decl.size, fill, dtype=np.int64)
+                array = np.full(decl.size, np.iinfo(np.int64).min // 2, dtype=np.int64)
             else:
-                fill = 0.0 if zero_fill else SHARED_POISON
-                array = np.full(decl.size, fill, dtype=np.float64)
+                array = np.full(decl.size, SHARED_POISON, dtype=np.float64)
             self._arrays[decl.name] = BufferHandle(decl.name, SHARED_SPACE, array)
             self.bytes_allocated += array.nbytes
 

@@ -87,7 +87,6 @@ class GpuDevice:
         self,
         arch: GpuArch = P100,
         *,
-        zero_init_shared: bool = False,
         max_instructions_per_warp: int = 1_000_000,
         profile: bool = True,
         unified_memory_arena: bool = False,
@@ -95,7 +94,6 @@ class GpuDevice:
         fast_path: Optional[str] = None,
     ):
         self.arch = arch
-        self.zero_init_shared = zero_init_shared
         self.max_instructions_per_warp = max_instructions_per_warp
         self.profile_enabled = profile
         #: Which of the two bit-for-bit-equivalent interpreter tiers this
@@ -407,7 +405,7 @@ class GpuDevice:
         warp_size = self.arch.warp_size
         threads = block_dim[0] * block_dim[1]
         num_warps = max(1, math.ceil(threads / warp_size))
-        shared = SharedMemoryBlock(function, zero_fill=self.zero_init_shared)
+        shared = SharedMemoryBlock(function)
         if shared.bytes_allocated > self.arch.shared_memory_per_block:
             raise LaunchError(
                 f"kernel {function.name!r} requests {shared.bytes_allocated} bytes of shared "

@@ -29,7 +29,7 @@ from .analysis import (
 from .builder import KernelBuilder, build_module
 from .function import BasicBlock, Function, Module, Param, SharedDecl
 from .instructions import Instruction, SourceLoc, reset_uid_namespace
-from .opcodes import all_opcodes, is_known_opcode, opcode_info
+from .opcodes import is_known_opcode, opcode_info
 from .parser import parse_function, parse_module
 from .printer import format_function, format_instruction, format_module
 from .values import Const, Reg, as_value
@@ -47,7 +47,6 @@ __all__ = [
     "SharedDecl",
     "SourceLoc",
     "VerificationReport",
-    "all_opcodes",
     "as_value",
     "build_cfg",
     "build_module",

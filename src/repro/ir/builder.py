@@ -12,12 +12,12 @@ explicit basic blocks and branches.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..errors import IRError
 from .function import BasicBlock, Function, Module, Param, SharedDecl
 from .instructions import Instruction, SourceLoc
-from .values import Const, Reg, Value, as_value
+from .values import Const, Reg, as_value
 
 
 class KernelBuilder:

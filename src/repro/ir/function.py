@@ -154,12 +154,6 @@ class Function:
     def block_order(self) -> Tuple[str, ...]:
         return tuple(self._block_order)
 
-    def get_block(self, label: str) -> BasicBlock:
-        try:
-            return self.blocks[label]
-        except KeyError:
-            raise IRError(f"no block labelled {label!r} in function {self.name!r}") from None
-
     # -- instruction queries -------------------------------------------------------
     def instructions(self) -> Iterator[Instruction]:
         """Iterate all instructions in block order."""

@@ -11,7 +11,7 @@ done in the paper's functional analysis (Section VI).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .opcodes import opcode_info

@@ -127,11 +127,6 @@ def is_known_opcode(name: str) -> bool:
     return name in _REGISTRY
 
 
-def all_opcodes() -> Tuple[str, ...]:
-    """Return every registered opcode name, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
 TERMINATORS = frozenset(op for op, info in _REGISTRY.items() if info.is_terminator)
 MEMORY_OPCODES = frozenset(op for op, info in _REGISTRY.items() if info.touches_memory)
 BARRIER_OPCODES = frozenset(op for op, info in _REGISTRY.items() if info.is_barrier)

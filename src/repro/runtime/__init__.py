@@ -18,10 +18,11 @@ process-pool executors), :mod:`repro.runtime.cache` (content-addressed
 fitness cache), :mod:`repro.runtime.sqlite_store` (its incremental
 WAL-mode SQLite disk tier, which also imports JSON cache documents),
 :mod:`repro.runtime.checkpoint` (:class:`CheckpointableSearch`, the
-base class whose one round loop runs GEVO and both baselines with
-crash-exact checkpoint/resume) and
-:mod:`repro.runtime.sweep` (the multi-architecture sweep orchestrator
-behind ``repro sweep``).
+base class whose one ``run()`` and round loop run GEVO and both
+baselines with crash-exact checkpoint/resume) and
+:mod:`repro.runtime.sweep` (``run_search``, the one runner behind
+``repro search``/``baseline``, and the multi-architecture sweep
+orchestrator behind ``repro sweep``).
 Observability lives in :mod:`repro.runtime.telemetry` (the run-scoped
 :class:`Telemetry` handle: structured event log + metrics registry,
 a true no-op when disabled), :mod:`repro.runtime.trace_format` (the
@@ -76,7 +77,6 @@ from .telemetry import (
     Telemetry,
     emit_module_hotspots,
     new_run_id,
-    telemetry_of,
 )
 from .trace_format import (
     TraceEvent,
@@ -137,5 +137,4 @@ __all__ = [
     "serialize_history",
     "serialize_individual",
     "summarize_trace",
-    "telemetry_of",
 ]

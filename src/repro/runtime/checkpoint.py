@@ -20,13 +20,14 @@ of the search loops needs to continue exactly where it stopped:
   its generation counter and best-so-far; the hill climber its current
   individual, step counter and accepted/rejected tallies.
 
-Every search subclasses :class:`CheckpointableSearch`, whose one round
-loop owns the whole protocol -- fresh start or resume (validated by
-:func:`resolve_checkpoint`, which funnels all the
+Every search subclasses :class:`CheckpointableSearch`, whose one
+``run()`` and one round loop own the whole protocol -- fresh start or
+resume (validated by :func:`resolve_checkpoint`, which funnels all the
 algorithm/workload/arch/config mismatch checks through one place), the
-kill points of every round, the checkpoint cadence and the final
-checkpoint -- while the search supplies only its rounds and its
-``state`` payload.
+evaluation of each round, the kill points of every round, the
+checkpoint cadence, the final checkpoint and the one
+:class:`~repro.gevo.history.SearchResult` -- while the search supplies
+only its rounds, its ``state`` payload and its event fields.
 
 Checkpoints are plain JSON; ``inf`` fitness values round-trip through
 JSON's ``Infinity`` literal.  Resuming with the same seed reproduces the
@@ -42,15 +43,16 @@ import dataclasses
 import json
 import os
 import random
+import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SearchError
 from ..gevo.config import GevoConfig
-from ..gevo.edits import Edit, edit_from_dict
-from ..gevo.fitness import FitnessResult, GenomeEvaluator
+from ..gevo.edits import edit_from_dict
+from ..gevo.fitness import FitnessResult
 from ..gevo.genome import Individual
-from ..gevo.history import GenerationRecord, SearchHistory
+from ..gevo.history import GenerationRecord, SearchHistory, SearchResult
 from ..gevo.mutation import EditGenerator
 from .faultpoints import kill_point
 
@@ -354,51 +356,63 @@ class EvaluationLedger:
 # -- the round loop every search runs ------------------------------------------------
 
 class CheckpointableSearch:
-    """Base class that runs a search's rounds under crash-exact checkpoint/resume.
+    """Base class that runs a search under crash-exact checkpoint/resume.
 
     GEVO, random search and the hill climber are one loop of *rounds*:
     spawn individuals, evaluate them as one batch, score them.
-    :meth:`_run_rounds` owns the protocol around that loop -- the fresh
-    start (a new :class:`EvaluationLedger` charged for the unmodified
-    program) or the resume (ledger, history, RNG and fitness cache
-    restored from a validated checkpoint), the ``search.start`` and
+    :meth:`run` times the run, runs the rounds (:meth:`_run_rounds`: the
+    fresh start or the validated resume, the ``search.start`` and
     ``search.resume_replay`` events, the four kill points of every
-    round, the checkpoint cadence and the final checkpoint.  A search
-    keeps only its own state and supplies:
+    round, the checkpoint cadence and the final checkpoint), calls
+    ``_finish()``, emits ``search.end`` and returns one
+    :class:`SearchResult`.  A search keeps only its own state and
+    supplies:
 
     * ``_start_fresh(baseline)`` -- its state before the first round;
     * ``_spawn()`` -- the next round's individuals, or ``None`` when done;
-    * ``_score(individuals)`` -- score one evaluated round: advance
-      ``_round``, record the history, emit the per-round event through
-      ``_telemetry``;
+    * ``_score(individuals)`` -- advance ``_round``, track ``_best``,
+      record the history and emit the per-round event;
     * its ``state`` payload, both ways: ``capture_checkpoint()``, which
       returns ``self._capture(state)``, and ``_restore_state(checkpoint)``
       (``_round`` is restored before it is called);
-    * ``_start_fields()`` -- its budget fields of the ``search.start`` event.
+    * ``_start_fields()`` and ``_end_fields()`` -- its fields of the
+      ``search.start`` and ``search.end`` events;
+    * optionally ``_finish()`` -- extra result fields, computed inside
+      the timed window -- and the ``result_type`` that carries them.
     """
 
     #: Discriminator recorded in every checkpoint this search writes.
     algorithm: str = "search"
+    #: What :meth:`run` returns.
+    result_type = SearchResult
 
     def __init__(self, adapter, config: GevoConfig, *, engine=None,
                  **generator_options):
+        if engine is None:
+            # Imported here: the engine imports the cache, which imports
+            # gevo, and gevo.search imports this module.
+            from .engine import EvaluationEngine
+
+            engine = EvaluationEngine(adapter)
         self.adapter = adapter
         self.config = config
         self.rng = random.Random(config.seed)
-        self.evaluator = GenomeEvaluator(adapter, engine=engine)
-        self.generator = EditGenerator(self.evaluator.original, self.rng,
+        self.engine = engine
+        self.original = engine.original
+        self.generator = EditGenerator(self.original, self.rng,
                                        weights=config.edit_weights,
                                        **generator_options)
         # Protocol state, set by a fresh start or a resume.
         self._history: Optional[SearchHistory] = None
         self._ledger: Optional[EvaluationLedger] = None
         self._round = 0
-        self._telemetry = None
+        self._best: Optional[Individual] = None
+        self._telemetry = engine.telemetry
 
-    def _run_rounds(self, *, checkpoint_path: Optional[str] = None,
-                    checkpoint_every: Optional[int] = None,
-                    resume_from: Optional[str] = None) -> FitnessResult:
-        """Run every round from a fresh start or a checkpoint; returns the baseline.
+    def run(self, *, checkpoint_path: Optional[str] = None,
+            checkpoint_every: Optional[int] = None,
+            resume_from: Optional[str] = None) -> SearchResult:
+        """Run the search to the end of its budget and return its result.
 
         With ``checkpoint_path`` the full search state is written there
         every ``checkpoint_every`` rounds (default: every round) and once
@@ -407,12 +421,61 @@ class CheckpointableSearch:
         continue from instead of starting fresh; it must match this
         search's algorithm, workload, architecture and configuration.
         """
-        # Imported here: telemetry imports the cache, which imports gevo,
-        # and gevo.search imports this module.
-        from .telemetry import telemetry_of
+        start = time.perf_counter()
+        baseline = self._run_rounds(checkpoint_path, checkpoint_every, resume_from)
+        extra = self._finish()
+        seconds = time.perf_counter() - start
+        best = self._best
+        self._telemetry.event(
+            "search.end", algorithm=self.algorithm, **self._end_fields(),
+            best_fitness=best.fitness if best is not None else None,
+            evaluations=self._ledger.count, wall_clock_seconds=seconds)
+        return self.result_type(
+            best=best, history=self._history, baseline=baseline,
+            config=self.config, evaluations=self._ledger.count,
+            wall_clock_seconds=seconds, **extra)
 
-        engine = self.evaluator.engine
-        telemetry = self._telemetry = telemetry_of(engine)
+    def _finish(self) -> Dict[str, object]:
+        return {}
+
+    def _end_fields(self) -> Dict[str, object]:
+        return {"generations": self._round}
+
+    def _evaluate(self, individuals: Sequence[Individual]) -> None:
+        """Evaluate every unevaluated individual as one batch and charge the ledger.
+
+        The batch's canonical keys are charged after it evaluates (never
+        on a raising batch), which keeps evaluation accounting
+        crash-exact.
+
+        A variant's identity is its edit **multiset**, following the
+        paper's set-based ``f(S)`` treatment: the engine's cache key is
+        order-insensitive, so permuted but identical edit lists share
+        one entry.  In the rare case where two orderings of the same
+        multiset replay to different programs (tolerant skipping makes
+        ``apply_edits`` order-sensitive when edits interact), the first
+        ordering evaluated defines the cached fitness for all of them;
+        held-out validation replays the best individual's own edit
+        order, so a divergent variant surfaces as a validation failure
+        rather than silently shipping.
+        """
+        pending = [ind for ind in individuals if ind.needs_evaluation()]
+        if not pending:
+            return
+        engine = self.engine
+        results = engine.evaluate_many([ind.edits for ind in pending])
+        self._ledger.charge(engine.cache_key(ind.edits).to_string()
+                            for ind in pending)
+        for individual, result in zip(pending, results):
+            individual.mark_evaluated(
+                result.runtime_ms if result.valid else None, result.valid)
+
+    def _run_rounds(self, checkpoint_path: Optional[str],
+                    checkpoint_every: Optional[int],
+                    resume_from: Optional[str]) -> FitnessResult:
+        """Run every round from a fresh start or a checkpoint; returns the baseline."""
+        engine = self.engine
+        telemetry = self._telemetry
         if resume_from is not None:
             checkpoint = resolve_checkpoint(resume_from, algorithm=self.algorithm,
                                             workload_id=engine.workload_id,
@@ -442,12 +505,13 @@ class CheckpointableSearch:
             self._start_fresh(baseline)
         telemetry.event("search.start", algorithm=self.algorithm,
                         workload=engine.workload_id, **self._start_fields(),
-                        seed=self.config.seed, resumed=resume_from is not None)
+                        seed=self.config.seed, resumed=resume_from is not None,
+                        executor=engine.executor.name)
 
         every = max(1, checkpoint_every or 1)
         while (individuals := self._spawn()) is not None:
             kill_point("search.round.spawned")
-            self.evaluator.evaluate_population(individuals, ledger=self._ledger)
+            self._evaluate(individuals)
             kill_point("search.round.evaluated")
             self._score(individuals)
             kill_point("search.round.scored")
@@ -466,7 +530,7 @@ class CheckpointableSearch:
 
     def _capture(self, state: Dict[str, object]) -> SearchCheckpoint:
         """This search's checkpoint around its own *state* payload."""
-        engine = self.evaluator.engine
+        engine = self.engine
         return SearchCheckpoint(
             algorithm=self.algorithm,
             workload_id=engine.workload_id,

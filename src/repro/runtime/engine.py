@@ -382,9 +382,6 @@ class EvaluationEngine:
         A :class:`FitnessCache`; defaults to a fresh in-memory cache.
         Pass a shared instance to pool results across engines (e.g. the
         repeated-search experiment) or a disk-backed one to persist them.
-    workload_id / arch_name:
-        Cache-key namespace; derived from the adapter when omitted
-        (``adapter.name`` and ``adapter.arch.name``).
     telemetry:
         A :class:`~repro.runtime.telemetry.Telemetry` handle; batch
         spans, cache counters and executor events flow through it.
@@ -402,8 +399,6 @@ class EvaluationEngine:
     def __init__(self, adapter: WorkloadAdapter, *,
                  executor: Optional[Executor] = None,
                  cache: Optional[FitnessCache] = None,
-                 workload_id: Optional[str] = None,
-                 arch_name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None,
                  batch_launches: Optional[bool] = None):
         self.adapter = adapter
@@ -415,8 +410,9 @@ class EvaluationEngine:
         arch = getattr(adapter, "arch", None)
         self.batch_launches = batch_launches
         self._planner = BatchPlanner(arch)
-        self.workload_id = workload_id or getattr(adapter, "name", type(adapter).__name__)
-        self.arch_name = arch_name or (getattr(arch, "name", None) or "default")
+        #: The cache-key namespace: the adapter's name and its arch's.
+        self.workload_id = getattr(adapter, "name", type(adapter).__name__)
+        self.arch_name = getattr(arch, "name", None) or "default"
         #: Number of actual adapter evaluations performed (cache misses executed).
         self.evaluations = 0
         #: Wall-clock seconds spent inside executor batch dispatch.

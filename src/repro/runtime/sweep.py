@@ -9,7 +9,8 @@ orchestrator here runs the whole grid through the existing
 
 * the grid is a :class:`SweepSpec` -- architectures x workloads x seeds,
   one search method (GEVO or a baseline) and the per-leg search budget;
-* each cell is a :class:`SweepLeg`, run as one
+* each cell is a :class:`SweepLeg`, run by :func:`run_search` -- the one
+  runner ``repro search`` and ``repro baseline`` use too -- as one
   :class:`~repro.runtime.checkpoint.CheckpointableSearch` of its method
   (at the search's own default checkpoint cadence unless
   ``checkpoint_every`` is given) with its own checkpoint file under the
@@ -50,22 +51,32 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SearchError
 from ..gevo.config import GevoConfig
+from ..gevo.history import SearchResult
 from ..gpu import get_arch
 from .cache import FitnessCache, atomic_write_text
 from .engine import EvaluationEngine, make_executor
 from .faultpoints import kill_point
 from .telemetry import NULL_TELEMETRY, Telemetry, emit_module_hotspots
 
-#: Workloads a sweep can name, with their CLI aliases.
+#: Workloads a search or a sweep can name, with their sweep aliases.
 WORKLOAD_CHOICES = ("toy", "adept-v1", "simcov")
 WORKLOAD_ALIASES = {"adept": "adept-v1"}
 
-#: Search methods a sweep can run per leg.
+#: Search methods ``repro search``/``baseline`` and a sweep leg can run.
 METHOD_CHOICES = ("gevo", "random", "hill")
+
+
+def search_class_for(method: str):
+    """The :class:`~repro.runtime.checkpoint.CheckpointableSearch` a method names."""
+    # Imported here: the searches import this package.
+    from ..baselines import HillClimber, RandomSearch
+    from ..gevo import GevoSearch
+
+    return {"gevo": GevoSearch, "random": RandomSearch, "hill": HillClimber}[method]
 
 
 def resolve_workload(name: str) -> str:
@@ -277,7 +288,6 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
               checkpoint_every: Optional[int] = None,
               interpreter_tier: Optional[str] = None,
               batch_launches: Optional[bool] = None,
-              progress: Optional[Callable[[SweepLeg, LegOutcome], None]] = None,
               telemetry: Optional[Telemetry] = None,
               ) -> SweepReport:
     """Run (or resume) every leg of *spec* under *sweep_dir*.
@@ -343,8 +353,6 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
                 report.rows.append(outcome)
                 telemetry.event("sweep.leg", **_leg_fields(leg, outcome))
                 _record_leg_metrics(telemetry, leg, outcome)
-                if progress is not None:
-                    progress(leg, outcome)
                 continue
             if not resume:
                 for stale in (result_path, checkpoint_path):
@@ -354,14 +362,12 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
             resume_from = (checkpoint_path
                            if resume and os.path.exists(checkpoint_path) else None)
             with telemetry.span("sweep.leg", leg_id=leg.leg_id) as leg_fields:
-                outcome = _run_leg(spec, leg, cache,
-                                   jobs=jobs,
+                outcome = _run_leg(spec, leg, cache, interpreter_tier,
+                                   jobs=jobs, telemetry=telemetry,
+                                   batch_launches=batch_launches,
                                    checkpoint_path=checkpoint_path,
                                    checkpoint_every=checkpoint_every,
-                                   resume_from=resume_from,
-                                   interpreter_tier=interpreter_tier,
-                                   batch_launches=batch_launches,
-                                   telemetry=telemetry)
+                                   resume_from=resume_from)
                 leg_fields.update(_leg_fields(leg, outcome))
             _record_leg_metrics(telemetry, leg, outcome)
             # Crash window: the leg's final checkpoint is on disk but its
@@ -375,8 +381,6 @@ def run_sweep(spec: SweepSpec, sweep_dir: str, *,
             atomic_write_text(result_path, json.dumps(record, indent=2) + "\n")
             kill_point("sweep.leg.recorded")
             report.rows.append(outcome)
-            if progress is not None:
-                progress(leg, outcome)
     finally:
         cache.close()
 
@@ -408,16 +412,37 @@ def _record_leg_metrics(telemetry: Telemetry, leg: SweepLeg,
     telemetry.counter(prefix + ".cache_hits").inc(outcome.cache_hits)
 
 
-def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
-             jobs: int,
-             checkpoint_path: str, checkpoint_every: Optional[int],
-             resume_from: Optional[str],
-             interpreter_tier: Optional[str] = None,
-             batch_launches: Optional[bool] = None,
-             telemetry: Telemetry = NULL_TELEMETRY) -> LegOutcome:
-    """Execute one leg through the engine seam and summarise it."""
-    from ..baselines import HillClimber, RandomSearch
-    from ..gevo import GevoSearch
+def run_search(method: str, adapter, config: GevoConfig, cache: FitnessCache, *,
+               label: str, jobs: int = 1,
+               telemetry: Telemetry = NULL_TELEMETRY,
+               batch_launches: Optional[bool] = None,
+               **run_options) -> Tuple[SearchResult, EvaluationEngine]:
+    """Run one search of *method* on *adapter*; returns its result and engine.
+
+    The one runner behind ``repro search``, ``repro baseline`` and every
+    sweep leg: it builds the engine over *cache* (``jobs`` picks the
+    executor as ``--jobs`` does), runs the search with *run_options*
+    (those of the search class's ``run``), stops the engine's workers
+    and saves the cache -- which the caller owns and may share across
+    runs -- and, when tracing to a directory, emits the original
+    program's hotspots under *label*.
+    """
+    engine = EvaluationEngine(adapter, executor=make_executor(jobs), cache=cache,
+                              telemetry=telemetry, batch_launches=batch_launches)
+    try:
+        result = search_class_for(method)(adapter, config, engine=engine).run(**run_options)
+    finally:
+        engine.executor.close()
+        cache.save()
+    if telemetry.trace_dir is not None:
+        emit_module_hotspots(telemetry, adapter, adapter.original_module(), label=label)
+    return result, engine
+
+
+def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache,
+             interpreter_tier: Optional[str], **options) -> LegOutcome:
+    """Execute one leg through :func:`run_search` (with its *options*) and
+    summarise it."""
     from ..ir import reset_uid_namespace
 
     # Each leg rebuilds its modules in a fresh uid namespace.  Edits (and
@@ -431,46 +456,24 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache, *,
     reset_uid_namespace()
     adapter = make_adapter(leg.workload, leg.arch,
                            interpreter_tier=interpreter_tier)
-    config = spec.leg_config(leg)
-    engine = EvaluationEngine(adapter,
-                              executor=make_executor(jobs),
-                              cache=cache,
-                              telemetry=telemetry,
-                              batch_launches=batch_launches)
-    search_class = {"gevo": GevoSearch, "random": RandomSearch,
-                    "hill": HillClimber}[leg.method]
-    hits_before = engine.cache_hits
+    hits_before = cache.stats.hits
     start = time.perf_counter()
-    try:
-        result = search_class(adapter, config, engine=engine).run(
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            resume_from=resume_from)
-    finally:
-        # The shared cache outlives the leg: stop only this leg's workers
-        # and persist what the leg added.
-        engine.executor.close()
-        cache.save()
-
-    if telemetry.enabled:
-        emit_module_hotspots(telemetry, adapter, adapter.original_module(),
-                             label=leg.leg_id)
-
+    result, engine = run_search(leg.method, adapter, spec.leg_config(leg), cache,
+                                label=leg.leg_id, **options)
     best = result.best
     return LegOutcome(
         workload=leg.workload,
         arch=leg.arch,
         seed=leg.seed,
         method=leg.method,
-        status="resumed" if resume_from is not None else "completed",
+        status="resumed" if options["resume_from"] is not None else "completed",
         speedup=result.speedup,
         best_runtime_ms=(best.fitness if best is not None and best.fitness is not None
                          else math.inf),
         baseline_runtime_ms=result.baseline.runtime_ms,
-        best_edits=len(best.edits) if best is not None else 0,
+        best_edits=len(result.best_edits()),
         evaluations=result.evaluations,
         fresh_evaluations=engine.evaluations,
-        cache_hits=engine.cache_hits - hits_before,
+        cache_hits=cache.stats.hits - hits_before,
         wall_clock_seconds=time.perf_counter() - start,
     )
-

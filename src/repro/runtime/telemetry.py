@@ -55,7 +55,6 @@ __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
     "new_run_id",
-    "telemetry_of",
     "emit_module_hotspots",
 ]
 
@@ -362,11 +361,6 @@ class Telemetry:
 
 #: The shared disabled handle: the default for every instrumented layer.
 NULL_TELEMETRY = Telemetry(enabled=False)
-
-
-def telemetry_of(engine) -> Telemetry:
-    """The telemetry handle of an engine-like object (never ``None``)."""
-    return getattr(engine, "telemetry", None) or NULL_TELEMETRY
 
 
 def emit_module_hotspots(telemetry: Telemetry, adapter, module, *,

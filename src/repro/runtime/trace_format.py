@@ -195,9 +195,9 @@ def _part_paths(trace_dir: str) -> List[str]:
         if name.startswith(EVENT_PART_PREFIX) and name.endswith(".jsonl"))
 
 
-def merge_trace_dir(trace_dir: str, *, remove_parts: bool = True) -> str:
+def merge_trace_dir(trace_dir: str) -> str:
     """Merge every per-emitter part (plus any prior merge) into
-    ``events.jsonl``; returns the merged file's path.
+    ``events.jsonl``, remove the parts and return the merged file's path.
 
     Idempotent: re-merging an already merged directory is a no-op, and a
     directory holding both a previous merge and fresh parts folds them
@@ -210,12 +210,11 @@ def merge_trace_dir(trace_dir: str, *, remove_parts: bool = True) -> str:
     atomic_write_text(
         merged_path,
         "".join(format_event_line(event) + "\n" for event in merged))
-    if remove_parts:
-        for path in parts:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    for path in parts:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
     return merged_path
 
 

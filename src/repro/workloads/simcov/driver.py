@@ -21,7 +21,7 @@ from ...errors import KernelTrap, LaunchError
 from ...gevo.fitness import CaseResult, FitnessResult, WorkloadAdapter
 from ...gpu import GpuArch, GpuDevice, P100
 from ...ir import Module
-from .kernels import BLOCK_THREADS, SimCovKernels, build_simcov_kernels
+from .kernels import SimCovKernels, build_simcov_kernels
 from .params import SimCovParams
 from .reference import run_reference
 from .state import SimCovState

@@ -14,7 +14,7 @@ run them; EXPERIMENTS.md records the scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 #: Epithelial cell states (Section II-C).

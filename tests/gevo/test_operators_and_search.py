@@ -8,7 +8,6 @@ import pytest
 from repro.errors import SearchError
 from repro.gevo import (
     EditGenerator,
-    GenomeEvaluator,
     GevoConfig,
     GevoSearch,
     Individual,
@@ -25,6 +24,7 @@ from repro.gevo import (
     uniform_crossover,
 )
 from repro.gevo.fitness import EditSetEvaluator
+from repro.runtime import EvaluationEngine
 from repro.workloads import ToyWorkloadAdapter, build_toy_kernel, toy_discovered_edits
 
 
@@ -159,22 +159,13 @@ class TestFitnessHarness:
         assert baseline.valid
         assert math.isfinite(baseline.runtime_ms)
 
-    def test_genome_evaluator_caches(self, toy_adapter):
-        evaluator = GenomeEvaluator(toy_adapter)
-        individual = Individual()
-        evaluator.evaluate_individual(individual)
-        twin = Individual()
-        evaluator.evaluate_individual(twin)
-        assert evaluator.cache_hits >= 1
-
     def test_broken_variant_is_invalid(self, toy_adapter):
         from repro.gevo import InstructionDelete
 
         kernel = toy_adapter.kernel
         store_uid = next(inst.uid for inst in kernel.module.instructions()
                          if inst.opcode == "store")
-        evaluator = GenomeEvaluator(toy_adapter)
-        result = evaluator.evaluate_edits([InstructionDelete(store_uid)])
+        result = EvaluationEngine(toy_adapter).evaluate([InstructionDelete(store_uid)])
         assert not result.valid
 
     def test_edit_set_evaluator_fitness_and_failure(self, toy_adapter):

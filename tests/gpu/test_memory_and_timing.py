@@ -244,13 +244,6 @@ class TestSharedMemoryBlock:
         assert np.isnan(block.get("tile").array).all()
         assert (block.get("itile").array < 0).all()
 
-    def test_zero_fill_option(self):
-        from repro.ir import Function, SharedDecl
-
-        func = Function("k", shared=[SharedDecl("tile", 4, "float")])
-        block = SharedMemoryBlock(func, zero_fill=True)
-        assert (block.get("tile").array == 0).all()
-
     def test_unknown_array_traps(self):
         from repro.ir import Function
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gevo import GevoConfig, GevoSearch
-from repro.gevo.fitness import EditSetEvaluator, GenomeEvaluator
+from repro.gevo.fitness import EditSetEvaluator
 from repro.runtime import (
     EvaluationEngine,
     FitnessCache,
@@ -116,14 +116,6 @@ class TestSerialParallelParity:
 
 
 class TestEvaluatorIntegration:
-    def test_genome_evaluator_counts_are_engine_deltas(self, adapter, edits):
-        engine = EvaluationEngine(adapter)
-        engine.evaluate([edits[0]])  # activity before the evaluator existed
-        evaluator = GenomeEvaluator(adapter, engine=engine)
-        assert evaluator.evaluations == 0
-        evaluator.evaluate_edits([edits[1]])
-        assert evaluator.evaluations == 1
-
     def test_edit_set_evaluator_shares_engine_cache(self, adapter, edits):
         engine = EvaluationEngine(adapter)
         first = EditSetEvaluator(adapter, edits, engine=engine)

@@ -5,9 +5,19 @@ import os
 
 import pytest
 
+from repro.baselines import HillClimbResult
 from repro.errors import SearchError
-from repro.runtime import SweepSpec, run_sweep
-from repro.runtime.sweep import SweepLeg, resolve_workload
+from repro.gevo import GevoConfig, SearchResult
+from repro.runtime import (
+    FitnessCache,
+    SimulatedCrash,
+    SweepSpec,
+    Telemetry,
+    faultpoints,
+    run_sweep,
+)
+from repro.runtime.sweep import SweepLeg, resolve_workload, run_search
+from repro.workloads import ToyWorkloadAdapter
 
 
 def _spec(**overrides):
@@ -91,13 +101,13 @@ class TestRunSweep:
 
     def test_interrupted_sweep_resumes_without_redoing_work(self, tmp_path):
         sweep_dir = str(tmp_path / "sweep")
-
-        def explode_after_first_leg(leg, outcome):
-            if outcome.status != "skipped":
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_sweep(_spec(), sweep_dir, progress=explode_after_first_leg)
+        # Crash right after the first leg's result record lands.
+        faultpoints.arm("sweep.leg.recorded")
+        try:
+            with pytest.raises(SimulatedCrash):
+                run_sweep(_spec(), sweep_dir)
+        finally:
+            faultpoints.disarm()
         assert len(os.listdir(os.path.join(sweep_dir, "legs"))) == 1
         report = run_sweep(_spec(), sweep_dir, resume=True)
         statuses = [row.status for row in report.rows]
@@ -152,3 +162,26 @@ class TestRunSweep:
             assert len(report.rows) == 1
             assert report.rows[0].method == method
             assert report.rows[0].status == "completed"
+
+
+class TestRunSearch:
+    @pytest.mark.parametrize("method, result_type, end_fields", [
+        ("gevo", SearchResult, {"generations"}),
+        ("random", SearchResult, {"generations"}),
+        ("hill", HillClimbResult, {"steps", "accepted", "rejected"}),
+    ])
+    def test_every_method_runs_through_the_one_runner(self, method, result_type,
+                                                      end_fields):
+        telemetry = Telemetry(enabled=True)
+        events = []
+        telemetry.add_sink(events.append)
+        config = GevoConfig.quick(seed=0, population_size=4, generations=2)
+        result, engine = run_search(method, ToyWorkloadAdapter(elements=64), config,
+                                    FitnessCache(), label=method, telemetry=telemetry)
+        assert type(result) is result_type
+        assert result.evaluations >= engine.evaluations > 0
+        (end,) = [event.fields for event in events if event.name == "search.end"]
+        assert set(end) == {"algorithm", "best_fitness", "evaluations",
+                            "wall_clock_seconds"} | end_fields
+        assert end["evaluations"] == result.evaluations
+        assert end["wall_clock_seconds"] == result.wall_clock_seconds

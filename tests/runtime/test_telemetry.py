@@ -31,7 +31,6 @@ from repro.runtime.telemetry import (
     Telemetry,
     emit_module_hotspots,
     new_run_id,
-    telemetry_of,
 )
 from repro.runtime.trace_format import (
     MERGED_EVENTS_FILE,
@@ -121,9 +120,6 @@ class TestDisabledIsANoOp:
         engine.close()
         assert engine.telemetry is NULL_TELEMETRY
         assert os.listdir(tmp_path) == []
-
-    def test_telemetry_of_defaults_to_null(self):
-        assert telemetry_of(object()) is NULL_TELEMETRY
 
 
 EMITTERS = ("main", "worker-1", "worker-2")

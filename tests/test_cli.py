@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import inspect
+
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.experiments import ExperimentResult, available_experiments, get_experiment
 
 
 class TestCli:
@@ -160,6 +164,17 @@ class TestBaselineCli:
         assert "resuming from" in output
         assert "0 evaluations" in output
 
+    def test_resumed_hill_climb_prints_its_recorded_budget(self, capsys, tmp_path):
+        resume = ["--seed", "2", "--resume", str(tmp_path / "ckpt.json")]
+        assert main(["baseline", "hill", "toy", "--steps", "20", *resume]) == 0
+        capsys.readouterr()
+        # Without --steps the climb keeps its recorded budget of 20 steps,
+        # and the opening line says so, not population x generations.
+        assert main(["baseline", "hill", "toy", *resume]) == 0
+        output = capsys.readouterr().out
+        assert "hill climbing on toy saxpy on P100: budget=20, executor=serial" in output
+        assert "0 accepted / 20 rejected, 20 evaluations" in output
+
     def test_jobs_flag_selects_the_process_pool(self, capsys):
         assert main(["baseline", "random", "toy", "--population", "6",
                      "--generations", "2", "--seed", "3", "--jobs", "2"]) == 0
@@ -181,6 +196,29 @@ class TestBaselineCli:
         # Same checkpoint, one setting changed: refused, not mangled.
         assert main(["baseline", *command, *resume]) == 2
         assert named in capsys.readouterr().err
+
+
+class TestRunArch:
+    @pytest.mark.parametrize("name", available_experiments())
+    def test_arch_follows_the_experiments_signature(self, name, monkeypatch, capsys):
+        signature = inspect.signature(get_experiment(name))
+        calls = []
+
+        def stand_in(**kwargs):
+            calls.append(kwargs)
+            return ExperimentResult(name, "stand-in")
+
+        stand_in.__signature__ = signature
+        monkeypatch.setattr(cli, "get_experiment", lambda identifier: stand_in)
+        assert main(["run", name, "--arch", "V100"]) == 0
+        (kwargs,) = calls
+        signature.bind(**kwargs)  # the registered function accepts them
+        if "architectures" in signature.parameters:
+            assert kwargs == {"architectures": ["V100"]}
+        elif "arch_name" in signature.parameters:
+            assert kwargs == {"arch_name": "V100"}
+        else:
+            assert kwargs == {}
 
 
 class TestSweepCli:
