@@ -5,9 +5,9 @@ Every benchmark regenerates one of the paper's tables or figures through
 
     pytest benchmarks/ -m slow -s
 
-reproduces the full evaluation section (at the scaled sizes documented in
-EXPERIMENTS.md; the experiment regenerations carry the ``slow`` marker,
-which the tier-1 default in ``pytest.ini`` deselects).  Heavy experiments
+reproduces the full evaluation section (at the scaled sizes each
+experiment module documents; the experiment regenerations carry the
+``slow`` marker, which the tier-1 default in ``pytest.ini`` deselects).  Heavy experiments
 run exactly once per benchmark (``rounds=1``); the micro-benchmarks of
 the simulator itself use normal pytest-benchmark statistics and stay in
 tier-1, including the JIT's regression gates.

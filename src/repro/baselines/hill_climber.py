@@ -59,7 +59,8 @@ class HillClimber(CheckpointableSearch):
             checkpoint_every: Optional[int] = None, **options) -> HillClimbResult:
         """Climb for the configured number of steps.
 
-        ``steps`` replaces the population x generations budget.  A
+        ``steps`` replaces the population x generations budget; a
+        negative count raises :class:`~repro.errors.SearchError`.  A
         resumed climb keeps the checkpoint's recorded budget; passing a
         conflicting ``steps`` raises :class:`~repro.errors.SearchError`.
         A step is one evaluation and every checkpoint re-serialises the
@@ -67,6 +68,8 @@ class HillClimber(CheckpointableSearch):
         population size, not to every step.  The other *options* are
         those of :meth:`~repro.runtime.checkpoint.CheckpointableSearch.run`.
         """
+        if steps is not None and steps < 0:
+            raise SearchError(f"steps must be a non-negative count, not {steps}")
         self._requested_steps = steps
         return super().run(
             checkpoint_every=checkpoint_every or max(1, self.config.population_size),

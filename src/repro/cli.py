@@ -16,9 +16,8 @@ Searches, baselines and sweeps run through the evaluation runtime
 ``--interpreter-tier``, ...) are documented in the README's CLI
 reference and in ``docs/runtime.md``.
 
-The experiment identifiers match DESIGN.md / EXPERIMENTS.md and the
-benchmark harness, so the CLI is simply another front end over
-:mod:`repro.experiments`.
+The experiment identifiers match the benchmark harness, so the CLI is
+simply another front end over :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
@@ -316,6 +315,10 @@ def _command_run(arguments: argparse.Namespace) -> int:
 def _command_search(arguments: argparse.Namespace) -> int:
     """``repro search`` (GEVO) and ``repro baseline`` (random or hill)."""
     method = getattr(arguments, "method", "gevo")
+    if method == "random" and arguments.steps is not None:
+        print("error: --steps applies to the hill climber only; random search "
+              "spends population x generations", file=sys.stderr)
+        return 2
     telemetry = _make_telemetry(arguments)
     telemetry.add_sink(_render_start_line)
     adapter = make_adapter(arguments.workload, arguments.arch,

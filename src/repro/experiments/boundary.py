@@ -73,8 +73,9 @@ def boundary(arch_name: str = "P100") -> ExperimentResult:
                     "2500x2500 held-out grid; zero padding ~14% improvement with negligible "
                     "memory increase.")
     result.add_note("The paper also reports 31% of the diffusion kernel's instructions are "
-                    "boundary-comparison logic; see the profiler-based test in "
-                    "tests/workloads/test_simcov_gpu.py for the equivalent measurement.")
+                    "boundary-comparison logic; the equivalent measurement is the static "
+                    "instruction share in tests/workloads/test_simcov.py::TestSimCovGpu::"
+                    "test_boundary_logic_is_large_instruction_share.")
     return result
 
 

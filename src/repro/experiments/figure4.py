@@ -43,7 +43,7 @@ def _measure_version(version: str, arch_name: str, pairs) -> Dict[str, float]:
 @register("figure4")
 def figure4(architectures: Optional[Sequence[str]] = None,
             pairs=None) -> ExperimentResult:
-    """Reproduce Figure 4 (scaled pair set; see EXPERIMENTS.md)."""
+    """Reproduce Figure 4 (scaled pair set: :func:`search_pairs`)."""
     architectures = list(architectures or EVALUATION_ORDER)
     pairs = list(pairs) if pairs is not None else search_pairs()
     result = ExperimentResult(

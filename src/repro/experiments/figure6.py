@@ -4,8 +4,7 @@ The paper performs ten independent runs per workload on the P100 and plots
 the per-generation speedup envelope; the reproduction performs a (much)
 scaled-down version of the same protocol -- fewer and smaller runs, with
 the mutation operator biased towards the recorded edit vocabulary so the
-discovery dynamics fit in the available budget (see EXPERIMENTS.md) -- and
-reports the per-run final speedups plus the min / mean / max statistics the
+discovery dynamics fit in the available budget -- and reports the per-run final speedups plus the min / mean / max statistics the
 paper quotes (1.10-1.33x, mean 1.20x for ADEPT-V1; 1.18-1.35x, mean 1.28x
 for SIMCoV).
 """
@@ -76,6 +75,6 @@ def figure6(runs: int = 3, population_size: int = 10, generations: int = 8,
 
     result.add_note("Paper reference (10 runs, paper-scale budgets): ADEPT-V1 "
                     "1.10-1.33x mean 1.20x; SIMCoV 1.18-1.35x mean 1.28x.")
-    result.add_note("Runs here are scaled down drastically (see EXPERIMENTS.md); the point "
-                    "preserved is the run-to-run variation and that repeated runs pay off.")
+    result.add_note("Runs here are scaled down drastically; the point preserved is the "
+                    "run-to-run variation and that repeated runs pay off.")
     return result

@@ -2,9 +2,9 @@
 
 Every paper table / figure has one experiment function that returns an
 :class:`ExperimentResult`: a name, a list of row dictionaries (the series
-the paper plots or tabulates) and free-form notes.  The registry maps the
-experiment identifier used in DESIGN.md / EXPERIMENTS.md to its function,
-so benches, examples and the command line can all run the same code.
+the paper plots or tabulates) and free-form notes.  The registry maps each
+experiment identifier (``repro list``) to its function, so benches,
+examples and the command line can all run the same code.
 """
 
 from __future__ import annotations

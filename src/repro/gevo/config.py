@@ -6,8 +6,8 @@ The defaults of :meth:`GevoConfig.paper_adept` and
 generation, ~300 generations for ADEPT and ~130 for SIMCoV).  Because the
 simulated GPU runs many orders of magnitude slower than silicon, tests,
 examples and benchmarks use :meth:`GevoConfig.quick` -- the same algorithm
-at a much smaller scale -- and EXPERIMENTS.md records the scaling used for
-every experiment.
+at a much smaller scale -- and each experiment module records the scaling
+it uses.
 """
 
 from __future__ import annotations

@@ -79,13 +79,6 @@ class SearchHistory:
         """Per-generation speedup of the best individual over the baseline."""
         return [record.speedup_over(self.baseline_runtime) for record in self.records]
 
-    def final_speedup(self) -> Optional[float]:
-        for record in reversed(self.records):
-            speedup = record.speedup_over(self.baseline_runtime)
-            if speedup is not None:
-                return speedup
-        return None
-
     def discovery_generation(self, edit_key: Tuple, *, in_best: bool = True) -> Optional[int]:
         """Generation at which an edit was first discovered (None if never)."""
         table = self.first_seen_in_best if in_best else self.first_seen_in_population

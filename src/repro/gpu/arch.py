@@ -26,8 +26,9 @@ from ..errors import LaunchError
 
 #: The two interpreter tiers a simulated device can execute through: the
 #: tree-walking oracle and the segment JIT.  They are bit-for-bit
-#: equivalent -- same cycles, counters, profiler statistics, RNG streams
-#: and trap messages -- pinned by ``tests/gpu/test_fast_path_equivalence.py``.
+#: equivalent -- same cycles, instruction counts, buffers, RNG streams
+#: and trap messages -- pinned by ``tests/gpu/test_fast_path_equivalence.py``;
+#: only the oracle records cost-model counters and profiles.
 INTERPRETER_TIERS: Tuple[str, ...] = ("oracle", "jit")
 
 #: Selector values earlier versions accepted, and the tier replacing each.

@@ -22,8 +22,10 @@ group over stacked operands; a conditional branch classifies each row as
 uniformly-taken, uniformly-not-taken or divergent and splits the group
 into at most three subgroups; ``ret`` splits by per-row stack pop count.
 Groups only ever split -- they never merge -- so within a group the
-dynamic instruction sequence, cycle charges, counter bumps and profile
-increments are the solo tiers' sequences exactly, vectorised over rows.
+dynamic instruction sequence and cycle charges are the solo tiers'
+sequences exactly, vectorised over rows.  Like a solo JIT launch, a
+batch records no cost-model counters or profiles (those are oracle
+reports; see :mod:`repro.gpu.simulator`).
 
 Anything the batched model cannot reproduce bit-for-bit -- a would-trap
 condition (out-of-bounds or non-finite index, division by zero among
@@ -107,29 +109,24 @@ class StackedBuffer:
 
 # --------------------------------------------------------------------------- batched program
 class _BatchedSegment:
-    __slots__ = ("kind", "start", "count", "static_cycles", "counter_totals", "body")
+    __slots__ = ("kind", "start", "count", "static_cycles", "body")
 
-    def __init__(self, start, count, static_cycles, counter_totals, body):
+    def __init__(self, start, count, static_cycles, body):
         self.kind = STEP_SEGMENT
         self.start = start
         self.count = count
         self.static_cycles = static_cycles
-        self.counter_totals = counter_totals
-        #: list of (DecodedInstruction, batched execute fn)
+        #: list of batched execute fns, one per instruction
         self.body = body
 
 
 class _BatchedControl:
-    __slots__ = ("kind", "instruction", "static_cost", "counter_key", "uid",
-                 "target", "true_target", "false_target", "reconvergence",
-                 "condition")
+    __slots__ = ("kind", "static_cost", "target", "true_target",
+                 "false_target", "reconvergence", "condition")
 
     def __init__(self, step):
         self.kind = step.kind
-        self.instruction = step.instruction
         self.static_cost = step.static_cost
-        self.counter_key = step.counter_key
-        self.uid = step.instruction.uid
         self.target = step.target
         self.true_target = step.true_target
         self.false_target = step.false_target
@@ -283,7 +280,7 @@ def _transactions_masked(act: np.ndarray, starts: np.ndarray,
 
 
 def _price_global(group, tx: np.ndarray, active: np.ndarray,
-                  is_store: bool, is_atomic: bool) -> np.ndarray:
+                  is_store: bool, is_atomic: bool) -> None:
     """Per-row replica of ``CostModel.price_access`` for global memory."""
     arch = group.arch
     base = arch.global_store_latency if is_store else arch.global_latency
@@ -291,11 +288,7 @@ def _price_global(group, tx: np.ndarray, active: np.ndarray,
     if is_atomic:
         cost = (cost + arch.atomic_latency
                 + arch.atomic_serialization * np.maximum(0, active - 1))
-    cost = cost.astype(np.float64)
-    group.bump("global_cycles", cost)
-    group.bump("global_transactions", tx.astype(np.float64))
-    group.cycles += cost
-    return cost
+    group.cycles += cost.astype(np.float64)
 
 
 def _build_arith(d, lanes: int):
@@ -314,7 +307,6 @@ def _build_arith(d, lanes: int):
             operands[1] = _rows(np.asarray(operands[1]), mask.shape)
             result = handler(group, instruction, operands)
             group.write(dest, result, mask)
-            return None
 
         return execute
 
@@ -322,7 +314,6 @@ def _build_arith(d, lanes: int):
         operands = [get(group) for get in getters]
         result = handler(group, instruction, operands)
         group.write(dest, result, mask)
-        return None
 
     return execute
 
@@ -333,7 +324,6 @@ def _build_identity_op(d):
 
     def execute(group, mask, full):
         group.write(dest, group.identity[opcode], mask)
-        return None
 
     return execute
 
@@ -361,7 +351,7 @@ def _build_load(d, lanes: int):
             group.write(dest, result, mask)
             tx = _transactions_masked(act, starts, group.arch.memory_segment_size)
             active = np.count_nonzero(mask, axis=1)
-        return _price_global(group, tx, active, False, False)
+        _price_global(group, tx, active, False, False)
 
     return execute
 
@@ -388,7 +378,7 @@ def _build_store(d, lanes: int):
                 value[rr, cols].astype(handle.dtype)
             tx = _transactions_masked(act, starts, group.arch.memory_segment_size)
             active = np.count_nonzero(mask, axis=1)
-        return _price_global(group, tx, active, True, False)
+        _price_global(group, tx, active, True, False)
 
     return execute
 
@@ -444,7 +434,8 @@ def _build_atomic(d, lanes: int):
                 flat[flat_idx] = value
             if dest is not None:
                 group.write(dest, old, mask)
-            return _price_global(group, tx, active, False, True)
+            _price_global(group, tx, active, False, True)
+            return
         old_values = np.zeros(shape, dtype=handle.dtype)
         rows = len(slots)
         for row in range(rows):
@@ -471,7 +462,7 @@ def _build_atomic(d, lanes: int):
                         flat[address] = new
         if dest is not None:
             group.write(dest, old_values, mask)
-        return _price_global(group, tx, active, False, True)
+        _price_global(group, tx, active, False, True)
 
     return execute
 
@@ -487,14 +478,13 @@ def _build_rand(d, lanes: int):
         step = get_step(group).astype(_INT)
         salt = get_salt(group).astype(_INT)
         group.write(dest, counter_uniform(seed, step, salt), mask)
-        return None
 
     return execute
 
 
 def _build_nop(d):
     def execute(group, mask, full):
-        return None
+        pass
 
     return execute
 
@@ -551,10 +541,9 @@ def _build_program(function: Function, arch: GpuArch) -> Optional[_BatchedProgra
                     execute = _build_batched_execute(d, lanes)
                     if execute is None:
                         return None
-                    body.append((d, execute))
+                    body.append(execute)
                 steps.append(_BatchedSegment(step.start, len(step.body),
-                                             step.static_cycles,
-                                             list(step.counter_totals), body))
+                                             step.static_cycles, body))
             elif step.kind in (STEP_BR, STEP_CONDBR, STEP_RET):
                 control = _BatchedControl(step)
                 if step.kind == STEP_CONDBR:
@@ -600,8 +589,8 @@ class _Group:
     """
 
     __slots__ = ("rows", "row_slots", "stack", "cycles", "instructions",
-                 "counters", "profile", "registers", "columns", "identity",
-                 "arch", "active_mask", "mask_full", "warp", "whole")
+                 "registers", "columns", "identity", "arch", "active_mask",
+                 "mask_full", "warp", "whole")
 
     def __init__(self):
         self.warp = self
@@ -623,8 +612,6 @@ class _Group:
         group.arch = arch
         group.cycles = np.zeros(len(rows), dtype=np.float64)
         group.instructions = 0
-        group.counters = {}
-        group.profile = {}
         group.whole = True
         return group
 
@@ -664,20 +651,6 @@ class _Group:
             value = value.astype(common)
         self.registers[name] = np.where(mask, value, base)
 
-    def bump(self, key: str, amount) -> None:
-        # Scalar charges (segment statics) accumulate as python floats;
-        # the first per-row charge promotes the entry to an array.
-        self.counters[key] = self.counters.get(key, 0.0) + amount
-
-    def record(self, uid: int, cost, profile_enabled: bool) -> None:
-        if not profile_enabled:
-            return
-        entry = self.profile.get(uid)
-        if entry is None:
-            entry = self.profile[uid] = [0, 0.0]
-        entry[0] += 1
-        entry[1] = entry[1] + cost
-
     def subset(self, picks: np.ndarray) -> "_Group":
         sub = _Group()
         sub.rows = self.rows[picks]
@@ -686,13 +659,6 @@ class _Group:
                      for e in self.stack]
         sub.cycles = self.cycles[picks]
         sub.instructions = self.instructions
-        sub.counters = {key: value[picks] if isinstance(value, np.ndarray)
-                        else value
-                        for key, value in self.counters.items()}
-        sub.profile = {uid: [count,
-                             value[picks] if isinstance(value, np.ndarray)
-                             else value]
-                       for uid, (count, value) in self.profile.items()}
         sub.registers = {
             name: (value if isinstance(value, StackedBuffer) or value.ndim == 1
                    else value[picks])
@@ -703,89 +669,18 @@ class _Group:
         return sub
 
 
-class _WarpTally:
-    """Per-launch accumulators the retiring groups fold into.
-
-    The overwhelmingly common contribution -- a never-split group whose
-    per-uid cost stayed a scalar -- accumulates in plain python numbers;
-    everything else is queued and folded into per-row arrays once per
-    launch (all charges are integer-valued, so the sums are exact
-    regardless of association order, the same keystone the solo tiers'
-    bulk static charging rests on).
-    """
-
-    def __init__(self, total_rows: int):
-        self.total_rows = total_rows
-        #: key -> [scalar_total, touches_all_rows, [(rows|None, value)]]
-        self.counters: Dict[str, list] = {}
-        #: uid -> [scalar_count, scalar_cycles, touches_all_rows,
-        #:         [(rows|None, count, value)]]
-        self.profiles: Dict[int, list] = {}
-
-    def retire(self, group: _Group, warp_cycles: np.ndarray,
-               warp_instructions: np.ndarray) -> None:
-        whole = group.whole
-        rows = slice(None) if whole else group.rows
-        warp_cycles[rows] = group.cycles
-        warp_instructions[rows] = group.instructions
-        for key, value in group.counters.items():
-            entry = self.counters.get(key)
-            if entry is None:
-                entry = self.counters[key] = [0.0, False, []]
-            if whole:
-                entry[1] = True
-                if not isinstance(value, np.ndarray):
-                    entry[0] += value
-                    continue
-            entry[2].append((None if whole else group.rows, value))
-        for uid, (count, value) in group.profile.items():
-            entry = self.profiles.get(uid)
-            if entry is None:
-                entry = self.profiles[uid] = [0, 0.0, []]
-            if whole and not isinstance(value, np.ndarray):
-                entry[0] += count
-                entry[1] += value
-                continue
-            entry[2].append((None if whole else group.rows, count, value))
-
-    def materialize(self, instruction_of: Dict[int, object]):
-        """Fold the queued contributions into per-row arrays."""
-        total = self.total_rows
-        counters: Dict[str, np.ndarray] = {}
-        touched: Dict[str, np.ndarray] = {}
-        for key, (scalar, all_rows, contribs) in self.counters.items():
-            values = np.full(total, scalar, dtype=np.float64)
-            hit = np.full(total, all_rows)
-            for rows, value in contribs:
-                if rows is None:
-                    values += value
-                else:
-                    values[rows] += value
-                    hit[rows] = True
-            counters[key] = values
-            touched[key] = hit
-        profiles: Dict[int, list] = {}
-        for uid, (count, cycles, contribs) in self.profiles.items():
-            executions = np.full(total, count, dtype=np.int64)
-            cost = np.full(total, cycles, dtype=np.float64)
-            for rows, sub_count, value in contribs:
-                if rows is None:
-                    executions += sub_count
-                    cost += value
-                else:
-                    executions[rows] += sub_count
-                    cost[rows] += value
-            instruction = instruction_of[uid]
-            location = (str(instruction.loc)
-                        if instruction.loc is not None else None)
-            profiles[uid] = [executions, cost, instruction.opcode, location]
-        return counters, touched, profiles
+def _retire(group: _Group, warp_cycles: np.ndarray,
+            warp_instructions: np.ndarray) -> None:
+    """Store a finished group's per-row cycles and instruction count."""
+    rows = slice(None) if group.whole else group.rows
+    warp_cycles[rows] = group.cycles
+    warp_instructions[rows] = group.instructions
 
 
 # --------------------------------------------------------------------------- the executor
-def _advance(program: _BatchedProgram, group: _Group, tally: _WarpTally,
+def _advance(program: _BatchedProgram, group: _Group,
              warp_cycles: np.ndarray, warp_instructions: np.ndarray,
-             budget: int, profile_enabled: bool) -> List[_Group]:
+             budget: int) -> List[_Group]:
     """Run *group* until it retires or splits; returns the subgroups."""
     blocks = program.blocks
     while True:
@@ -800,7 +695,7 @@ def _advance(program: _BatchedProgram, group: _Group, tally: _WarpTally,
                     continue
             break
         if not stack:
-            tally.retire(group, warp_cycles, warp_instructions)
+            _retire(group, warp_cycles, warp_instructions)
             return []
         top = stack[-1]
         label, index = top.pc
@@ -822,28 +717,12 @@ def _advance(program: _BatchedProgram, group: _Group, tally: _WarpTally,
                     raise BatchAbort("instruction budget straddled")
                 group.instructions += step.count
                 group.cycles += step.static_cycles
-                for key, total in step.counter_totals:
-                    group.bump(key, total)
                 mask = top.mask
                 full = bool(mask.all())
                 group.active_mask = mask
                 group.mask_full = full
-                if profile_enabled:
-                    profile = group.profile
-                    for d, execute in step.body:
-                        cost = execute(group, mask, full)
-                        if cost is None:
-                            cost = d.static_cost
-                        entry = profile.get(d.uid)
-                        if entry is None:
-                            entry = profile[d.uid] = [0, 0.0]
-                        entry[0] += 1
-                        # Scalar statics stay python floats; the first
-                        # dynamic (per-row) cost promotes to an array.
-                        entry[1] = entry[1] + cost
-                else:
-                    for d, execute in step.body:
-                        execute(group, mask, full)
+                for execute in step.body:
+                    execute(group, mask, full)
                 index = step.start + step.count
                 top.pc = (label, index)
                 continue
@@ -851,12 +730,7 @@ def _advance(program: _BatchedProgram, group: _Group, tally: _WarpTally,
             if group.instructions + 1 > budget:
                 raise BatchAbort("instruction budget exhausted")
             group.instructions += 1
-            cost = step.static_cost
-            if step.counter_key is not None:
-                group.bump(step.counter_key, cost)
-            group.cycles += cost
-            if profile_enabled:
-                group.record(step.uid, cost, True)
+            group.cycles += step.static_cost
             mask = top.mask
             kind = step.kind
             if kind == STEP_BR:
@@ -916,7 +790,7 @@ def _advance(program: _BatchedProgram, group: _Group, tally: _WarpTally,
                     if low:
                         del stack[depth - low:]
                     if not stack:
-                        tally.retire(group, warp_cycles, warp_instructions)
+                        _retire(group, warp_cycles, warp_instructions)
                         return []
                     transferred = True
                 else:
@@ -927,7 +801,7 @@ def _advance(program: _BatchedProgram, group: _Group, tally: _WarpTally,
                         if count:
                             del sub.stack[len(sub.stack) - int(count):]
                         if not sub.stack:
-                            tally.retire(sub, warp_cycles, warp_instructions)
+                            _retire(sub, warp_cycles, warp_instructions)
                         else:
                             subgroups.append(sub)
                     return subgroups
@@ -946,9 +820,8 @@ def _diverge(stack, top, step, taken, not_taken):
 
 
 def _run_warp(program: _BatchedProgram, base_registers, columns, identity,
-              arch: GpuArch, tally: _WarpTally, budget: int,
-              profile_enabled: bool) -> Tuple[np.ndarray, np.ndarray]:
-    total = tally.total_rows
+              arch: GpuArch, total: int,
+              budget: int) -> Tuple[np.ndarray, np.ndarray]:
     warp_cycles = np.zeros(total, dtype=np.float64)
     warp_instructions = np.zeros(total, dtype=np.int64)
     valid = identity["__valid__"]
@@ -961,8 +834,8 @@ def _run_warp(program: _BatchedProgram, base_registers, columns, identity,
                           None)]
     pending = [group]
     while pending:
-        pending.extend(_advance(program, pending.pop(), tally, warp_cycles,
-                                warp_instructions, budget, profile_enabled))
+        pending.extend(_advance(program, pending.pop(), warp_cycles,
+                                warp_instructions, budget))
     return warp_cycles, warp_instructions
 
 
@@ -1153,7 +1026,6 @@ def execute_batched(
     unified_arena: bool,
     guard_elements: int,
     budget: int,
-    profile_enabled: bool,
     identity_of,
 ) -> Dict[str, object]:
     """Run N structurally identical launches in one stacked pass.
@@ -1164,7 +1036,7 @@ def execute_batched(
     batched model cannot reproduce the solo tiers bit-for-bit; on
     success the stacked buffers are written back to the per-row host
     arrays (in binding order, like ``GlobalMemory.sync_back``) and the
-    per-row cycle/counter/profile data is returned.
+    per-row cycles and instruction counts are returned.
     """
     template = functions[0]
     program = batched_program(template, arch)
@@ -1175,7 +1047,6 @@ def execute_batched(
         functions, per_row_args, arch,
         unified_arena=unified_arena, guard_elements=guard_elements)
 
-    tally = _WarpTally(total)
     lanes = arch.warp_size
     threads = block_dim[0] * block_dim[1]
     num_warps = max(1, -(-threads // lanes))
@@ -1190,7 +1061,7 @@ def execute_batched(
                 identity_map["__valid__"] = identity.valid
                 warp_cycles, warp_instructions = _run_warp(
                     program, base_registers, columns, identity_map, arch,
-                    tally, budget, profile_enabled)
+                    total, budget)
                 block_cycles = np.maximum(block_cycles, warp_cycles)
                 total_instructions += warp_instructions
             block_cycle_rows.append(block_cycles)
@@ -1206,14 +1077,9 @@ def execute_batched(
         for row, host in enumerate(hosts):
             host[...] = stacked[row, offset:offset + size].astype(host.dtype)
 
-    instruction_of = {inst.uid: inst for inst in template.instructions()}
-    counters, counter_touched, profiles = tally.materialize(instruction_of)
     return {
         "cycles": kernel_cycles,
         "instructions": total_instructions,
-        "counters": counters,
-        "counter_touched": counter_touched,
-        "profiles": profiles,
         "blocks_executed": grid_dim[0] * grid_dim[1],
         "warps_per_block": num_warps,
     }

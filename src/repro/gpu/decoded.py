@@ -7,8 +7,7 @@ operand on every executed instruction of every warp.  The segment JIT
 structure this module decodes:
 
 * launch-invariant instruction costs (everything except memory/atomics,
-  whose price depends on the addresses actually touched) are baked in
-  together with the cost-model counter they bump;
+  whose price depends on the addresses actually touched) are baked in;
 * each basic block is split into *steps*: maximal straight-line
   **segments** of simple instructions, separated by control
   flow/barriers, so uniform (non-divergent) regions compile into one
@@ -20,9 +19,11 @@ unchanged module (one fitness evaluation launches the same variant once
 per test case or simulation step) reuses one decoding and its compiled
 kernels.  The steps the JIT does not compile run one instruction at a
 time on the oracle, so the two tiers stay bit-for-bit equivalent -- same
-cycle counts, cost-model counters, profiler statistics, trap messages and
-RNG streams -- which the differential battery in
-``tests/gpu/test_fast_path_equivalence.py`` pins.
+cycle counts, instruction counts, output buffers, trap messages and RNG
+streams -- which the differential battery in
+``tests/gpu/test_fast_path_equivalence.py`` pins.  Cost-model counters
+and profiles are oracle reports, so nothing here records which counter a
+cost bumps.
 """
 
 from __future__ import annotations
@@ -64,23 +65,20 @@ _CONTROL_KINDS = {
 class DecodedInstruction:
     """One simple (straight-line) instruction with its baked cost."""
 
-    __slots__ = ("instruction", "uid", "static_cost", "counter_key")
+    __slots__ = ("instruction", "uid", "static_cost")
 
-    def __init__(self, instruction: Instruction, static_cost: Optional[float],
-                 counter_key: Optional[str]):
+    def __init__(self, instruction: Instruction, static_cost: Optional[float]):
         self.instruction = instruction
         self.uid = instruction.uid
         #: Baked cycle cost, or ``None`` for memory/atomics (priced at runtime).
         self.static_cost = static_cost
-        #: Cost-model counter the baked cost bumps (``None``: no counter).
-        self.counter_key = counter_key
 
 
 class Segment:
     """A maximal run of simple instructions inside one block.
 
-    ``static_cycles`` / ``counter_totals`` pre-aggregate the baked costs of
-    the whole body so a full segment execution charges them in one step.
+    ``static_cycles`` pre-aggregates the baked costs of the whole body so
+    a full segment execution charges them in one step.
     Every latency in the cost model is an integer number of cycles, so the
     pre-aggregated sums are exact in float64 and charging them out of order
     is bit-for-bit identical to the reference's per-instruction adds;
@@ -89,15 +87,14 @@ class Segment:
     instruction).
     """
 
-    __slots__ = ("kind", "start", "body", "static_cycles", "counter_totals",
-                 "exact", "jit_fns", "local_registers")
+    __slots__ = ("kind", "start", "body", "static_cycles", "exact", "jit_fns",
+                 "local_registers")
 
     def __init__(self, start: int):
         self.kind = STEP_SEGMENT
         self.start = start
         self.body: List[DecodedInstruction] = []
         self.static_cycles = 0.0
-        self.counter_totals: List[tuple] = []
         self.exact = True
         #: JIT record whose ``(full-mask, masked)`` whole-segment kernels
         #: compile on first call (see :mod:`repro.gpu.jitted`), attached by
@@ -111,7 +108,6 @@ class Segment:
         self.local_registers: frozenset = frozenset()
 
     def finalize(self) -> None:
-        totals: Dict[str, float] = {}
         for decoded in self.body:
             cost = decoded.static_cost
             if cost is None:
@@ -119,26 +115,21 @@ class Segment:
             if not float(cost).is_integer():
                 self.exact = False
             self.static_cycles += cost
-            if decoded.counter_key is not None:
-                totals[decoded.counter_key] = totals.get(decoded.counter_key, 0.0) + cost
-        self.counter_totals = list(totals.items())
 
 
 class ControlStep:
     """A control-flow or barrier instruction (one step on its own)."""
 
-    __slots__ = ("kind", "start", "instruction", "static_cost", "counter_key",
-                 "target", "true_target", "false_target", "reconvergence",
-                 "jit_fns")
+    __slots__ = ("kind", "start", "instruction", "static_cost", "target",
+                 "true_target", "false_target", "reconvergence", "jit_fns")
 
     def __init__(self, kind: int, start: int, instruction: Instruction,
-                 static_cost: float, counter_key: Optional[str]):
+                 static_cost: float):
         self.kind = kind
         #: The instruction's index in its block.
         self.start = start
         self.instruction = instruction
         self.static_cost = static_cost
-        self.counter_key = counter_key
         self.target: Optional[str] = None
         self.true_target: Optional[str] = None
         self.false_target: Optional[str] = None
@@ -205,8 +196,8 @@ def _const_array(value, warp_size: int) -> np.ndarray:
 def _decode_control(instruction: Instruction, kind: int, index: int, label: str,
                     arch: GpuArch,
                     postdominators: Dict[str, Optional[str]]) -> ControlStep:
-    cost, counter_key = static_instruction_cost(arch, instruction)
-    step = ControlStep(kind, index, instruction, cost, counter_key)
+    cost, _ = static_instruction_cost(arch, instruction)
+    step = ControlStep(kind, index, instruction, cost)
     if kind == STEP_BR:
         step.target = instruction.attrs["target"]
     elif kind == STEP_CONDBR:
@@ -232,8 +223,8 @@ def _decode_block(label: str, instructions: List[Instruction], arch: GpuArch,
                 segment = Segment(index)
                 steps.append(segment)
             static = static_instruction_cost(arch, instruction)
-            cost, counter_key = static if static is not None else (None, None)
-            segment.body.append(DecodedInstruction(instruction, cost, counter_key))
+            segment.body.append(DecodedInstruction(
+                instruction, static[0] if static is not None else None))
         step_of_index.append(len(steps) - 1)
     for step in steps:
         if step.kind == STEP_SEGMENT:

@@ -12,7 +12,10 @@ The executor is both tiers of the simulator: the tree-walking *oracle*
 (:meth:`WarpExecutor._run_reference`) and the run loop of the segment JIT
 (:mod:`repro.gpu.jitted`), which hands the instructions it does not
 compile -- atomics, unknown opcodes, the last partial segment of a warp
-that runs out of budget -- to the oracle's own handlers.
+that runs out of budget -- to the oracle's own handlers.  Only the oracle
+reports cost-model counters and per-instruction profiles; the launch
+hands a JIT run a disabled profiler and drops its counters, so the
+oracle steps inside a JIT run leave no partial report.
 
 Runtime faults (out-of-bounds accesses, undefined registers, division by
 zero, runaway loops) raise :class:`~repro.errors.KernelTrap`; GEVO treats
@@ -53,7 +56,8 @@ class WarpExecutor:
     (:func:`repro.gpu.jitted.jit_function`) is supplied, :meth:`run`
     instead executes its compiled segment kernels as single calls and
     runs the few steps they do not cover on the oracle.  Both tiers are
-    bit-for-bit equivalent.
+    bit-for-bit equivalent in cycles, instruction counts, buffers, RNG
+    streams and traps.
 
     The executor keeps no memo of its own: the compiled kernels share one
     process-wide memo of checked and priced memory accesses, keyed by
@@ -76,11 +80,6 @@ class WarpExecutor:
         scalar_arrays: Optional[Dict[str, np.ndarray]] = None,
     ):
         self._decoded = decoded
-        #: Launch-level cache of (InstructionProfile, cost) bindings, keyed
-        #: by compiled-segment id and shared by every warp of the launch --
-        #: lets a compiled segment bump profile objects directly instead of
-        #: probing the profiler dict per instruction per execution.
-        self._jit_profiles: Dict[int, tuple] = profiler.jit_bindings
         self.function = function
         self.warp = warp
         self.shared = shared
@@ -182,15 +181,15 @@ class WarpExecutor:
         """Execution of the JIT-compiled program.
 
         Mirrors :meth:`_run_reference` effect for effect -- same dynamic
-        instruction sequence, cycle arithmetic, counter bumps, profiler
-        records and trap messages -- but pays the block lookup and
-        reconvergence check once per control transfer instead of once per
-        instruction.  A step whose JIT record fits the instruction budget
-        runs as one compiled call (a whole segment, optionally with its
-        folded terminator, or a lone terminator) and a barrier charges its
-        baked cost.  Every other step -- a segment entered past its start,
-        one that straddles the budget, a non-exact one -- runs the single
-        instruction at the pc on the oracle (:meth:`_execute`).
+        instruction sequence, cycle arithmetic and trap messages -- but
+        pays the block lookup and reconvergence check once per control
+        transfer instead of once per instruction.  A step whose JIT record
+        fits the instruction budget runs as one compiled call (a whole
+        segment, optionally with its folded terminator, or a lone
+        terminator) and a barrier charges its baked cost.  Every other
+        step -- a segment entered past its start, one that straddles the
+        budget, a non-exact one -- runs the single instruction at the pc
+        on the oracle (:meth:`_execute`).
         """
         warp = self.warp
         if warp.status is WarpStatus.DONE:
@@ -198,9 +197,6 @@ class WarpExecutor:
         warp.status = WarpStatus.RUNNING
         decoded_blocks = self._decoded.blocks
         blocks = self.function.blocks
-        counters = self.cost_model.counters
-        profiler = self.profiler
-        profiles = profiler.instructions if profiler.enabled else None
         max_instructions = self.max_instructions
         stack = warp.stack
         count_nonzero = np.count_nonzero
@@ -247,7 +243,7 @@ class WarpExecutor:
                         top.mask_obj = mask
                         top.mask_full = count_nonzero(mask) == warp_size
                     (jit_fns[0] if top.mask_full else jit_fns[1])(
-                        self, warp, top, mask, counters, profiles)
+                        self, warp, top, mask)
                     if jit_fns[3]:
                         break
                     index += jit_fns[2]
@@ -264,13 +260,7 @@ class WarpExecutor:
                 if step.kind == STEP_BARRIER:
                     # Charge the baked cost instead of re-pricing the
                     # barrier on the oracle (every warp meets it).
-                    cost = step.static_cost
-                    key = step.counter_key
-                    if key is not None:
-                        counters[key] = counters.get(key, 0.0) + cost
-                    warp.cycles += cost
-                    if profiles is not None:
-                        profiler.record(instruction, cost)
+                    warp.cycles += step.static_cost
                     top.pc = (label, index + 1)
                     warp.status = WarpStatus.AT_BARRIER
                     return warp.status

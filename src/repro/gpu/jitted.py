@@ -42,17 +42,14 @@ activation shape (fully active warp / partial mask):
   their own (an empty segment + folded terminator), so single-control
   blocks -- loop latches, header tests, bare returns -- execute through
   the same scheme;
-* the segment's pre-aggregated static cycles and cost-model counters are
-  charged in one step, and per-instruction profiler bumps run over
-  profile objects bound once per launch instead of probing the profiler
-  dictionary on every execution;
+* the segment's pre-aggregated static cycles are charged in one step;
 * load/store memory pricing is inlined: the bounds check returns the
   index extrema it already computes (``check_bounds_stats``), the
   coalescing/bank-conflict counts take their exact fast paths from those
   extrema, the arch's geometry and latencies
   (``GpuArch.memory_segment_size`` / ``shared_banks`` / the memory
   latency fields -- never literals) are baked into the source, and the
-  counter bumps aggregate into one flush per segment (sound because
+  access costs aggregate into one charge per segment (sound because
   every latency is an integer, so float64 sums reorder exactly);
 * every load's and store's bounds check, index conversion and
   transaction/conflict count go through one process-wide memo keyed by
@@ -69,7 +66,7 @@ nothing: each activation shape of a segment compiles on its first
 execution and then replaces its first-call stub, so a shape that never
 runs (most segments of most kernels never see a partial mask) is never
 generated.  Generated functions take every clone-varying value
-(instruction objects, uids, constants, branch targets) through one bound
+(instruction objects, constants, branch targets) through one bound
 tuple, so a *structural key* of the segment and shape -- opcodes, operand
 shapes, register names, baked costs -- maps to a cached ``(factory,
 plan)`` pair: re-JITting the structurally identical variants a GEVO
@@ -90,9 +87,15 @@ a non-exact segment, the last partial segment of a runaway warp -- runs
 instruction by instruction on the oracle (see
 :meth:`~repro.gpu.interpreter.WarpExecutor._run_decoded`), so traps and
 budget exhaustion behave identically.  Equivalence with the oracle --
-cycles, counters, profiler statistics, output buffers, RNG streams and
+cycles, instruction and warp counts, output buffers, RNG streams and
 trap messages -- is pinned by the battery in
 ``tests/gpu/test_fast_path_equivalence.py``.
+
+The JIT computes only what fitness reads.  Cost-model counters and
+per-instruction profiles are reports of the oracle tier: a JIT launch
+returns neither (``LaunchResult.counters == {}``, an empty profile), and
+a caller that wants them -- the hotspot report, a counter-evidence test
+-- launches on the oracle.
 """
 
 from __future__ import annotations
@@ -127,17 +130,11 @@ from .memory import (
     conflicts_from_stats,
     transactions_from_stats,
 )
-from .profiler import InstructionProfile
 from .rng import counter_uniform
 from .warp import StackEntry
 
 _INT = np.int64
 _FLOAT = np.float64
-
-#: Process-wide keys for the per-launch bound-profile cache
-#: (:attr:`ProfileCollector.jit_bindings`); every JIT record gets one,
-#: shared by its two kernels.
-_SEGMENT_KEYS = itertools.count()
 
 #: Structural-key cache: (segment signature, full mask?) -> (factory,
 #: plan).  See the module docstring.
@@ -219,27 +216,12 @@ def _check_access(key, handle, index, instruction, segment_size, banks):
     return entry
 
 
-def _bind_static_profiles(profiles, items):
-    """Resolve (and create, exactly like ``ProfileCollector.record``) the
-    profile objects for a segment's static-cost instructions, returning
-    ``(profile, cost)`` pairs the compiled segment bumps directly."""
-    bound = []
-    for uid, opcode, location, cost in items:
-        profile = profiles.get(uid)
-        if profile is None:
-            profile = InstructionProfile(uid, opcode, location)
-            profiles[uid] = profile
-        bound.append((profile, cost))
-    return tuple(bound)
-
-
 #: Fixed globals of every compiled segment (per-segment values travel in
 #: the factory's bound tuple instead, which is what makes the factories
 #: shareable across clones).
 _BASE_ENV: Dict[str, object] = {
     "_nd": np.ndarray,
     "_BH": BufferHandle,
-    "_IP": InstructionProfile,
     "_SE": StackEntry,
     "_INT": _INT,
     "_FLOAT": _FLOAT,
@@ -269,7 +251,6 @@ _BASE_ENV: Dict[str, object] = {
     "_il": _int_like,
     "_cu": counter_uniform,
     "_pr": _promote,
-    "_bsp": _bind_static_profiles,
     "_nf": _numeric_fallback,
     "_bf": _buffer_fallback,
     "_ban": _buffer_as_numeric,
@@ -279,25 +260,9 @@ _BASE_ENV: Dict[str, object] = {
 
 
 # --------------------------------------------------------------------------- plans
-def _static_profile_items(segment: Segment,
-                          terminator: Optional[ControlStep]) -> tuple:
-    items = [
-        (d.uid, d.instruction.opcode,
-         str(d.instruction.loc) if d.instruction.loc is not None else None,
-         d.static_cost)
-        for d in segment.body if d.static_cost is not None]
-    if terminator is not None:
-        instruction = terminator.instruction
-        items.append(
-            (instruction.uid, instruction.opcode,
-             str(instruction.loc) if instruction.loc is not None else None,
-             terminator.static_cost))
-    return tuple(items)
-
-
 def _resolve_plan(plan: tuple, segment: Segment,
                   terminator: Optional[ControlStep], label: str,
-                  warp_size: int, seg_key: int) -> tuple:
+                  warp_size: int) -> tuple:
     """Evaluate a binding plan against a (possibly cloned) segment.
 
     Each plan item names where one bound value comes from; index ``-1``
@@ -317,8 +282,6 @@ def _resolve_plan(plan: tuple, segment: Segment,
                            else body[index].instruction)
             values.append(_const_array(instruction.operands[operand_index].value,
                                        warp_size))
-        elif kind == "uid":
-            values.append(body[item[1]].uid)
         elif kind == "handler":
             values.append(_ARITHMETIC[item[1]])
         elif kind == "operand":
@@ -326,10 +289,6 @@ def _resolve_plan(plan: tuple, segment: Segment,
             instruction = (terminator.instruction if index < 0
                            else body[index].instruction)
             values.append(instruction.operands[operand_index])
-        elif kind == "static_prof":
-            values.append(_static_profile_items(segment, terminator))
-        elif kind == "seg_key":
-            values.append(seg_key)
         elif kind == "pc_target":
             values.append((terminator.target, 0))
         elif kind == "pc_true":
@@ -371,10 +330,9 @@ def _segment_signature(segment: Segment, terminator: Optional[ControlStep],
     Two segments with equal signatures generate character-identical
     source for both variants, so they share one compiled factory; the
     signature covers exactly what the source bakes in as literals --
-    opcodes, destination/operand register names, costs, counter keys,
-    source locations, the folded terminator's shape, the arch's memory
-    pricing -- while constants, uids and branch targets travel through
-    the bound tuple.
+    opcodes, destination/operand register names, costs, the folded
+    terminator's shape, the arch's memory pricing -- while instructions,
+    constants and branch targets travel through the bound tuple.
     """
     def operand_shape(instruction):
         return tuple(
@@ -384,18 +342,14 @@ def _segment_signature(segment: Segment, terminator: Optional[ControlStep],
 
     body_sig = tuple(
         (d.instruction.opcode, d.instruction.dest,
-         operand_shape(d.instruction), d.static_cost, d.counter_key,
-         str(d.instruction.loc) if d.instruction.loc is not None else None)
+         operand_shape(d.instruction), d.static_cost)
         for d in segment.body)
     term_sig = None
     if terminator is not None:
-        instruction = terminator.instruction
         term_sig = (terminator.kind, terminator.static_cost,
-                    terminator.counter_key, terminator.reconvergence,
-                    operand_shape(instruction),
-                    str(instruction.loc) if instruction.loc is not None else None)
-    return (warp_size, pricing, segment.static_cycles,
-            tuple(sorted(segment.counter_totals)), body_sig, term_sig)
+                    terminator.reconvergence,
+                    operand_shape(terminator.instruction))
+    return (warp_size, pricing, segment.static_cycles, body_sig, term_sig)
 
 
 # --------------------------------------------------------------------------- the compiler
@@ -434,7 +388,7 @@ class _SegmentCompiler:
         self.shadows: Dict[str, _Shadow] = {}
         self._counter = itertools.count()
         self._needs_memory_cost = False
-        self._needs_mem_accumulators = False
+        self._needs_dynamic_cycles = False
         self._active_var: Optional[str] = None
         self._mask_bytes_var: Optional[str] = None
 
@@ -630,15 +584,12 @@ class _SegmentCompiler:
             self.shadows.pop(name, None)
 
     # -- dynamic (memory) pricing ------------------------------------------
-    def memory_cost(self, inst_var: str, info_expr: str, decoded,
-                    source_index: int) -> None:
+    def memory_cost(self, inst_var: str, info_expr: str) -> None:
         """Price through the live cost model (the instructions run on the
         oracle: atomics and unknown opcodes)."""
         self._needs_memory_cost = True
-        cost = self.temp("_c")
-        self.emit(f"{cost} = _mc({inst_var}, {self.active_lanes()}, {info_expr})")
-        self.emit(f"warp.cycles += {cost}")
-        self._emit_dynamic_profile(cost, decoded, source_index)
+        self.emit(f"warp.cycles += _mc({inst_var}, {self.active_lanes()}, "
+                  f"{info_expr})")
 
     def bounds_stats(self, handle: str, index: str, inst_var: str) -> tuple:
         """Emit the bounds check, index conversion and pricing count of one
@@ -678,80 +629,35 @@ class _SegmentCompiler:
             self.emit("_mb = mask.tobytes()")
         return self._mask_bytes_var
 
-    def inline_memory_price(self, handle: str, count: str, decoded,
-                            source_index: int, is_store: bool) -> None:
+    def inline_memory_price(self, handle: str, count: str,
+                            is_store: bool) -> None:
         """Inline the pricing of one bounds-checked load/store access.
 
         Emits the exact arithmetic of :meth:`CostModel.price_access` with
         the arch's latencies baked as literals (the structural cache key
         covers them via :func:`_pricing_signature`) on the memoized
-        transaction or conflict *count*, accumulating cycles and counter
-        evidence into per-segment locals that :meth:`_emit_counter_flush`
-        folds into the cost-model counters in one aggregated bump per
-        counter.  Exact: every latency is an integer, so the reordered
-        float64 sums match the reference's per-access bumps bit for bit.
+        transaction or conflict *count*, accumulating the cycles into one
+        per-segment local that is charged to the warp at segment end.
+        Exact: every latency is an integer, so the reordered float64 sums
+        match the reference's per-access charges bit for bit.
         """
         arch = self.arch
-        self._needs_mem_accumulators = True
-        cost = self.temp("_c")
+        self._needs_dynamic_cycles = True
         gbase = float(arch.global_store_latency if is_store
                       else arch.global_latency)
         sbase = float(arch.shared_store_latency if is_store
                       else arch.shared_latency)
         self.emit(f"if {handle}.space == 'global':")
-        self.emit(f"    {cost} = {gbase!r} if {count} <= 1 else "
+        self.emit(f"    _dyn += {gbase!r} if {count} <= 1 else "
                   f"{gbase!r} + {arch.global_per_transaction} * ({count} - 1)")
-        self.emit(f"    _gn += 1; _gc += {cost}; _gt += {count}")
         self.emit(f"elif {handle}.space == 'shared':")
-        self.emit(f"    {cost} = {sbase!r} if {count} <= 1 else "
+        self.emit(f"    _dyn += {sbase!r} if {count} <= 1 else "
                   f"{sbase!r} + {arch.shared_conflict_penalty} * ({count} - 1)")
-        self.emit(f"    _sn += 1; _sc += {cost}; _sf += {count}")
         self.emit("else:")
-        self.emit(f"    {cost} = {float(arch.alu_latency)!r}")
-        self.emit(f"    _an += 1; _ac += {cost}")
-        self.emit(f"_dyn += {cost}")
-        self._emit_dynamic_profile(cost, decoded, source_index)
-
-    def _emit_dynamic_profile(self, cost: str, decoded,
-                              source_index: int) -> None:
-        instruction = decoded.instruction
-        location = (str(instruction.loc) if instruction.loc is not None else None)
-        uid = self.bind("_u", ("uid", source_index))
-        profile = self.temp("_p")
-        self.emit("if profiles is not None:")
-        self.emit(f"    {profile} = profiles.get({uid})")
-        self.emit(f"    if {profile} is None:")
-        self.emit(f"        {profile} = _IP({uid}, {instruction.opcode!r}, "
-                  f"{location!r})")
-        self.emit(f"        profiles[{uid}] = {profile}")
-        self.emit(f"    {profile}.executions += 1")
-        self.emit(f"    {profile}.cycles += {cost}")
-
-    def _emit_counter_flush(self) -> None:
-        """One aggregated bump per touched counter at segment end.
-
-        Gated on the access *counts*, not the accumulated values: a priced
-        access always creates its counter keys in the reference (``_bump``
-        with amount 0 still inserts the key), so a zero-valued accumulator
-        with at least one access must still create them here.
-        """
-        self.emit("if _gn:")
-        self.emit("    counters['global_cycles'] = "
-                  "counters.get('global_cycles', 0.0) + _gc")
-        self.emit("    counters['global_transactions'] = "
-                  "counters.get('global_transactions', 0.0) + _gt")
-        self.emit("if _sn:")
-        self.emit("    counters['shared_cycles'] = "
-                  "counters.get('shared_cycles', 0.0) + _sc")
-        self.emit("    counters['shared_conflicts'] = "
-                  "counters.get('shared_conflicts', 0.0) + _sf")
-        self.emit("if _an:")
-        self.emit("    counters['alu_cycles'] = "
-                  "counters.get('alu_cycles', 0.0) + _ac")
-        self.emit("warp.cycles += _dyn")
+        self.emit(f"    _dyn += {float(arch.alu_latency)!r}")
 
     # -- per-instruction bodies --------------------------------------------
-    def oracle_fallback(self, decoded, inst_var: str, source_index: int) -> None:
+    def oracle_fallback(self, decoded, inst_var: str) -> None:
         """Run the instruction on the oracle's ``_execute_straightline``
         (atomics and unknown opcodes); shadows are flushed so it sees a
         coherent register file, and its destination shadow is dropped."""
@@ -760,7 +666,7 @@ class _SegmentCompiler:
             info = self.temp("_mi")
             self.emit(f"{info} = ex._execute_straightline({inst_var}, mask)")
             self.drop_shadow(decoded.instruction.dest)
-            self.memory_cost(inst_var, info, decoded, source_index)
+            self.memory_cost(inst_var, info)
         else:
             self.emit(f"ex._execute_straightline({inst_var}, mask)")
             self.drop_shadow(decoded.instruction.dest)
@@ -873,8 +779,7 @@ class _SegmentCompiler:
                 self.emit(f"{value}[mask] = {handle}.array[{active}]")
             self.write(instruction.dest, value)
             if decoded.static_cost is None:
-                self.inline_memory_price(handle, count, decoded, source_index,
-                                         is_store=False)
+                self.inline_memory_price(handle, count, is_store=False)
             return
 
         if opcode in ("store", "memset"):
@@ -890,8 +795,7 @@ class _SegmentCompiler:
                 self.emit(f"{handle}.array[{active}] = "
                           f"{value}[mask].astype({handle}.array.dtype)")
             if decoded.static_cost is None:
-                self.inline_memory_price(handle, count, decoded, source_index,
-                                         is_store=True)
+                self.inline_memory_price(handle, count, is_store=True)
             return
 
         if opcode == "activemask":
@@ -968,7 +872,7 @@ class _SegmentCompiler:
 
         # Atomics and anything else (including unimplemented opcodes,
         # which trap with the interpreter's exact message).
-        self.oracle_fallback(decoded, inst_var, source_index)
+        self.oracle_fallback(decoded, inst_var)
 
     def lanes_var(self) -> str:
         if "_lanes" not in (name for name, _ in self.plan):
@@ -1079,45 +983,22 @@ class _SegmentCompiler:
         body = segment.body
         terminator = self.terminator
         static_cycles = segment.static_cycles
-        counter_totals = dict(segment.counter_totals)
         count = len(body)
-        has_static_prof = any(d.static_cost is not None for d in body)
         if terminator is not None:
-            # Fold the terminator's launch-invariant charges into the
-            # aggregates (integer cycle costs, so the reordering is exact).
+            # Fold the terminator's launch-invariant cost into the
+            # aggregate (integer cycle costs, so the reordering is exact).
             count += 1
-            has_static_prof = True
             static_cycles += terminator.static_cost
-            if terminator.counter_key is not None:
-                counter_totals[terminator.counter_key] = (
-                    counter_totals.get(terminator.counter_key, 0.0)
-                    + terminator.static_cost)
 
         prelude = ["R = warp.registers",
                    f"warp.instructions_executed += {count}"]
         if static_cycles:
             prelude.append(f"warp.cycles += {static_cycles!r}")
-        for key, total in sorted(counter_totals.items()):
-            prelude.append(f"counters[{key!r}] = "
-                           f"counters.get({key!r}, 0.0) + {total!r}")
-        if has_static_prof:
-            self.plan.append(("_static_prof", ("static_prof",)))
-            self.plan.append(("_sk", ("seg_key",)))
-            prelude += [
-                "if profiles is not None:",
-                "    _pl = ex._jit_profiles.get(_sk)",
-                "    if _pl is None:",
-                "        _pl = _bsp(profiles, _static_prof)",
-                "        ex._jit_profiles[_sk] = _pl",
-                "    for _pp, _pc in _pl:",
-                "        _pp.executions += 1",
-                "        _pp.cycles += _pc",
-            ]
 
         for source_index, decoded in enumerate(body):
             self.compile_instruction(decoded, source_index)
-        if self._needs_mem_accumulators:
-            self._emit_counter_flush()
+        if self._needs_dynamic_cycles:
+            self.emit("warp.cycles += _dyn")
         self.flush_dirty()
         if terminator is not None:
             self.compile_terminator()
@@ -1127,9 +1008,8 @@ class _SegmentCompiler:
             prelude.insert(1, "_idn = ex._identity_values")
         if self._needs_memory_cost:
             prelude.insert(1, "_mc = ex.cost_model._memory_cost")
-        if self._needs_mem_accumulators:
-            prelude.append("_gn = _gt = _sn = _sf = _an = 0")
-            prelude.append("_gc = _sc = _ac = _dyn = 0.0")
+        if self._needs_dynamic_cycles:
+            prelude.append("_dyn = 0.0")
 
         names = [name for name, _ in self.plan]
         unpack = []
@@ -1139,8 +1019,7 @@ class _SegmentCompiler:
         source = "\n".join(
             ["def _factory(_bound):"]
             + ["    " + line for line in unpack]
-            + ["    def _segment_kernel(ex, warp, top, mask, counters, "
-               "profiles):"]
+            + ["    def _segment_kernel(ex, warp, top, mask):"]
             + ["        " + line for line in prelude + self.lines]
             + ["        return None",
                "    return _segment_kernel"])
@@ -1156,12 +1035,11 @@ def _build_factory(source: str):
 
 def compile_segment(segment: Segment, warp_size: int, label: str,
                     arch: GpuArch, terminator: Optional[ControlStep],
-                    full: bool, seg_key: int):
+                    full: bool):
     """Compile one activation shape -- *full* warp or partial mask -- of
-    one exact segment into its kernel.  *seg_key* keys the segment's bound
-    profiles (:attr:`ProfileCollector.jit_bindings`); both shapes of one
-    segment share it.  The masked shape's source also depends on which
-    registers it stores unmerged (``segment.local_registers``)."""
+    one exact segment into its kernel.  The masked shape's source also
+    depends on which registers it stores unmerged
+    (``segment.local_registers``)."""
     signature = (_segment_signature(segment, terminator, warp_size,
                                     _pricing_signature(arch)),
                  full, None if full else segment.local_registers)
@@ -1173,8 +1051,7 @@ def compile_segment(segment: Segment, warp_size: int, label: str,
                                         terminator).generate()
         cached = _SEGMENT_CACHE[signature] = (_build_factory(source), plan)
     factory, plan = cached
-    return factory(_resolve_plan(plan, segment, terminator, label, warp_size,
-                                 seg_key))
+    return factory(_resolve_plan(plan, segment, terminator, label, warp_size))
 
 
 def _jit_record(segment: Segment, warp_size: int, label: str, arch: GpuArch,
@@ -1186,12 +1063,10 @@ def _jit_record(segment: Segment, warp_size: int, label: str, arch: GpuArch,
     compiles its shape through :func:`compile_segment`, stores the kernel
     in its slot and runs it, so later executions call the kernel directly
     and a shape that never runs is never generated."""
-    seg_key = next(_SEGMENT_KEYS)
-
     def first_call(slot: int):
         def compile_and_run(*args):
             kernel = record[slot] = compile_segment(
-                segment, warp_size, label, arch, terminator, slot == 0, seg_key)
+                segment, warp_size, label, arch, terminator, slot == 0)
             return kernel(*args)
         return compile_and_run
 

@@ -5,6 +5,12 @@ executed cycles and execution counts to individual IR instructions (by
 uid) and aggregates them by source location, which is what the
 weak-edit-removal step (Algorithm 1, Section V-A) and the boundary-check
 analysis (Section VI-D) consume.
+
+Profiles are reports of the oracle tier: an oracle launch records one
+for every executed instruction, while the segment JIT -- the tier every
+search evaluation runs on -- records none and returns an empty,
+disabled collector.  A caller that wants a profile (the runtime's
+hotspot report) launches on the oracle.
 """
 
 from __future__ import annotations
@@ -33,19 +39,13 @@ class InstructionProfile:
 
 @dataclass
 class ProfileCollector:
-    """Collects per-instruction execution statistics during a launch."""
+    """Collects per-instruction execution statistics during a launch
+    (``enabled`` on the oracle tier, off on the JIT)."""
 
     enabled: bool = True
     instructions: Dict[int, InstructionProfile] = field(default_factory=dict)
-    #: JIT-tier cache of per-segment ``(InstructionProfile, cost)`` bindings
-    #: (see :mod:`repro.gpu.jitted`), shared by every warp of the launch so
-    #: compiled segments bump profile objects directly.
-    jit_bindings: Dict[int, tuple] = field(default_factory=dict, repr=False,
-                                           compare=False)
 
     def record(self, instruction: Instruction, cycles: float) -> None:
-        # The segment JIT (repro.gpu.jitted) inlines this
-        # get-or-create-then-bump body for speed; keep the two in sync.
         if not self.enabled:
             return
         profile = self.instructions.get(instruction.uid)
@@ -87,16 +87,3 @@ class ProfileCollector:
             return 0.0
         subset = sum(self.instructions[uid].cycles for uid in uids if uid in self.instructions)
         return subset / total
-
-    def merge(self, other: "ProfileCollector") -> None:
-        """Fold another collector's statistics into this one."""
-        for uid, profile in other.instructions.items():
-            mine = self.instructions.get(uid)
-            if mine is None:
-                self.instructions[uid] = InstructionProfile(
-                    profile.uid, profile.opcode, profile.location,
-                    profile.executions, profile.cycles,
-                )
-            else:
-                mine.executions += profile.executions
-                mine.cycles += profile.cycles

@@ -8,8 +8,15 @@ block round-robin between ``__syncthreads`` barriers; blocks fill the
 device in waves limited by the architecture's concurrent-block capacity),
 and converts the resulting cycle counts into milliseconds.
 
+Both tiers return the same cycles, times, instruction and warp counts,
+buffers, RNG streams and traps.  Cost-model counters and per-instruction
+profiles are reports of the oracle tier only: an oracle launch fills
+``LaunchResult.counters``, ``LaunchResult.profile`` and
+:attr:`GpuDevice.last_profile`, while a JIT launch -- the tier every
+search evaluation runs on -- leaves them empty.
+
 This module is the stand-in for the paper's physical P100 / 1080Ti / V100
-machines; see DESIGN.md section 2 for the substitution rationale.
+machines.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .batched import BatchAbort, batchable_function, execute_batched
 from .interpreter import WarpExecutor
 from .jitted import jit_function, structural_function_key
 from .memory import GlobalMemory, SharedMemoryBlock
-from .profiler import InstructionProfile, ProfileCollector
+from .profiler import ProfileCollector
 from .timing import CostModel, cycles_to_milliseconds
 from .warp import WarpState, WarpStatus, broadcast_scalar_arrays, build_thread_identity
 
@@ -62,7 +69,10 @@ class LaunchResult:
     blocks_executed: int
     warps_executed: int
     instructions_executed: int
-    profile: ProfileCollector
+    #: Per-instruction profile and cost-model counters: oracle reports,
+    #: empty after a JIT launch.
+    profile: ProfileCollector = field(
+        default_factory=lambda: ProfileCollector(enabled=False))
     counters: Dict[str, float] = field(default_factory=dict)
 
     def __repr__(self) -> str:
@@ -88,14 +98,12 @@ class GpuDevice:
         arch: GpuArch = P100,
         *,
         max_instructions_per_warp: int = 1_000_000,
-        profile: bool = True,
         unified_memory_arena: bool = False,
         arena_guard_elements: int = 24,
         fast_path: Optional[str] = None,
     ):
         self.arch = arch
         self.max_instructions_per_warp = max_instructions_per_warp
-        self.profile_enabled = profile
         #: Which of the two bit-for-bit-equivalent interpreter tiers this
         #: device executes through: the segment ``"jit"`` or the
         #: tree-walking ``"oracle"``.  ``fast_path`` names one and defaults
@@ -159,10 +167,13 @@ class GpuDevice:
             decoded = None
             postdominators = immediate_postdominators(function)
         scalar_arrays = self._shared_scalar_arrays(scalar_bindings)
-        profiler = ProfileCollector(enabled=self.profile_enabled)
-        #: Most recent launch's profile; read back by the runtime's
-        #: observability helpers (hotspot emission) without threading the
-        #: collector through every fitness result.
+        # Only the oracle reports: a JIT launch hands its executors a
+        # disabled profiler and drops the counters its oracle steps bump.
+        oracle = decoded is None
+        profiler = ProfileCollector(enabled=oracle)
+        #: Most recent launch's profile (empty after a JIT launch); read
+        #: back by the hotspot report without threading the collector
+        #: through every fitness result.
         self.last_profile = profiler
         cost_model = CostModel(self.arch)
         budget = max_instructions_per_warp or self.max_instructions_per_warp
@@ -196,7 +207,7 @@ class GpuDevice:
             warps_executed=total_warps,
             instructions_executed=total_instructions,
             profile=profiler,
-            counters=dict(cost_model.counters),
+            counters=dict(cost_model.counters) if oracle else {},
         )
 
     def launch_batched(
@@ -219,8 +230,9 @@ class GpuDevice:
         :class:`LaunchError` that row's solo launch raised.
 
         Bit-for-bit equivalence with per-row :meth:`launch` calls is the
-        contract (cycles, counters, profiles, RNG streams, buffers,
-        traps).  Whenever the batched model cannot honour it -- a
+        contract (cycles, instruction counts, RNG streams, buffers,
+        traps); stacked rows are JIT results, with no counters and an
+        empty profile.  Whenever the batched model cannot honour it -- a
         non-batchable kernel, mismatched structural keys, any would-trap
         condition, cross-row buffer aliasing -- the affected launch
         falls back to per-row solo execution before any host array is
@@ -266,29 +278,16 @@ class GpuDevice:
                 unified_arena=self.unified_memory_arena,
                 guard_elements=self.arena_guard_elements,
                 budget=budget,
-                profile_enabled=self.profile_enabled,
                 identity_of=identity_of,
             )
         except BatchAbort:
             return self._solo_rows(rows, grid, block, kernel_name,
                                    max_instructions_per_warp)
 
-        counters = outcome["counters"]
-        touched = outcome["counter_touched"]
-        profiles = outcome["profiles"]
         blocks_executed = outcome["blocks_executed"]
         warps_executed = blocks_executed * outcome["warps_per_block"]
         results: List[Union[LaunchResult, Exception]] = []
         for row, function in enumerate(functions):
-            collector = ProfileCollector(enabled=self.profile_enabled)
-            for uid, (executions, cycles, opcode, location) in profiles.items():
-                if executions[row]:
-                    collector.instructions[uid] = InstructionProfile(
-                        uid, opcode, location,
-                        int(executions[row]), float(cycles[row]))
-            row_counters = {key: float(values[row])
-                            for key, values in counters.items()
-                            if touched[key][row]}
             cycles = float(outcome["cycles"][row]) + LAUNCH_OVERHEAD_CYCLES
             results.append(LaunchResult(
                 kernel=function.name,
@@ -300,12 +299,10 @@ class GpuDevice:
                 blocks_executed=blocks_executed,
                 warps_executed=warps_executed,
                 instructions_executed=int(outcome["instructions"][row]),
-                profile=collector,
-                counters=row_counters,
             ))
-            # Sequential solo launches leave the last row's profile on the
-            # device; mirror that.
-            self.last_profile = collector
+        # Sequential solo launches leave the last row's (empty) profile on
+        # the device; mirror that.
+        self.last_profile = results[-1].profile
         return results
 
     def _solo_rows(self, rows, grid, block, kernel_name,

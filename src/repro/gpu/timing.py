@@ -49,7 +49,8 @@ class CostModel:
     """Maps executed instructions to cycle costs for a given architecture."""
 
     arch: GpuArch
-    #: Cumulative counters useful for reports (filled in as costs are charged).
+    #: Cumulative counters for the oracle's reports (filled in as costs
+    #: are charged; a JIT launch discards them).
     counters: Dict[str, float] = field(default_factory=dict)
 
     def _bump(self, key: str, amount: float) -> None:
@@ -112,7 +113,7 @@ class CostModel:
         comes from the arch, never from literals.
         Every charge lands in a counter, so the counter sums equal the
         total cycles charged; ``global_transactions`` / ``shared_conflicts``
-        record the per-access evidence the multi-objective fitness reads.
+        record the per-access evidence of the oracle's reports.
         """
         arch = self.arch
         space = memory.handle.space

@@ -1,8 +1,8 @@
 """Mini-IR: a register-based GPU kernel intermediate representation.
 
 This package plays the role LLVM-IR plays in the paper: the representation
-GEVO's mutation and crossover operators act on.  See DESIGN.md for the
-SSA-vs-register-machine substitution rationale.
+GEVO's mutation and crossover operators act on.  See :mod:`repro.ir.values`
+for why it is a register machine rather than SSA.
 
 Public surface:
 

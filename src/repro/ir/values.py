@@ -11,8 +11,7 @@ The mini-IR is a register machine: instructions read *operands* and write a
 The representation purposefully differs from LLVM's SSA form: GEVO's
 mutation operators act at instruction granularity (copy / delete / move /
 replace / swap and operand replacement), and a plain register machine
-admits those operators without dominance-frontier repair.  See DESIGN.md
-section 2 for the substitution rationale.
+admits those operators without dominance-frontier repair.
 """
 
 from __future__ import annotations

@@ -367,28 +367,29 @@ def emit_module_hotspots(telemetry: Telemetry, adapter, module, *,
                          label: str, top: int = 10) -> bool:
     """Profile one in-process evaluation of *module* and emit its hotspots.
 
-    Runs ``adapter.evaluate(module)`` on the adapter's own device with
-    profiling turned on for that one evaluation (adapter devices run
-    without it: this is the only reader of launch profiles during a
-    search), then restores the flag and emits a ``profile.hotspots``
-    event with the top instructions by attributed cycles.  Strictly
-    opt-in -- callers invoke this once per run/leg when tracing is on, so
-    the extra evaluation never taxes an untraced run.  Best-effort: adapters without an in-process device
-    (or a trapped evaluation) simply emit nothing.
+    Runs ``adapter.evaluate(module)`` on the adapter's own device switched
+    to the oracle tier for that one evaluation (per-instruction profiles
+    are oracle reports; the JIT every search evaluation runs on records
+    none), then restores the device's tier -- also when the evaluation
+    raises -- and emits a ``profile.hotspots`` event with the top
+    instructions by attributed cycles.  Strictly opt-in -- callers invoke
+    this once per run/leg when tracing is on, so the extra evaluation
+    never taxes an untraced run.  Best-effort: adapters without an
+    in-process device (or a trapped evaluation) simply emit nothing.
     """
     if not telemetry.enabled:
         return False
     device = getattr(adapter, "device", None)
     if device is None or module is None:
         return False
-    previous = getattr(device, "profile_enabled", False)
-    device.profile_enabled = True
+    previous = device.interpreter_tier
+    device.interpreter_tier = "oracle"
     try:
         adapter.evaluate(module)
     except Exception:  # noqa: BLE001 - profiling must never fail the run
         return False
     finally:
-        device.profile_enabled = previous
+        device.interpreter_tier = previous
     profile = getattr(device, "last_profile", None)
     if profile is None or not getattr(profile, "instructions", None):
         return False

@@ -41,9 +41,7 @@ class AdeptDriver:
 
     def __init__(self, kernel: AdeptKernel, device: Optional[GpuDevice] = None):
         self.kernel = kernel
-        # Searches never read launch profiles (emit_module_hotspots turns
-        # profiling on for its one evaluation).
-        self.device = device or GpuDevice(P100, profile=False)
+        self.device = device or GpuDevice(P100)
 
     @classmethod
     def for_version(cls, version: str, pairs: Sequence[SequencePair],
@@ -116,7 +114,7 @@ class AdeptWorkloadAdapter(WorkloadAdapter):
                  device: Optional[GpuDevice] = None):
         self.version = version
         self.arch = arch
-        self.device = device or GpuDevice(arch, profile=False)
+        self.device = device or GpuDevice(arch)
         if fitness_cases is None:
             pairs = fitness_pairs()
             # Two fitness cases with different length regimes (single- and

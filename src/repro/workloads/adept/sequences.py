@@ -6,8 +6,8 @@ dataset is available offline, so this module generates synthetic pairs
 with a seeded RNG: a random reference sequence plus a query derived from a
 window of the reference with point mutations and indels (which gives the
 realistic mix of high- and low-scoring local alignments the kernels see in
-practice).  The scaling to far fewer / shorter pairs is recorded in
-EXPERIMENTS.md.
+practice).  The scaling to far fewer / shorter pairs is set by
+:func:`fitness_pairs`, :func:`search_pairs` and :func:`heldout_pairs`.
 """
 
 from __future__ import annotations

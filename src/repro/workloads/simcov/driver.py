@@ -50,10 +50,8 @@ class SimCovDriver:
     def __init__(self, kernels: Optional[SimCovKernels] = None,
                  device: Optional[GpuDevice] = None, arch: GpuArch = P100):
         self.kernels = kernels or build_simcov_kernels()
-        # Searches never read launch profiles (emit_module_hotspots turns
-        # profiling on for its one evaluation).
         self.device = device or GpuDevice(
-            arch, profile=False, unified_memory_arena=True,
+            arch, unified_memory_arena=True,
             arena_guard_elements=ARENA_GUARD_ELEMENTS)
 
     # -- execution -------------------------------------------------------------------
@@ -311,7 +309,7 @@ class SimCovWorkloadAdapter(WorkloadAdapter):
 
     @property
     def device(self) -> GpuDevice:
-        """The driver's device (what :func:`emit_module_hotspots` profiles)."""
+        """The driver's device (what :func:`emit_module_hotspots` runs on)."""
         return self.driver.device
 
     def evaluate(self, module: Module) -> FitnessResult:

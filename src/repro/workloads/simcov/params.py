@@ -9,7 +9,8 @@ perform a random walk.
 
 The default grid sizes are scaled down from the paper's 100x100 fitness
 grid and 2500x2500 validation grid so the pure-Python GPU simulator can
-run them; EXPERIMENTS.md records the scaling.
+run them; the :meth:`SimCovParams.fitness`, :meth:`SimCovParams.validation`
+and :meth:`SimCovParams.quick` presets record the scaling.
 """
 
 from __future__ import annotations

@@ -78,9 +78,7 @@ class ToyWorkloadAdapter(WorkloadAdapter):
 
     def __init__(self, arch: GpuArch = P100, elements: int = 256, seed: int = 3):
         self.arch = arch
-        # Searches never read launch profiles (emit_module_hotspots turns
-        # profiling on for its one evaluation).
-        self.device = GpuDevice(arch, profile=False)
+        self.device = GpuDevice(arch)
         self.kernel = build_toy_kernel()
         rng = np.random.default_rng(seed)
         self.x = rng.normal(size=elements)

@@ -355,9 +355,16 @@ class TestArchGeometry:
 
 
 class TestProfiler:
-    def test_profile_attributes_cycles_to_instructions(self, p100_device, axpy_kernel, axpy_inputs):
+    """Profiles are oracle reports, so these launches run on the oracle."""
+
+    @pytest.fixture
+    def oracle_device(self):
+        return GpuDevice(get_arch("P100"), fast_path="oracle")
+
+    def test_profile_attributes_cycles_to_instructions(self, oracle_device, axpy_kernel,
+                                                       axpy_inputs):
         x, y, n = axpy_inputs
-        result = p100_device.launch(axpy_kernel, grid=5, block=32,
+        result = oracle_device.launch(axpy_kernel, grid=5, block=32,
                                     args={"x": x, "y": y.copy(), "a": 1.0, "n": n})
         profile = result.profile
         assert profile.total_executions() > 0
@@ -366,17 +373,17 @@ class TestProfiler:
         assert len(hottest) == 3
         assert hottest[0].cycles >= hottest[-1].cycles
 
-    def test_fraction_of_cycles(self, p100_device, axpy_kernel, axpy_inputs):
+    def test_fraction_of_cycles(self, oracle_device, axpy_kernel, axpy_inputs):
         x, y, n = axpy_inputs
-        result = p100_device.launch(axpy_kernel, grid=5, block=32,
+        result = oracle_device.launch(axpy_kernel, grid=5, block=32,
                                     args={"x": x, "y": y.copy(), "a": 1.0, "n": n})
         loads = [inst.uid for inst in axpy_kernel.instructions() if inst.opcode == "load"]
         fraction = result.profile.fraction_of_cycles(loads)
         assert 0.0 < fraction < 1.0
 
-    def test_by_opcode_category(self, p100_device, axpy_kernel, axpy_inputs):
+    def test_by_opcode_category(self, oracle_device, axpy_kernel, axpy_inputs):
         x, y, n = axpy_inputs
-        result = p100_device.launch(axpy_kernel, grid=2, block=64,
+        result = oracle_device.launch(axpy_kernel, grid=2, block=64,
                                     args={"x": x, "y": y.copy(), "a": 1.0, "n": n})
         categories = result.profile.by_opcode_category(axpy_kernel)
         assert "memory" in categories and categories["memory"] > 0

@@ -264,23 +264,40 @@ class TestEngineInstrumentation:
     def test_hotspots_profile_is_opt_in(self, request, tmp_path):
         for workload in ("adapter", "adept_v1_adapter", "simcov_adapter"):
             adapter = request.getfixturevalue(workload)
-            # A search evaluation records no per-instruction profile ...
+            # A search evaluation runs on the JIT, which records no profile ...
+            assert adapter.device.interpreter_tier == "jit", workload
             assert adapter.evaluate(adapter.original_module()).valid, workload
             assert not adapter.device.last_profile.instructions, workload
-            # ... and the hotspot emitter turns profiling on for its one run.
+            # ... and the hotspot emitter runs its one evaluation on the oracle.
             trace_dir = str(tmp_path / workload)
-            profile_before = adapter.device.profile_enabled
             with Telemetry(trace_dir, run_id="r") as telemetry:
                 assert emit_module_hotspots(telemetry, adapter,
                                             adapter.original_module(),
                                             label="test"), workload
-            assert adapter.device.profile_enabled == profile_before  # restored
+            assert adapter.device.interpreter_tier == "jit", workload  # restored
             events = [event for event in load_trace(trace_dir)
                       if event.name == "profile.hotspots"]
             assert len(events) == 1, workload
             hotspots = events[0].fields["hotspots"]
             assert hotspots and {"location", "opcode", "cycles",
                                  "executions"} <= set(hotspots[0]), workload
+
+    def test_hotspots_restore_the_tier_when_the_evaluation_raises(self, tmp_path):
+        tiers = []
+
+        class FailingAdapter:
+            device = ToyWorkloadAdapter(elements=64).device
+
+            def evaluate(self, module):
+                tiers.append(self.device.interpreter_tier)
+                raise RuntimeError("evaluation failed")
+
+        adapter = FailingAdapter()
+        with Telemetry(str(tmp_path), run_id="r") as telemetry:
+            assert not emit_module_hotspots(telemetry, adapter, object(),
+                                            label="test")
+        assert tiers == ["oracle"]
+        assert adapter.device.interpreter_tier == "jit"
 
 
 class TestSweepAcceptance:

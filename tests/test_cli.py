@@ -38,6 +38,29 @@ class TestCli:
         output = capsys.readouterr().out
         assert "best speedup" in output
 
+    def test_traced_search_pins_the_hotspot_rows(self, capsys, tmp_path):
+        """The hotspot table comes from one oracle evaluation of the
+        original toy kernel."""
+        trace_dir = str(tmp_path / "trace")
+        assert main(["search", "toy", "--population", "4", "--generations", "2",
+                     "--seed", "1", "--trace", trace_dir]) == 0
+        capsys.readouterr()
+        assert main(["trace", "summarize", trace_dir]) == 0
+        output = capsys.readouterr().out
+        heading = "hotspots (top instructions by attributed cycles):\n"
+        assert output.split(heading, 1)[1].splitlines() == [
+            "  saxpy_wasteful.cu:6  load  600 cycles (8 executions)",
+            "  saxpy_wasteful.cu:6  load  600 cycles (8 executions)",
+            "  saxpy_wasteful.cu:6  load  600 cycles (8 executions)",
+            "  saxpy_wasteful.cu:6  store  320 cycles (8 executions)",
+            "  saxpy_wasteful.cu:6  syncthreads  144 cycles (8 executions)",
+            "  saxpy_wasteful.cu:3  condbr  48 cycles (8 executions)",
+            "  saxpy_wasteful.cu:6  br  48 cycles (8 executions)",
+            "  saxpy_wasteful.cu:6  ret  48 cycles (8 executions)",
+            "  saxpy_wasteful.cu:3  tid.x  32 cycles (8 executions)",
+            "  saxpy_wasteful.cu:3  bid.x  32 cycles (8 executions)",
+        ]
+
     def test_search_with_sqlite_cache_backend(self, capsys, tmp_path):
         cache = str(tmp_path / "fitness.json")  # any extension: always SQLite
         assert main(["search", "toy", "--population", "6", "--generations", "2",
@@ -138,6 +161,19 @@ class TestBaselineCli:
         assert main(["baseline", "hill", "toy", "--steps", "12", "--seed", "3"]) == 0
         output = capsys.readouterr().out
         assert "hill climbing" in output and "accepted" in output
+
+    def test_steps_is_refused_for_random_search(self, capsys):
+        assert main(["baseline", "random", "toy", "--population", "4",
+                     "--generations", "2", "--seed", "1", "--steps", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "--steps applies to the hill climber only" in captured.err
+        assert "budget=" not in captured.out
+
+    def test_negative_steps_is_a_clean_error(self, capsys):
+        assert main(["baseline", "hill", "toy", "--steps", "-3", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "steps must be a non-negative count, not -3" in captured.err
+        assert "budget=" not in captured.out
 
     def test_random_baseline_resumes_with_zero_reevaluations(self, capsys, tmp_path):
         checkpoint = str(tmp_path / "ckpt.json")

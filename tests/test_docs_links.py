@@ -1,4 +1,5 @@
-"""Intra-repo markdown links must resolve (mirrors the CI docs job)."""
+"""Intra-repo markdown links, and the docs and files program text cites,
+must resolve (mirrors the CI docs job)."""
 
 import importlib.util
 import os
@@ -33,3 +34,20 @@ def test_checker_catches_broken_links(tmp_path):
     checker = _load_checker()
     problems = checker.check_tree(str(tmp_path))
     assert len(problems) == 1 and "absent.md" in problems[0]
+
+
+def test_checker_catches_missing_cited_files(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "present.md").write_text("# present")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""See docs/present.md, ABSENT.md and tests/gone_test.py;\n'
+        'the module mod.py itself is no path."""\n')
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "conftest.py").write_text(
+        "# scaled as documented in docs/missing.md\n")
+    checker = _load_checker()
+    problems = checker.check_tree(str(tmp_path))
+    cited = sorted(line.split("(", 1)[1].split(")", 1)[0] for line in problems)
+    assert cited == ["ABSENT.md", "docs/missing.md", "tests/gone_test.py"], problems
