@@ -9,9 +9,10 @@ argument for why population-based EC matters (Section V / VII).
 Like :class:`~repro.gevo.search.GevoSearch`, the climb's steps are the
 rounds of :class:`~repro.runtime.checkpoint.CheckpointableSearch`: pass
 ``checkpoint_path=`` to snapshot the run (current individual, step
-counter, accepted/rejected tallies, RNG state, history and fitness-cache
-contents), and ``resume_from=`` to continue an interrupted climb
-bit-for-bit without re-simulating anything it already evaluated.
+counter, budget, accepted/rejected tallies, RNG state, history and the
+fitness of every candidate it was charged for), and ``resume_from=`` to
+continue an interrupted climb bit-for-bit without re-simulating anything
+it already evaluated.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..gevo.config import GevoConfig
 from ..gevo.fitness import WorkloadAdapter
 from ..gevo.genome import Individual
 from ..gevo.history import SearchResult
-from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint, serialize_individual
+from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint
 
 
 @dataclass
@@ -64,7 +65,7 @@ class HillClimber(CheckpointableSearch):
         resumed climb keeps the checkpoint's recorded budget; passing a
         conflicting ``steps`` raises :class:`~repro.errors.SearchError`.
         A step is one evaluation and every checkpoint re-serialises the
-        search's cache entries, so ``checkpoint_every`` defaults to the
+        search's results, so ``checkpoint_every`` defaults to the
         population size, not to every step.  The other *options* are
         those of :meth:`~repro.runtime.checkpoint.CheckpointableSearch.run`.
         """
@@ -124,11 +125,9 @@ class HillClimber(CheckpointableSearch):
 
     def capture_checkpoint(self) -> SearchCheckpoint:
         return self._capture({
-            "step": self._round,
             "budget": self._budget,
             "accepted": self._accepted,
             "rejected": self._rejected,
-            "current": serialize_individual(self._best),
         })
 
     def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
@@ -138,6 +137,5 @@ class HillClimber(CheckpointableSearch):
                 f"checkpoint was recorded with a budget of {self._budget} steps, "
                 f"not {self._requested_steps}; resume with the original budget "
                 "(or start fresh)")
-        self._best = checkpoint.restore_individual("current")
         self._accepted = int(checkpoint.state.get("accepted", 0))
         self._rejected = int(checkpoint.state.get("rejected", 0))

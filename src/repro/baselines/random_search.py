@@ -8,10 +8,12 @@ evaluation budget so its best-found variant can be compared with GEVO's.
 
 Like :class:`~repro.gevo.search.GevoSearch`, the sampling waves are the
 rounds of :class:`~repro.runtime.checkpoint.CheckpointableSearch`: pass
-``checkpoint_path=`` to snapshot the run (RNG state, best-so-far, history
-and fitness-cache contents) after each sampling wave, and
-``resume_from=`` to continue an interrupted run bit-for-bit without
-re-simulating anything it already evaluated.
+``checkpoint_path=`` to snapshot the run (RNG state, wave counter,
+best-so-far, history and the fitness of every sample it was charged
+for) after each sampling wave, and ``resume_from=`` to continue an
+interrupted run bit-for-bit without re-simulating anything it already
+evaluated.  Every wave is full (the budget is population x generations),
+so the wave counter is all the state the loop keeps.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List, Optional
 from ..gevo.config import GevoConfig
 from ..gevo.fitness import WorkloadAdapter
 from ..gevo.genome import Individual
-from ..runtime.checkpoint import CheckpointableSearch, SearchCheckpoint, serialize_individual
+from ..runtime.checkpoint import CheckpointableSearch
 
 
 class RandomSearch(CheckpointableSearch):
@@ -37,8 +39,6 @@ class RandomSearch(CheckpointableSearch):
                  max_edits_per_individual: int = 8, *, engine=None):
         super().__init__(adapter, config, engine=engine)
         self.max_edits_per_individual = max_edits_per_individual
-        # Working state of the sampling loop (captured by checkpoints).
-        self._evaluated = 0
 
     def _random_individual(self) -> Individual:
         length = self.rng.randint(1, self.max_edits_per_individual)
@@ -53,43 +53,23 @@ class RandomSearch(CheckpointableSearch):
     def _start_fields(self):
         return {"budget": self.config.population_size * self.config.generations}
 
-    def _start_fresh(self, baseline) -> None:
-        self._best = None
-        self._evaluated = 0
-
     def _spawn(self) -> Optional[List[Individual]]:
         # One wave per round (parallel under a pool-backed engine).
-        config = self.config
-        remaining = config.population_size * config.generations - self._evaluated
-        if remaining <= 0:
+        if self._round >= self.config.generations:
             return None
-        return [self._random_individual()
-                for _ in range(min(config.population_size, remaining))]
+        return [self._random_individual() for _ in range(self.config.population_size)]
 
     def _score(self, batch: List[Individual]) -> None:
-        self._evaluated += len(batch)
         self._round += 1
         for individual in batch:
             if individual.valid and (
                     self._best is None
                     or (individual.fitness or math.inf) < (self._best.fitness or math.inf)):
                 self._best = individual
-        record = self._history.record_generation(self._round, batch, self._best,
-                                                 self._evaluated)
+        record = self._history.record_generation(
+            self._round, batch, self._best, self._round * self.config.population_size)
         self._telemetry.event(
             "search.generation", generation=self._round,
             best_fitness=record.best_fitness, mean_fitness=record.mean_fitness,
             valid_count=record.valid_count, stagnation=0,
             evaluations=record.evaluations)
-
-    def capture_checkpoint(self) -> SearchCheckpoint:
-        return self._capture({
-            "generation": self._round,
-            "evaluated": self._evaluated,
-            "best": (serialize_individual(self._best)
-                     if self._best is not None else None),
-        })
-
-    def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
-        self._best = checkpoint.restore_best()
-        self._evaluated = int(checkpoint.state.get("evaluated", 0))

@@ -74,8 +74,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
              "cores); 1 (the default) evaluates serially in-process")
     parser.add_argument(
         "--cache", default=None, metavar="PATH",
-        help="persist the fitness cache to the SQLite file PATH (a JSON "
-             "cache document there is imported once); re-runs hit the "
+        help="persist the fitness cache to the SQLite file PATH (any other "
+             "file there is set aside as PATH.corrupt); re-runs hit the "
              "warm cache")
     parser.add_argument(
         "--interpreter-tier", choices=["auto", "jit", "oracle"],
@@ -318,6 +318,16 @@ def _command_search(arguments: argparse.Namespace) -> int:
     if method == "random" and arguments.steps is not None:
         print("error: --steps applies to the hill climber only; random search "
               "spends population x generations", file=sys.stderr)
+        return 2
+    if (arguments.cache is not None and arguments.resume is not None
+            and os.path.realpath(arguments.cache)
+            == os.path.realpath(arguments.resume)):
+        # Each file's writes would replace the other: the checkpoint's
+        # atomic rename over the database, the cache's reset over the
+        # checkpoint.
+        print(f"error: --cache {arguments.cache} and --resume {arguments.resume} "
+              "name the same file; give the fitness cache and the checkpoint "
+              "a path each", file=sys.stderr)
         return 2
     telemetry = _make_telemetry(arguments)
     telemetry.add_sink(_render_start_line)

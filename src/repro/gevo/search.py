@@ -13,9 +13,10 @@ engine with a process-pool executor evaluates the whole population
 concurrently.  The generations are the rounds of
 :class:`~repro.runtime.checkpoint.CheckpointableSearch`, which
 checkpoints them (``checkpoint_path=``) and resumes them exactly --
-population, RNG state, history and fitness-cache contents are all
-restored, so a resumed run reproduces the uninterrupted one bit-for-bit
-and never re-simulates a variant evaluated before the interruption.
+population, best individual, RNG state, history and the fitness of
+every variant the search was charged for are all restored, so a resumed
+run reproduces the uninterrupted one bit-for-bit and never re-simulates
+a variant evaluated before the interruption.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class GevoSearch(CheckpointableSearch):
             self._stagnation += 1
         self._round += 1
         record = self._history.record_generation(self._round, population, self._best,
-                                                 self._ledger.count)
+                                                 len(self._charged))
         self._telemetry.event(
             "search.generation", generation=self._round,
             best_fitness=record.best_fitness, mean_fitness=record.mean_fitness,
@@ -137,16 +138,12 @@ class GevoSearch(CheckpointableSearch):
 
     def capture_checkpoint(self) -> SearchCheckpoint:
         return self._capture({
-            "generation": self._round,
             "stagnation": self._stagnation,
             "population": [serialize_individual(ind) for ind in self._population],
-            "best": (serialize_individual(self._best)
-                     if self._best is not None else None),
         })
 
     def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
         self._population = checkpoint.restore_population()
-        self._best = checkpoint.restore_best()
         self._stagnation = int(checkpoint.state.get("stagnation", 0))
 
 

@@ -386,6 +386,7 @@ class _SegmentCompiler:
         self.lines: List[str] = []
         self.plan: List[tuple] = []
         self.shadows: Dict[str, _Shadow] = {}
+        self._inst_slots: Dict[int, str] = {}
         self._counter = itertools.count()
         self._needs_memory_cost = False
         self._needs_dynamic_cycles = False
@@ -405,6 +406,16 @@ class _SegmentCompiler:
         self.plan.append((name, provenance))
         return name
 
+    def inst(self, source_index: int) -> str:
+        """The slot holding instruction *source_index* (``-1``: the folded
+        terminator's), bound on first use: only trap paths, the access-memo
+        miss call and oracle fallbacks read the instruction object."""
+        name = self._inst_slots.get(source_index)
+        if name is None:
+            name = self._inst_slots[source_index] = self.bind(
+                "_I", ("inst", source_index))
+        return name
+
     def active_lanes(self) -> str:
         """Expression for the active lane count (memory pricing)."""
         if self.full:
@@ -415,8 +426,8 @@ class _SegmentCompiler:
         return self._active_var
 
     # -- operand resolution ------------------------------------------------
-    def numeric(self, operand, inst_var: str, source_index: int,
-                operand_index: int, merged: bool = False) -> str:
+    def numeric(self, operand, source_index: int, operand_index: int,
+                merged: bool = False) -> str:
         """Emit code resolving *operand* as a numeric array; return the
         expression.  ``merged`` asks for the true register value even if
         the shadow holds a deferred-merge value (cross-lane consumers)."""
@@ -436,21 +447,21 @@ class _SegmentCompiler:
                     return shadow.var
                 # A buffer handle where a numeric value is required: trap.
                 out = self.temp()
-                self.emit(f"{out} = _ban(ex, {name!r}, {inst_var})")
+                self.emit(f"{out} = _ban(ex, {name!r}, {self.inst(source_index)})")
                 return out
             var = self.temp("_s")
             self.emit(f"{var} = R.get({name!r})")
             self.emit(f"if {var}.__class__ is not _nd:")
-            self.emit(f"    {var} = _nf(ex, {name!r}, {inst_var}, {var})")
+            self.emit(f"    {var} = _nf(ex, {name!r}, "
+                      f"{self.inst(source_index)}, {var})")
             self.shadows[name] = _Shadow(var, "array")
             return var
         op_var = self.bind("_O", ("operand", source_index, operand_index))
         out = self.temp()
-        self.emit(f"{out} = _uns(ex, {op_var}, {inst_var})")
+        self.emit(f"{out} = _uns(ex, {op_var}, {self.inst(source_index)})")
         return out
 
-    def buffer(self, operand, inst_var: str, source_index: int,
-               operand_index: int) -> str:
+    def buffer(self, operand, source_index: int, operand_index: int) -> str:
         """Emit code resolving *operand* as a buffer handle."""
         if isinstance(operand, Reg):
             name = operand.name
@@ -459,21 +470,22 @@ class _SegmentCompiler:
                 if shadow.kind == "buffer":
                     return shadow.var
                 out = self.temp()
-                self.emit(f"{out} = _nab(ex, {inst_var})")
+                self.emit(f"{out} = _nab(ex, {self.inst(source_index)})")
                 return out
             var = self.temp("_s")
             self.emit(f"{var} = R.get({name!r})")
             self.emit(f"if {var}.__class__ is not _BH:")
-            self.emit(f"    {var} = _bf(ex, {name!r}, {inst_var}, {var})")
+            self.emit(f"    {var} = _bf(ex, {name!r}, "
+                      f"{self.inst(source_index)}, {var})")
             self.shadows[name] = _Shadow(var, "buffer")
             return var
         if isinstance(operand, Const):
             out = self.temp()
-            self.emit(f"{out} = _nab(ex, {inst_var})")
+            self.emit(f"{out} = _nab(ex, {self.inst(source_index)})")
             return out
         op_var = self.bind("_O", ("operand", source_index, operand_index))
         out = self.temp()
-        self.emit(f"{out} = _uns(ex, {op_var}, {inst_var})")
+        self.emit(f"{out} = _uns(ex, {op_var}, {self.inst(source_index)})")
         return out
 
     # -- register writes ---------------------------------------------------
@@ -584,14 +596,14 @@ class _SegmentCompiler:
             self.shadows.pop(name, None)
 
     # -- dynamic (memory) pricing ------------------------------------------
-    def memory_cost(self, inst_var: str, info_expr: str) -> None:
+    def memory_cost(self, source_index: int, info_expr: str) -> None:
         """Price through the live cost model (the instructions run on the
         oracle: atomics and unknown opcodes)."""
         self._needs_memory_cost = True
-        self.emit(f"warp.cycles += _mc({inst_var}, {self.active_lanes()}, "
-                  f"{info_expr})")
+        self.emit(f"warp.cycles += _mc({self.inst(source_index)}, "
+                  f"{self.active_lanes()}, {info_expr})")
 
-    def bounds_stats(self, handle: str, index: str, inst_var: str) -> tuple:
+    def bounds_stats(self, handle: str, index: str, source_index: int) -> tuple:
         """Emit the bounds check, index conversion and pricing count of one
         access through the process-wide access memo; return the locals
         holding the converted active-lane indices and the transaction or
@@ -617,8 +629,8 @@ class _SegmentCompiler:
                   f"{index}.dtype, {index}.tobytes(){masked})")
         self.emit(f"{entry} = _AC.get({key})")
         self.emit(f"if {entry} is None:")
-        self.emit(f"    {entry} = _ca({key}, {handle}, {lanes}, {inst_var}, "
-                  f"{geometry})")
+        self.emit(f"    {entry} = _ca({key}, {handle}, {lanes}, "
+                  f"{self.inst(source_index)}, {geometry})")
         self.emit(f"{active}, {count} = {entry}")
         return active, count
 
@@ -657,16 +669,17 @@ class _SegmentCompiler:
         self.emit(f"    _dyn += {float(arch.alu_latency)!r}")
 
     # -- per-instruction bodies --------------------------------------------
-    def oracle_fallback(self, decoded, inst_var: str) -> None:
+    def oracle_fallback(self, decoded, source_index: int) -> None:
         """Run the instruction on the oracle's ``_execute_straightline``
         (atomics and unknown opcodes); shadows are flushed so it sees a
         coherent register file, and its destination shadow is dropped."""
         self.flush_dirty()
+        inst_var = self.inst(source_index)
         if decoded.static_cost is None:
             info = self.temp("_mi")
             self.emit(f"{info} = ex._execute_straightline({inst_var}, mask)")
             self.drop_shadow(decoded.instruction.dest)
-            self.memory_cost(inst_var, info)
+            self.memory_cost(source_index, info)
         else:
             self.emit(f"ex._execute_straightline({inst_var}, mask)")
             self.drop_shadow(decoded.instruction.dest)
@@ -674,12 +687,11 @@ class _SegmentCompiler:
     def compile_instruction(self, decoded, source_index: int) -> None:
         instruction = decoded.instruction
         opcode = instruction.opcode
-        inst_var = self.bind("_I", ("inst", source_index))
         ws = self.warp_size
 
         def numeric(operand_index, merged=False):
-            return self.numeric(instruction.operands[operand_index], inst_var,
-                                source_index, operand_index, merged=merged)
+            return self.numeric(instruction.operands[operand_index], source_index,
+                                operand_index, merged=merged)
 
         if opcode in _ARITHMETIC:
             operands = [numeric(i) for i in range(len(instruction.operands))]
@@ -722,7 +734,7 @@ class _SegmentCompiler:
             elif opcode == "fma":
                 self.emit(f"{value} = {operands[0]} * {operands[1]} + {operands[2]}")
             elif opcode in ("div", "rem"):
-                self._emit_division(opcode, operands, value, inst_var)
+                self._emit_division(opcode, operands, value, source_index)
             elif opcode in ("and", "or", "xor"):
                 logical, bitwise = {
                     "and": ("_np_land", "_np_band"),
@@ -751,7 +763,8 @@ class _SegmentCompiler:
                 # yet: call the shared handler so tiers cannot drift.
                 handler = self.bind("_H", ("handler", opcode))
                 args = ", ".join(operands) + ("," if len(operands) == 1 else "")
-                self.emit(f"{value} = {handler}(ex, {inst_var}, ({args}))")
+                self.emit(f"{value} = {handler}(ex, {self.inst(source_index)}, "
+                          f"({args}))")
             self.write(instruction.dest, value)
             return
 
@@ -767,11 +780,10 @@ class _SegmentCompiler:
             return
 
         if opcode == "load":
-            handle = self.buffer(instruction.operands[0], inst_var,
-                                 source_index, 0)
+            handle = self.buffer(instruction.operands[0], source_index, 0)
             index = numeric(1)
             value = self.temp("_v")
-            active, count = self.bounds_stats(handle, index, inst_var)
+            active, count = self.bounds_stats(handle, index, source_index)
             if self.full:
                 self.emit(f"{value} = {handle}.array[{active}]")
             else:
@@ -783,11 +795,10 @@ class _SegmentCompiler:
             return
 
         if opcode in ("store", "memset"):
-            handle = self.buffer(instruction.operands[0], inst_var,
-                                 source_index, 0)
+            handle = self.buffer(instruction.operands[0], source_index, 0)
             index = numeric(1)
             value = numeric(2)
-            active, count = self.bounds_stats(handle, index, inst_var)
+            active, count = self.bounds_stats(handle, index, source_index)
             if self.full:
                 self.emit(f"{handle}.array[{active}] = "
                           f"{value}.astype({handle}.array.dtype)")
@@ -872,7 +883,7 @@ class _SegmentCompiler:
 
         # Atomics and anything else (including unimplemented opcodes,
         # which trap with the interpreter's exact message).
-        self.oracle_fallback(decoded, inst_var)
+        self.oracle_fallback(decoded, source_index)
 
     def lanes_var(self) -> str:
         if "_lanes" not in (name for name, _ in self.plan):
@@ -880,7 +891,7 @@ class _SegmentCompiler:
         return "_lanes"
 
     def _emit_division(self, opcode: str, operands: List[str], value: str,
-                       inst_var: str) -> None:
+                       source_index: int) -> None:
         """Inline the ``div``/``rem`` handler: active-lane zero trap, then
         the runtime dtype dispatch (operands of the segment's executor are
         always plain arrays, so the handler's ``np.asarray`` is a no-op;
@@ -894,7 +905,7 @@ class _SegmentCompiler:
             self.emit(f"if _np_cnz({zero}):")
         else:
             self.emit(f"if _np_cnz({zero} & mask):")
-        self.emit(f"    ex._trap(\"division by zero\", {inst_var})")
+        self.emit(f"    ex._trap(\"division by zero\", {self.inst(source_index)})")
         safe = self.temp("_sf")
         self.emit(f"{safe} = _np_where({zero}, 1, {denominator})")
         if opcode == "div":
@@ -924,8 +935,7 @@ class _SegmentCompiler:
             self.emit("warp.retire_lanes(mask.copy())")
             return
         # condbr
-        inst_var = self.bind("_I", ("inst", -1))
-        cond_expr = self.numeric(step.instruction.operands[0], inst_var, -1, 0)
+        cond_expr = self.numeric(step.instruction.operands[0], -1, 0)
         cond = self.temp("_cond")
         self.emit(f"{cond} = {cond_expr}.astype(bool)")
         pc_true = self.bind("_pc", ("pc_true",))

@@ -16,7 +16,7 @@ process pool, against a persistent cache).  Typical usage::
 See :mod:`repro.runtime.engine` (the batch API over the serial and
 process-pool executors), :mod:`repro.runtime.cache` (content-addressed
 fitness cache), :mod:`repro.runtime.sqlite_store` (its incremental
-WAL-mode SQLite disk tier, which also imports JSON cache documents),
+WAL-mode SQLite disk tier),
 :mod:`repro.runtime.checkpoint` (:class:`CheckpointableSearch`, the
 base class whose one ``run()`` and round loop run GEVO and both
 baselines with crash-exact checkpoint/resume) and
@@ -43,7 +43,6 @@ from .cache import (
 )
 from .checkpoint import (
     CheckpointableSearch,
-    EvaluationLedger,
     SearchCheckpoint,
     deserialize_history,
     deserialize_individual,
@@ -96,7 +95,6 @@ __all__ = [
     "ConsoleReporter",
     "EngineStats",
     "EvaluationEngine",
-    "EvaluationLedger",
     "Executor",
     "FitnessCache",
     "LegOutcome",

@@ -23,11 +23,10 @@ evaluation runtime shares:
 The disk tier is :class:`~repro.runtime.sqlite_store.SqliteCacheStore`:
 one row per entry in a WAL-mode SQLite database, where each flush upserts
 only the entries added or changed since the last one, so flush cost is
-O(new entries), not O(cache size).  A version-1 JSON cache document found
-at the path is imported once.  A cache file is disposable acceleration
-state: a corrupt or incompatible file behaves like an empty one.  ``inf``
-runtimes of invalid variants round-trip through JSON's ``Infinity``
-literal.
+O(new entries), not O(cache size).  A cache file is disposable
+acceleration state: a corrupt, incompatible or non-SQLite file behaves
+like an empty one.  ``inf`` runtimes of invalid variants round-trip
+through JSON's ``Infinity`` literal.
 """
 
 from __future__ import annotations
@@ -307,20 +306,11 @@ class FitnessCache:
         if self._store is not None:
             self._store.close()
 
-    # -- bulk import/export (used by checkpoints) --------------------------------------
-    def export_entries(self, *, workload_id: Optional[str] = None,
-                       arch_name: Optional[str] = None) -> Dict[str, Dict[str, object]]:
-        """Serialise entries, optionally restricted to one key namespace.
-
-        Checkpoints pass the owning engine's workload/arch so a search
-        sharing a big multi-leg cache (a sweep) snapshots only the
-        entries it can actually hit, instead of re-serialising every
-        other leg's results into every checkpoint.
-        """
+    # -- bulk import/export ------------------------------------------------------------
+    def export_entries(self) -> Dict[str, Dict[str, object]]:
+        """Every entry, serialised as key string -> payload."""
         return {key.to_string(): result_to_dict(result)
-                for key, result in self._entries.items()
-                if (workload_id is None or key.workload_id == workload_id)
-                and (arch_name is None or key.arch_name == arch_name)}
+                for key, result in self._entries.items()}
 
     def import_entries(self, entries: Dict[str, Dict[str, object]]) -> int:
         imported = 0

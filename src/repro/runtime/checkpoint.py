@@ -4,21 +4,27 @@ A paper-scale GEVO run is days of wall clock (population 256 x 300
 generations x a full test-suite evaluation per variant); with the
 simulated GPU the scaled-down runs are still the slowest thing in the
 repo -- and the random-search and hill-climbing baselines burn the same
-evaluation budget.  A :class:`SearchCheckpoint` captures everything *any*
-of the search loops needs to continue exactly where it stopped:
+evaluation budget.  A :class:`SearchCheckpoint` records, each fact
+once, everything *any* of the search loops needs to continue exactly
+where it stopped:
 
 * which algorithm wrote it (``algorithm``), so a hill-climber checkpoint
-  can never silently resume a GEVO run;
-* the Mersenne-Twister state of the search RNG,
-* the recorded :class:`~repro.gevo.history.SearchHistory` and the
-  cumulative evaluation count,
-* the search configuration (for mismatch detection on resume),
-* the fitness-cache contents, so no variant evaluated before the
-  interruption is ever re-simulated,
-* an algorithm-specific ``state`` payload -- GEVO stores its population,
-  best individual and generation/stagnation counters there; random search
-  its generation counter and best-so-far; the hill climber its current
-  individual, step counter and accepted/rejected tallies.
+  can never silently resume a GEVO run, and the workload, architecture
+  and configuration it ran under (mismatches are refused on resume);
+* the Mersenne-Twister state of the search RNG and the recorded
+  :class:`~repro.gevo.history.SearchHistory` (which holds the baseline
+  runtime);
+* the round counter and the best individual (for the hill climber, its
+  current one);
+* ``results`` -- the fitness of exactly the edit sets this search has
+  been charged for, the unmodified program included, keyed by cache key
+  in key order.  Its size is the search's evaluation count, a resume
+  rebuilds the charged set from its keys, and importing it into the
+  cache means no variant evaluated before the interruption is ever
+  re-simulated;
+* an algorithm-specific ``state`` payload -- GEVO stores its population
+  and stagnation counter there, the hill climber its budget and
+  accepted/rejected tallies; random search needs none.
 
 Every search subclasses :class:`CheckpointableSearch`, whose one
 ``run()`` and one round loop own the whole protocol -- fresh start or
@@ -31,10 +37,12 @@ only its rounds, its ``state`` payload and its event fields.
 
 Checkpoints are plain JSON; ``inf`` fitness values round-trip through
 JSON's ``Infinity`` literal.  Resuming with the same seed reproduces the
-uninterrupted run bit-for-bit (pinned by ``tests/runtime/test_checkpoint.py``
-for GEVO and ``tests/runtime/test_baseline_resume.py`` for the baselines)
-because the RNG state, working individuals and history are all restored
-verbatim.
+uninterrupted run bit-for-bit, down to the bytes of its final
+checkpoint (pinned by ``tests/runtime/test_checkpoint.py`` for GEVO,
+``tests/runtime/test_baseline_resume.py`` for the baselines and
+``tests/runtime/test_crash_resume.py`` at every kill point), because
+the RNG state, working individuals, history and charged results are all
+restored verbatim.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SearchError
 from ..gevo.config import GevoConfig
@@ -56,10 +64,11 @@ from ..gevo.history import GenerationRecord, SearchHistory, SearchResult
 from ..gevo.mutation import EditGenerator
 from .faultpoints import kill_point
 
-#: Version 2 added the ``algorithm`` discriminator and moved the
-#: gevo-specific fields (population, generation, stagnation, best) into
-#: the per-algorithm ``state`` payload.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 2 added the ``algorithm`` discriminator and the per-algorithm
+#: ``state`` payload; version 3 records each fact once: one ``results``
+#: map replaced ``evaluations``, ``ledger_keys`` and the cache snapshot,
+#: and the round counter and best individual became top-level fields.
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 # -- primitive (de)serialisation helpers ---------------------------------------------
@@ -164,27 +173,21 @@ class SearchCheckpoint:
     #: "hill_climber", ...); resume refuses a mismatched algorithm.
     algorithm: str
     workload_id: str
-    config: Dict[str, object]
-    rng_state: List[object]
-    evaluations: int
-    history: Dict[str, object]
-    baseline_runtime: float
-    #: Cache keys of every edit set *this search* has submitted -- the
-    #: :class:`EvaluationLedger`'s known set.  Recorded separately from
-    #: ``cache_entries`` because the two answer different questions: the
-    #: cache snapshot is "what results are on hand" (and in a sweep's
-    #: shared cache it includes sibling legs' entries -- keys are
-    #: namespaced by workload+arch, not seed), while the ledger set is
-    #: "what this timeline has been charged for".  Seeding a resumed
-    #: ledger from ``cache_entries`` would mark sibling legs' entries
-    #: pre-known and undercount the replay.
-    ledger_keys: List[str]
     #: Architecture the run evaluated on; resume refuses a mismatch.
     arch_name: str
-    #: Algorithm-specific payload (population, counters, working
-    #: individuals ...); the owning search defines its shape.
-    state: Dict[str, object] = field(default_factory=dict)
-    cache_entries: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    config: Dict[str, object]
+    rng_state: List[object]
+    history: Dict[str, object]
+    #: Rounds completed (generations, sampling waves or climb steps).
+    round: int
+    #: The best individual so far (the hill climber's current one), if any.
+    best: Optional[Dict[str, object]]
+    #: Algorithm-specific payload (population, counters ...); the owning
+    #: search defines its shape.
+    state: Dict[str, object]
+    #: Cache key -> fitness payload of exactly the edit sets this search
+    #: was charged for, in key order.  Its size is the evaluation count.
+    results: Dict[str, Dict[str, object]]
     version: int = CHECKPOINT_FORMAT_VERSION
 
     # -- restoration -------------------------------------------------------------------
@@ -197,26 +200,12 @@ class SearchCheckpoint:
     def restore_rng_state(self) -> Tuple:
         return deserialize_rng_state(self.rng_state)
 
-    def restore_individual(self, name: str) -> Optional[Individual]:
-        """Deserialize an optional :class:`Individual` from :attr:`state`."""
-        data = self.state.get(name)
-        return deserialize_individual(data) if data is not None else None
-
-    def restore_individuals(self, name: str) -> List[Individual]:
-        """Deserialize a list of individuals from :attr:`state`."""
-        return [deserialize_individual(item) for item in self.state.get(name, [])]
-
-    # -- convenience accessors (shared state fields) -----------------------------------
-    @property
-    def generation(self) -> int:
-        """Generation/step counter, whatever the algorithm calls it."""
-        return int(self.state.get("generation", self.state.get("step", 0)))
+    def restore_best(self) -> Optional[Individual]:
+        return deserialize_individual(self.best) if self.best is not None else None
 
     def restore_population(self) -> List[Individual]:
-        return self.restore_individuals("population")
-
-    def restore_best(self) -> Optional[Individual]:
-        return self.restore_individual("best")
+        return [deserialize_individual(item)
+                for item in self.state.get("population", [])]
 
     # -- persistence -------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
@@ -227,14 +216,13 @@ class SearchCheckpoint:
         if data.get("version") != CHECKPOINT_FORMAT_VERSION:
             raise SearchError(
                 f"checkpoint format version {data.get('version')!r} is not supported "
-                f"(expected {CHECKPOINT_FORMAT_VERSION})")
-        for name in ("ledger_keys", "arch_name"):
-            if data.get(name) is None:
+                f"(expected {CHECKPOINT_FORMAT_VERSION}); start a fresh search")
+        fields = [f.name for f in dataclasses.fields(cls)]
+        for name in fields:
+            if name not in data:
                 raise SearchError(
-                    f"checkpoint has no {name!r} field (it predates "
-                    "crash-exact resume); start a fresh search")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in fields})
+                    f"checkpoint has no {name!r} field; start a fresh search")
+        return cls(**{name: data[name] for name in fields})
 
     def save(self, path: str) -> None:
         """Durably and atomically write the checkpoint to *path*.
@@ -284,75 +272,6 @@ class SearchCheckpoint:
             ) from exc
 
 
-# -- crash-exact evaluation accounting -----------------------------------------------
-
-class EvaluationLedger:
-    """Timeline-deterministic evaluation counter shared by all searches.
-
-    The old accounting ("executed cache misses on this engine, plus the
-    checkpoint's count on resume") was *invocation*-relative: a SIGKILL
-    between a persistent-cache flush and the round checkpoint left
-    freshly flushed results on disk that the resumed process then served
-    from cache, so the replayed round executed fewer misses than the
-    original and the final evaluation count diverged (the root cause of
-    the long-xfailed ``test_sigkill_resume``).
-
-    The ledger counts what the *paper* counts instead: distinct edit
-    sets this search has submitted for evaluation since it began.  That
-    quantity is a pure function of the search timeline -- independent of
-    how warm any cache happens to be -- so the reported evaluation count
-    is identical whether the run went uninterrupted, was killed and
-    resumed from a checkpoint, or was killed *before its first
-    checkpoint* and restarted fresh against a partially-warmed disk
-    cache.  (For a cold-start search the ledger agrees exactly with the
-    old executed-miss numbers; only warm-cache starts differ, and there
-    the old numbers were an artifact of cache state, not of the search.)
-    """
-
-    def __init__(self, known_keys: Iterable[str] = (), count: int = 0):
-        self._known: Set[str] = set(known_keys)
-        #: Evaluations charged so far (cumulative across resumes).
-        self.count = count
-
-    @classmethod
-    def from_checkpoint(cls, checkpoint: "SearchCheckpoint") -> "EvaluationLedger":
-        """Resume ledger from the checkpoint's recorded submitted-key set.
-
-        Deliberately *not* the live cache: after a crash the disk tier
-        may hold results flushed during the half-finished round, and
-        treating those as pre-known would skip charging the replayed
-        round -- the exact divergence this class exists to fix.  And not
-        the checkpoint's ``cache_entries`` either: in a sweep's shared
-        cache that snapshot carries sibling legs' entries (keys are
-        namespaced by workload+arch, not seed), and marking those
-        pre-known undercounts every post-resume submission of an edit
-        set a sibling happened to evaluate first.  The checkpoint's
-        ``ledger_keys`` field is exactly the set this timeline had been
-        charged for at the round boundary.
-        """
-        return cls(known_keys=checkpoint.ledger_keys,
-                   count=checkpoint.evaluations)
-
-    def charge(self, keys: Iterable[str]) -> int:
-        """Charge each not-yet-known key once; returns how many were new.
-
-        Call with the canonical cache-key strings of one submitted batch
-        *after* the batch evaluates successfully (a crashed batch is
-        replayed and charged on resume instead).
-        """
-        new = 0
-        for key in keys:
-            if key not in self._known:
-                self._known.add(key)
-                new += 1
-        self.count += new
-        return new
-
-    def known_keys(self) -> List[str]:
-        """The charged-key set, sorted for stable checkpoint serialisation."""
-        return sorted(self._known)
-
-
 # -- the round loop every search runs ------------------------------------------------
 
 class CheckpointableSearch:
@@ -374,7 +293,8 @@ class CheckpointableSearch:
       record the history and emit the per-round event;
     * its ``state`` payload, both ways: ``capture_checkpoint()``, which
       returns ``self._capture(state)``, and ``_restore_state(checkpoint)``
-      (``_round`` is restored before it is called);
+      (``_round`` and ``_best`` are restored before it is called); a
+      search without one, like random search, keeps the defaults;
     * ``_start_fields()`` and ``_end_fields()`` -- its fields of the
       ``search.start`` and ``search.end`` events;
     * optionally ``_finish()`` -- extra result fields, computed inside
@@ -404,7 +324,9 @@ class CheckpointableSearch:
                                        **generator_options)
         # Protocol state, set by a fresh start or a resume.
         self._history: Optional[SearchHistory] = None
-        self._ledger: Optional[EvaluationLedger] = None
+        #: Cache keys of the edit sets this search has been charged for;
+        #: its size is the evaluation count.
+        self._charged: Set[str] = set()
         self._round = 0
         self._best: Optional[Individual] = None
         self._telemetry = engine.telemetry
@@ -429,10 +351,10 @@ class CheckpointableSearch:
         self._telemetry.event(
             "search.end", algorithm=self.algorithm, **self._end_fields(),
             best_fitness=best.fitness if best is not None else None,
-            evaluations=self._ledger.count, wall_clock_seconds=seconds)
+            evaluations=len(self._charged), wall_clock_seconds=seconds)
         return self.result_type(
             best=best, history=self._history, baseline=baseline,
-            config=self.config, evaluations=self._ledger.count,
+            config=self.config, evaluations=len(self._charged),
             wall_clock_seconds=seconds, **extra)
 
     def _finish(self) -> Dict[str, object]:
@@ -442,11 +364,17 @@ class CheckpointableSearch:
         return {"generations": self._round}
 
     def _evaluate(self, individuals: Sequence[Individual]) -> None:
-        """Evaluate every unevaluated individual as one batch and charge the ledger.
+        """Evaluate every unevaluated individual as one batch and charge it.
 
-        The batch's canonical keys are charged after it evaluates (never
-        on a raising batch), which keeps evaluation accounting
-        crash-exact.
+        The evaluation count is what the paper counts: the distinct edit
+        sets this search has submitted since it began.  That is a pure
+        function of the search timeline, not of how warm any cache is,
+        so the count is the same whether the run went uninterrupted, was
+        killed and resumed, or was killed before its first checkpoint
+        and restarted against a partly warmed disk cache.  The batch's
+        canonical keys are charged after it evaluates (never on a
+        raising batch), so a crashed batch is replayed and charged on
+        resume instead.
 
         A variant's identity is its edit **multiset**, following the
         paper's set-based ``f(S)`` treatment: the engine's cache key is
@@ -464,8 +392,8 @@ class CheckpointableSearch:
             return
         engine = self.engine
         results = engine.evaluate_many([ind.edits for ind in pending])
-        self._ledger.charge(engine.cache_key(ind.edits).to_string()
-                            for ind in pending)
+        self._charged.update(engine.cache_key(ind.edits).to_string()
+                             for ind in pending)
         for individual, result in zip(pending, results):
             individual.mark_evaluated(
                 result.runtime_ms if result.valid else None, result.valid)
@@ -481,25 +409,25 @@ class CheckpointableSearch:
                                             workload_id=engine.workload_id,
                                             config=self.config,
                                             arch_name=engine.arch_name)
-            engine.cache.import_entries(checkpoint.cache_entries)
+            # The charged set comes from the checkpoint, never from the
+            # cache: after a crash the disk tier may hold results flushed
+            # during the half-finished round, and a sweep's shared cache
+            # holds sibling legs' results; charging neither keeps the
+            # replayed rounds' accounting exact.
+            engine.cache.import_entries(checkpoint.results)
+            self._charged = set(checkpoint.results)
             self._history = checkpoint.restore_history()
-            self._ledger = EvaluationLedger.from_checkpoint(checkpoint)
             self.rng.setstate(checkpoint.restore_rng_state())
-            self._round = checkpoint.generation
+            self._round = checkpoint.round
+            self._best = checkpoint.restore_best()
             self._restore_state(checkpoint)
             baseline = engine.baseline()
             telemetry.event("search.resume_replay", algorithm=self.algorithm,
-                            round=self._round, evaluations=self._ledger.count,
-                            cached_entries=len(checkpoint.cache_entries),
+                            round=self._round, evaluations=len(self._charged),
                             path=str(resume_from))
         else:
-            # The ledger starts empty: evaluation counts are a pure
-            # function of the search timeline, not of cache warmth, so a
-            # crash at *any* point (even before the first checkpoint)
-            # resumes to the same totals an uninterrupted run reports.
-            self._ledger = EvaluationLedger()
             baseline = engine.baseline()
-            self._ledger.charge([engine.cache_key([]).to_string()])
+            self._charged = {engine.cache_key([]).to_string()}
             self._history = SearchHistory(baseline_runtime=baseline.runtime_ms)
             self._round = 0
             self._start_fresh(baseline)
@@ -528,29 +456,35 @@ class CheckpointableSearch:
         kill_point("search.finished")
         return baseline
 
+    def _start_fresh(self, baseline: FitnessResult) -> None:
+        pass
+
+    def capture_checkpoint(self) -> SearchCheckpoint:
+        return self._capture({})
+
+    def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
+        pass
+
     def _capture(self, state: Dict[str, object]) -> SearchCheckpoint:
         """This search's checkpoint around its own *state* payload."""
+        # Imported here: the cache imports gevo, which imports this module.
+        from .cache import CacheKey, result_to_dict
+
         engine = self.engine
+        peek = engine.cache.peek
         return SearchCheckpoint(
             algorithm=self.algorithm,
             workload_id=engine.workload_id,
+            arch_name=engine.arch_name,
             config=dataclasses.asdict(self.config),
             rng_state=serialize_rng_state(self.rng.getstate()),
-            evaluations=self._ledger.count,
             history=serialize_history(self._history),
-            baseline_runtime=self._history.baseline_runtime,
-            # The ledger's own submitted set, NOT the cache snapshot below:
-            # under a sweep's shared cache the snapshot includes sibling
-            # legs' entries, which must not be treated as pre-charged on
-            # resume (see EvaluationLedger.from_checkpoint).
-            ledger_keys=self._ledger.known_keys(),
-            arch_name=engine.arch_name,
+            round=self._round,
+            best=(serialize_individual(self._best)
+                  if self._best is not None else None),
             state=state,
-            # Restricted to this search's own key namespace: a search
-            # sharing a multi-leg cache (a sweep) must not re-serialise
-            # every other leg's entries into each of its checkpoints.
-            cache_entries=engine.cache.export_entries(
-                workload_id=engine.workload_id, arch_name=engine.arch_name),
+            results={key: result_to_dict(peek(CacheKey.from_string(key)))
+                     for key in sorted(self._charged)},
         )
 
 

@@ -99,7 +99,7 @@ class ConsoleReporter:
     def _render_search_resume_replay(self, fields, event) -> None:
         self.logger.info("resuming from %s (round %s, %s cached fitness results)",
                          fields.get("path", "?"), fields.get("round", "?"),
-                         fields.get("cached_entries", 0))
+                         fields.get("evaluations", 0))
 
     def _render_search_generation(self, fields, event) -> None:
         best = fields.get("best_fitness")

@@ -15,15 +15,11 @@ Properties the durability tests pin down:
 * **Concurrent readers** -- WAL mode lets other processes read the cache
   while a writer is flushing; readers see the last committed snapshot.
 * **Disposability without destruction** -- a corrupt or truncated
-  database file loads as an *empty* cache; the unusable file is renamed
-  to ``<path>.corrupt`` (never deleted -- it might be a mistyped
-  ``--cache`` pointing at a file that is not a cache at all) and a fresh
-  database is created in its place.  A directory is refused outright.
-* **JSON import** -- opening a path that currently holds a version-1
-  JSON cache document (``{"version": 1, "entries": {...}}``) converts it
-  to SQLite in place, once: entries are imported, the database
-  atomically replaces the JSON file, and subsequent opens are plain
-  SQLite.
+  database, or any file that is not SQLite at all, loads as an *empty*
+  cache; the unusable file is renamed to ``<path>.corrupt`` (never
+  deleted -- it might be a mistyped ``--cache`` pointing at a file that
+  is not a cache at all) and a fresh database is created in its place.
+  A directory is refused outright.
 """
 
 from __future__ import annotations
@@ -85,12 +81,9 @@ class SqliteCacheStore:
     def _open(self) -> sqlite3.Connection:
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
-        migrated = self._read_migratable_json()
-        if migrated is not None:
-            self._migrate_json(migrated)
-        elif self._exists_but_not_sqlite():
-            # Neither SQLite nor a compatible JSON cache: set it aside
-            # (it may be a mistyped --cache path) and start empty.
+        if self._exists_but_not_sqlite():
+            # Not a SQLite database: set it aside (it may be a mistyped
+            # --cache path) and start empty.
             self._set_aside_unusable_file()
         try:
             return self._prepare(sqlite3.connect(self.path))
@@ -98,26 +91,6 @@ class SqliteCacheStore:
             # Truncated/corrupt database: degrade to an empty cache.
             self._set_aside_unusable_file()
             return self._prepare(sqlite3.connect(self.path))
-
-    def _migrate_json(self, migrated: Dict[str, str]) -> None:
-        """One-time JSON -> SQLite conversion, atomic w.r.t. the JSON file.
-
-        The database is built next to the JSON cache and atomically renamed
-        over it, so a crash mid-migration leaves the original JSON document
-        intact and re-triggers the migration on the next open.
-        """
-        temp_path = self.path + ".migrate"
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        conn = self._prepare(sqlite3.connect(temp_path))
-        try:
-            with conn:
-                conn.executemany(_UPSERT, list(migrated.items()))
-        finally:
-            # Closing the last connection checkpoints the WAL back into the
-            # main file, so the rename moves a self-contained database.
-            conn.close()
-        os.replace(temp_path, self.path)
 
     def _prepare(self, conn: sqlite3.Connection) -> sqlite3.Connection:
         try:
@@ -150,28 +123,6 @@ class SqliteCacheStore:
         # A zero-length file is what sqlite3.connect itself creates for a
         # fresh database; leave it alone.
         return bool(header) and header != SQLITE_MAGIC
-
-    def _read_migratable_json(self) -> Optional[Dict[str, str]]:
-        """Entries of a JSON cache document living at :attr:`path`, if any.
-
-        Returns ``None`` when the path is missing, already SQLite, or not a
-        version-1 JSON cache document (unparseable, another version, or
-        malformed); otherwise the key -> payload-text map to seed the
-        fresh database with (the one-time migration).
-        """
-        if not self._exists_but_not_sqlite():
-            return None
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (ValueError, OSError):
-            return None
-        if not isinstance(document, dict) or document.get("version") != CACHE_FORMAT_VERSION:
-            return None
-        entries = document.get("entries", {})
-        if not isinstance(entries, dict):
-            return None
-        return {key: json.dumps(payload) for key, payload in entries.items()}
 
     def _set_aside_unusable_file(self) -> None:
         """Make room for a fresh database without destroying user data.

@@ -19,8 +19,8 @@ orchestrator here runs the whole grid through the existing
   finished legs entirely and restarts unfinished ones from their last
   checkpoint with zero re-evaluation** -- completed work is never
   re-simulated (leg results are persisted as they land, the checkpoint
-  carries the leg's fitness-cache contents, and the shared sweep cache
-  persists across processes);
+  carries the results the leg was charged for -- none of its siblings'
+  -- and the shared sweep cache persists across processes);
 * all legs share one :class:`~repro.runtime.cache.FitnessCache` (by
   default the SQLite file ``<sweep_dir>/cache.sqlite``), so legs that
   differ only by seed reuse each other's evaluations;

@@ -1235,6 +1235,66 @@ def test_edit_reading_a_local_register_elsewhere_recomputes_the_set():
     assert_equivalent_fitness(make, module=variant)
 
 
+# --------------------------------------------------------------------------- bound slots
+def _generated_kernels(module, arch):
+    """``(name, source)`` of every segment and control-step kernel of
+    *module* in both activation shapes, enumerated as ``attach_jit``
+    gives out JIT records."""
+    from repro.gpu import jit_function
+    from repro.gpu.decoded import Segment
+    from repro.gpu.interpreter import STEP_BR, STEP_CONDBR, STEP_RET, STEP_SEGMENT
+    from repro.gpu.jitted import _folded_terminator, _SegmentCompiler
+
+    for name in module.function_order():
+        decoded = jit_function(module.get_function(name), arch)
+        for label, block in decoded.blocks.items():
+            for position, step in enumerate(block.steps):
+                if step.jit_fns is None:
+                    continue
+                if step.kind == STEP_SEGMENT:
+                    segment, terminator = step, _folded_terminator(block.steps, position)
+                else:
+                    assert step.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
+                    segment, terminator = Segment(step.start), step
+                for full in (True, False):
+                    source, _ = _SegmentCompiler(segment, decoded.warp_size, full,
+                                                 arch, terminator).generate()
+                    yield f"{name}:{label}:{position}:{full}", source
+
+
+def _unpacked_and_read(source):
+    """The names a factory unpacks from ``_bound`` and those its kernel reads."""
+    import ast
+
+    factory = ast.parse(source).body[0]
+    unpacked = set()
+    for statement in factory.body:
+        if (isinstance(statement, ast.Assign)
+                and isinstance(statement.value, ast.Name)
+                and statement.value.id == "_bound"):
+            unpacked.update(element.id for element in statement.targets[0].elts)
+    kernel = next(node for node in factory.body if isinstance(node, ast.FunctionDef))
+    read = {node.id for node in ast.walk(kernel)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return unpacked, read
+
+
+@pytest.mark.parametrize("workload", ["toy", "adept-v1", "simcov"])
+def test_every_bound_slot_is_read_by_its_kernel(workload):
+    """A factory binds only the slots its kernel reads: instruction
+    objects (``_I``) only where a trap path, the access-memo miss call or
+    an oracle fallback needs them."""
+    from repro.runtime.sweep import make_adapter
+
+    module = make_adapter(workload, "P100").original_module()
+    kernels = 0
+    for name, source in _generated_kernels(module, get_arch("P100")):
+        unpacked, read = _unpacked_and_read(source)
+        assert unpacked <= read, (name, sorted(unpacked - read))
+        kernels += 1
+    assert kernels
+
+
 # --------------------------------------------------------------------------- random mutants
 #: Warp instruction budget of the mutant adapters: a runaway mutant traps
 #: within a fraction of a second on the oracle instead of running to the

@@ -4,7 +4,7 @@ An interrupted-then-resumed random-search or hill-climbing run must be
 indistinguishable from the uninterrupted run -- same best individual,
 same history, same evaluation count -- and must never re-simulate a
 variant evaluated before the interruption (the checkpoint carries the
-fitness-cache contents).
+results the search was charged for).
 """
 
 import pytest
@@ -74,7 +74,7 @@ class TestRandomSearchResume:
         uninterrupted = RandomSearch(adapter, _config()).run()
         # The resumed engine executed only the post-cut variants; everything
         # earlier came from the checkpoint's imported cache.
-        assert engine.evaluations == uninterrupted.evaluations - checkpoint.evaluations
+        assert engine.evaluations == uninterrupted.evaluations - len(checkpoint.results)
 
     def test_resume_rejects_config_mismatch(self, adapter, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -120,7 +120,7 @@ class TestHillClimberResume:
         engine = EvaluationEngine(adapter)
         HillClimber(adapter, _config(), engine=engine).run(resume_from=path)
         uninterrupted = HillClimber(adapter, _config()).run(steps=HILL_STEPS)
-        assert engine.evaluations == uninterrupted.evaluations - checkpoint.evaluations
+        assert engine.evaluations == uninterrupted.evaluations - len(checkpoint.results)
 
     def test_resume_honours_the_recorded_budget(self, adapter, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -149,7 +149,7 @@ class TestCheckpointEvery:
 
         def counting(self):
             checkpoint = original(self)
-            written.append(checkpoint.generation)
+            written.append(checkpoint.round)
             return checkpoint
 
         monkeypatch.setattr(RandomSearch, "capture_checkpoint", counting)
@@ -158,7 +158,7 @@ class TestCheckpointEvery:
             checkpoint_path=path, checkpoint_every=3)
         # Waves 1-4 ran; only wave 3 hit the modulus, plus the final state.
         assert written == [3, 4]
-        assert SearchCheckpoint.load(path).generation == 4
+        assert SearchCheckpoint.load(path).round == 4
 
     def test_short_hill_climb_still_leaves_a_resumable_checkpoint(self, adapter, tmp_path):
         # budget < checkpoint_every: the periodic modulus never fires, but
@@ -167,7 +167,7 @@ class TestCheckpointEvery:
         HillClimber(adapter, _config()).run(steps=5, checkpoint_path=path,
                                             checkpoint_every=50)
         checkpoint = SearchCheckpoint.load(path)
-        assert checkpoint.generation == 5
+        assert checkpoint.round == 5
         engine = EvaluationEngine(adapter)
         HillClimber(adapter, _config(), engine=engine).run(resume_from=path)
         assert engine.evaluations == 0

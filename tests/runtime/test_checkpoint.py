@@ -4,9 +4,16 @@ import json
 
 import pytest
 
+from repro.baselines import HillClimber, RandomSearch
 from repro.errors import SearchError
 from repro.gevo import GevoConfig, GevoSearch
-from repro.runtime import EvaluationEngine, FitnessCache, SearchCheckpoint
+from repro.runtime import (
+    CacheKey,
+    EvaluationEngine,
+    FitnessCache,
+    SearchCheckpoint,
+    result_to_dict,
+)
 from repro.workloads import ToyWorkloadAdapter
 
 
@@ -17,6 +24,10 @@ def adapter():
 
 CONFIG = dict(seed=33, population_size=8, generations=6)
 
+#: Every field a format-3 checkpoint must carry besides its version.
+REQUIRED_FIELDS = ["algorithm", "workload_id", "arch_name", "config", "rng_state",
+                   "history", "round", "best", "state", "results"]
+
 
 class TestCheckpointRoundTrip:
     def test_checkpoint_file_round_trips(self, adapter, tmp_path):
@@ -24,7 +35,7 @@ class TestCheckpointRoundTrip:
         config = GevoConfig.quick(**CONFIG)
         GevoSearch(adapter, config).run(checkpoint_path=path)
         checkpoint = SearchCheckpoint.load(path)
-        assert checkpoint.generation == config.generations
+        assert checkpoint.round == config.generations
         assert checkpoint.restore_config() == config
         assert len(checkpoint.restore_population()) == config.population_size
         history = checkpoint.restore_history()
@@ -97,7 +108,7 @@ class TestResume:
         # Everything evaluated before the interruption came from the imported
         # cache: the resumed engine only executed genuinely new variants.
         uninterrupted = GevoSearch(adapter, config).run()
-        assert engine.evaluations == uninterrupted.evaluations - checkpoint.evaluations
+        assert engine.evaluations == uninterrupted.evaluations - len(checkpoint.results)
 
     def test_resume_rejects_config_mismatch(self, adapter, tmp_path):
         path = str(tmp_path / "ckpt.json")
@@ -125,11 +136,12 @@ class TestResume:
         with pytest.raises(SearchError, match="architecture 'V100'"):
             GevoSearch(adapter, config).run(resume_from=path)
 
-    @pytest.mark.parametrize("field", ["arch_name", "ledger_keys"])
+    @pytest.mark.parametrize("field", REQUIRED_FIELDS)
     def test_checkpoint_without_field_is_rejected(self, adapter, tmp_path,
                                                   field):
-        # Checkpoints written before crash-exact resume lack these fields;
-        # resuming one could miscount evaluations, so it fails cleanly.
+        # A checkpoint missing a field cannot be resumed exactly (a
+        # missing ``results`` would miscount evaluations), so it fails
+        # cleanly instead of resuming a different search.
         path = str(tmp_path / "ckpt.json")
         self._interrupted_run(adapter, path, stop_at=3)
         document = json.loads(open(path).read())
@@ -138,6 +150,17 @@ class TestResume:
         config = GevoConfig.quick(**CONFIG)
         with pytest.raises(SearchError,
                            match=f"no '{field}' field.*start a fresh search"):
+            GevoSearch(adapter, config).run(resume_from=path)
+
+    def test_format_2_checkpoint_is_rejected(self, adapter, tmp_path):
+        path = str(tmp_path / "ckpt.json")
+        self._interrupted_run(adapter, path, stop_at=2)
+        document = json.loads(open(path).read())
+        document["version"] = 2
+        open(path, "w").write(json.dumps(document))
+        config = GevoConfig.quick(**CONFIG)
+        with pytest.raises(SearchError,
+                           match="version 2 is not supported.*start a fresh search"):
             GevoSearch(adapter, config).run(resume_from=path)
 
     def test_resume_rejects_workload_mismatch(self, adapter, tmp_path):
@@ -181,3 +204,47 @@ class TestResume:
         GevoSearch(adapter, config, engine=warm).run()
         assert warm.evaluations == 0
         assert warm.cache_hits > 0
+
+
+class RecordingEngine(EvaluationEngine):
+    """An engine that records the key of every edit list submitted to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submitted = set()
+
+    def evaluate_many(self, edit_sets):
+        self.submitted.update(self.cache_key(edits).to_string() for edits in edit_sets)
+        return super().evaluate_many(edit_sets)
+
+
+class TestFormat3:
+    """A checkpoint records each fact once: ``results`` holds exactly the
+    edit sets the search submitted, and nothing else repeats a field."""
+
+    STATE_KEYS = {GevoSearch: {"stagnation", "population"},
+                  RandomSearch: set(),
+                  HillClimber: {"budget", "accepted", "rejected"}}
+
+    @pytest.mark.parametrize("search_class", [GevoSearch, RandomSearch, HillClimber])
+    def test_results_are_exactly_the_submitted_edit_sets(self, adapter, tmp_path,
+                                                        search_class):
+        path = str(tmp_path / "ckpt.json")
+        engine = RecordingEngine(adapter)
+        config = GevoConfig.quick(**dict(CONFIG, generations=3))
+        result = search_class(adapter, config, engine=engine).run(checkpoint_path=path)
+        with open(path) as handle:
+            document = json.load(handle)
+
+        assert document["version"] == 3
+        assert set(document) == set(REQUIRED_FIELDS) | {"version"}
+        assert set(document["state"]) == self.STATE_KEYS[search_class]
+        results = document["results"]
+        assert list(results) == sorted(results)
+        assert set(results) == engine.submitted
+        assert len(results) == result.evaluations
+        for key, payload in results.items():
+            assert payload == result_to_dict(engine.cache.peek(CacheKey.from_string(key)))
+        checkpoint = SearchCheckpoint.load(path)
+        assert checkpoint.round == result.history.records[-1].generation
+        assert checkpoint.restore_best().edit_keys() == result.best.edit_keys()

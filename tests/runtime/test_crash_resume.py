@@ -143,6 +143,30 @@ class TestKillPointBattery:
                 f"{point}:{occurrence}")
 
 
+class TestCheckpointBytes:
+    @pytest.mark.parametrize("algorithm",
+                             ["gevo", "random_search", "hill_climber"])
+    def test_resumed_final_checkpoint_is_byte_identical(self, algorithm, tmp_path):
+        """A resume imports the results in another order than the run
+        inserted them; written in key order, they come out as the same
+        bytes the uninterrupted run wrote."""
+        written = {}
+        for name, crash in (("reference", False), ("resumed", True)):
+            workdir = str(tmp_path / name)
+            os.makedirs(workdir)
+            if crash:
+                faultpoints.arm("search.round.scored", 2)
+                try:
+                    with pytest.raises(SimulatedCrash):
+                        _run(algorithm, workdir)
+                finally:
+                    faultpoints.disarm()
+            _run(algorithm, workdir, resume=crash)
+            with open(os.path.join(workdir, "ckpt.json"), "rb") as handle:
+                written[name] = handle.read()
+        assert written["resumed"] == written["reference"]
+
+
 class TestZeroReEvaluation:
     def test_resume_after_final_round_replays_nothing(self, tmp_path):
         """Crash after the last checkpoint: resume touches zero simulations.
@@ -181,6 +205,7 @@ class TestZeroReEvaluation:
         finally:
             faultpoints.disarm()
 
+        resumed_from = SearchCheckpoint.load(os.path.join(workdir, "ckpt.json"))
         telemetry = Telemetry(enabled=True)
         events = []
         telemetry.add_sink(events.append)
@@ -191,20 +216,19 @@ class TestZeroReEvaluation:
         assert fields["algorithm"] == "gevo"
         assert fields["round"] >= 1
         assert fields["evaluations"] > 0
-        assert fields["cached_entries"] > 0
+        assert fields["evaluations"] == len(resumed_from.results)
         assert fields["path"] == os.path.join(workdir, "ckpt.json")
 
 
 class TestSharedCacheAccounting:
     """Resume accounting under a sweep-style *shared* cache.
 
-    Cache keys are namespaced by workload+arch, not seed, so a leg's
-    round-boundary ``cache_entries`` snapshot contains sibling legs'
-    results.  Seeding the resume ledger from that snapshot (instead of
-    the checkpoint's own ``ledger_keys``) marks sibling entries
-    pre-charged, and every post-resume submission of an edit set a
-    sibling evaluated first goes uncounted -- the resumed leg then
-    reports fewer evaluations than the uninterrupted one.
+    Cache keys are namespaced by workload+arch, not seed, so the shared
+    cache holds sibling legs' results.  Charging those on resume (say,
+    by rebuilding the charged set from the cache instead of from the
+    checkpoint's ``results``) would leave every post-resume submission of
+    an edit set a sibling evaluated first uncounted -- the resumed leg
+    would report fewer evaluations than the uninterrupted one.
     """
 
     SEEDS = (7, 8)
@@ -241,7 +265,7 @@ class TestSharedCacheAccounting:
         os.makedirs(crashed_dir)
         self._run_seed(crashed_dir, first)
         # Crash the second search after its first checkpoint exists, so
-        # the resume really goes through the checkpointed-ledger path
+        # the resume really goes through the checkpointed-results path
         # (a crash before any checkpoint falls back to a fresh start).
         faultpoints.arm("search.round.scored", occurrence=2)
         try:
@@ -252,33 +276,39 @@ class TestSharedCacheAccounting:
         resumed = _summary(self._run_seed(crashed_dir, second, resume=True))
         assert resumed == reference
 
-    def test_checkpoint_separates_ledger_keys_from_cache_snapshot(
-            self, tmp_path):
-        """The divergence mechanism itself: a shared cache makes the
-        checkpoint's cache snapshot a strict superset of the keys this
-        search submitted, and the ledger must restore from the latter."""
-        from repro.runtime.checkpoint import EvaluationLedger
+    def test_checkpoint_holds_only_own_results(self, tmp_path, monkeypatch):
+        """A later search's checkpoint under the shared cache holds
+        exactly the edit sets it submitted, through a crash and resume,
+        none of its sibling's."""
+        submitted = set()
+        evaluate_many = EvaluationEngine.evaluate_many
+
+        def recording(engine, edit_sets):
+            submitted.update(engine.cache_key(edits).to_string()
+                             for edits in edit_sets)
+            return evaluate_many(engine, edit_sets)
 
         first, second = self.SEEDS
         workdir = str(tmp_path / "run")
         os.makedirs(workdir)
         self._run_seed(workdir, first)
+        monkeypatch.setattr(EvaluationEngine, "evaluate_many", recording)
         faultpoints.arm("search.round.scored", occurrence=2)
         try:
             with pytest.raises(SimulatedCrash):
                 self._run_seed(workdir, second)
         finally:
             faultpoints.disarm()
+        result = self._run_seed(workdir, second, resume=True)
+
         checkpoint = SearchCheckpoint.load(
             os.path.join(workdir, f"ckpt-{second}.json"))
-        assert checkpoint.ledger_keys is not None
-        snapshot_keys = set(checkpoint.cache_entries)
-        assert set(checkpoint.ledger_keys) < snapshot_keys, (
-            "expected the shared-cache snapshot to hold sibling entries "
-            "beyond this search's own submissions")
-        ledger = EvaluationLedger.from_checkpoint(checkpoint)
-        assert set(ledger.known_keys()) == set(checkpoint.ledger_keys)
-        assert ledger.count == checkpoint.evaluations
+        assert set(checkpoint.results) == submitted
+        assert len(checkpoint.results) == result.evaluations
+        shared = FitnessCache(os.path.join(workdir, "shared.sqlite"))
+        assert len(shared) > len(submitted), (
+            "expected the shared cache to hold the sibling's entries too")
+        shared.close()
 
 
 def _sweep_spec():
@@ -297,7 +327,7 @@ def _leg_checkpoints(sweep_dir):
     """Every leg's final checkpoint document, keyed by leg id.
 
     The checkpoint holds the leg's full timeline -- population, history,
-    RNG stream, ledger count, cache snapshot -- so document equality is
+    RNG stream, charged results -- so document equality is
     the strongest bit-for-bit statement available per leg (report rows
     alone are aggregates and can collide).
     """

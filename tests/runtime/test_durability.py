@@ -113,8 +113,8 @@ class TestCheckpointWriteCrash:
         monkeypatch.undo()
 
         after = SearchCheckpoint.load(path)  # still the intact previous file
-        assert after.generation == before.generation
-        assert after.cache_entries == before.cache_entries
+        assert after.round == before.round
+        assert after.results == before.results
 
 
 class TestFsyncPolicy:
@@ -146,8 +146,7 @@ class TestFsyncPolicy:
 
         synced = self._record_fsyncs(monkeypatch)
         checkpoint = SearchCheckpoint(
-            algorithm="gevo", workload_id="toy", config={}, rng_state=[],
-            evaluations=0, history={}, baseline_runtime=1.0, ledger_keys=[],
-            arch_name="P100")
+            algorithm="gevo", workload_id="toy", arch_name="P100", config={},
+            rng_state=[], history={}, round=0, best=None, state={}, results={})
         checkpoint.save(str(tmp_path / "ckpt.json"))
         assert len(synced) == 2

@@ -3,10 +3,11 @@
 Historically this file held an ``xfail(strict=False)`` repro of the
 known divergence: a hard SIGKILL could land between the persistent
 cache's mid-round flush and the round's checkpoint, and the resumed run
-then undercounted evaluations.  The fix (the
-:class:`~repro.runtime.checkpoint.EvaluationLedger` plus round-boundary
-checkpoints; see docs/known-issues.md) makes resume exact from *every*
-crash point, so these are now strict equivalence tests.
+then undercounted evaluations.  The fix (a search counts the distinct
+edit sets it submitted, restored on resume from the checkpoint's
+``results``, plus round-boundary checkpoints; see docs/known-issues.md)
+makes resume exact from *every* crash point, so these are now strict
+equivalence tests.
 
 Two variants:
 
@@ -106,8 +107,8 @@ def _wait_for_generation(checkpoint: str, generation: int, timeout: float) -> bo
     while time.monotonic() < deadline:
         try:
             with open(checkpoint, "r", encoding="utf-8") as handle:
-                state = json.load(handle).get("state", {})
-            if int(state.get("generation", 0)) >= generation:
+                completed = json.load(handle).get("round", 0)
+            if int(completed) >= generation:
                 return True
         except (OSError, ValueError):
             pass

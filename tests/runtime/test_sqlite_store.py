@@ -1,10 +1,9 @@
-"""The SQLite cache tier: round trips, incremental flushes, JSON import."""
+"""The SQLite cache tier: round trips, incremental flushes, corruption."""
 
-import json
 import sqlite3
 
 from repro.gevo.fitness import CaseResult, FitnessResult
-from repro.runtime import CacheKey, FitnessCache, SqliteCacheStore, result_to_dict
+from repro.runtime import CacheKey, FitnessCache, SqliteCacheStore
 from repro.runtime.cache import CACHE_FORMAT_VERSION
 from repro.runtime.sqlite_store import SQLITE_MAGIC
 
@@ -108,64 +107,6 @@ class TestIncrementalFlush:
         assert cache.maybe_save()
         cache.close()
         assert len(FitnessCache(path)) == 2
-
-
-def _write_json_cache(path, results):
-    """A version-1 JSON cache document mapping each CacheKey to a result."""
-    document = {"version": CACHE_FORMAT_VERSION,
-                "entries": {key.to_string(): result_to_dict(result)
-                            for key, result in results.items()}}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
-    return document["entries"]
-
-
-class TestJsonMigration:
-    def _json_cache(self, path, entries=3):
-        _write_json_cache(path, {_key(f"k{index}"): _result(float(index))
-                                 for index in range(entries)})
-
-    def test_json_cache_migrates_to_sqlite_on_first_open(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        self._json_cache(path)
-
-        migrated = FitnessCache(path)
-        assert len(migrated) == 3
-        assert migrated.peek(_key("k1")).runtime_ms == 1.0
-        migrated.close()
-        # The file on disk is now a SQLite database, not JSON.
-        with open(path, "rb") as handle:
-            assert handle.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
-
-    def test_migration_happens_once(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        self._json_cache(path)
-        first = FitnessCache(path)
-        first.put(_key("extra"), _result(7.0))
-        first.close()
-        # Re-open: plain SQLite now, nothing re-migrated or lost.
-        second = FitnessCache(path)
-        assert len(second) == 4
-        second.close()
-
-    def test_json_and_sqlite_tiers_agree_on_keys(self, tmp_path):
-        # The same CacheKey string indexes both formats: entries of a JSON
-        # document are found under identical keys after migration.
-        path = str(tmp_path / "cache.json")
-        keys = [CacheKey("wl|odd", "V100", f"hash{i}") for i in range(5)]
-        exported = _write_json_cache(
-            path, {key: _result(float(index)) for index, key in enumerate(keys)})
-
-        sqlite_cache = FitnessCache(path)
-        assert sqlite_cache.export_entries() == exported
-        sqlite_cache.close()
-
-    def test_incompatible_json_version_not_migrated(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 999, "entries": {"a|b|c": {}}}))
-        cache = FitnessCache(str(path))
-        assert len(cache) == 0
-        cache.close()
 
 
 class TestCorruption:

@@ -142,15 +142,15 @@ class TestRunSweep:
     def test_leg_checkpoints_hold_only_their_own_cache_namespace(self, tmp_path):
         # Regression: with a shared sweep cache, each leg's checkpoint
         # used to re-serialise *every* leg's entries (O(total cache) per
-        # round, snowballing across the grid); now it exports only keys
-        # the leg can actually hit.
+        # round, snowballing across the grid); now it holds only the
+        # results the leg was charged for.
         sweep_dir = str(tmp_path / "sweep")
         run_sweep(_spec(), sweep_dir)
         checkpoints_dir = os.path.join(sweep_dir, "checkpoints")
         for name in os.listdir(checkpoints_dir):
             arch = "P100" if "P100" in name else "V100"
             with open(os.path.join(checkpoints_dir, name)) as handle:
-                entries = json.load(handle)["cache_entries"]
+                entries = json.load(handle)["results"]
             assert entries, name
             assert all(f"|{arch}|" in key for key in entries), name
 

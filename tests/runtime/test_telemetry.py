@@ -362,7 +362,7 @@ class TestConsoleReporter:
         reporter(TraceEvent(run_id="r", emitter="main", seq=1, kind="event",
                             name="search.resume_replay", t=0.0,
                             fields={"algorithm": "gevo", "round": 3,
-                                    "evaluations": 17, "cached_entries": 12,
+                                    "evaluations": 12,
                                     "path": "/tmp/ckpt.json"}))
         out = capsys.readouterr().out
         assert "resuming from /tmp/ckpt.json (round 3, 12 cached fitness results)" in out

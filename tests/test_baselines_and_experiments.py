@@ -63,7 +63,7 @@ class TestBaselines:
         # Steps 3, 6 and 9 were no rounds, so the every-3 cadence never
         # fired; only the final checkpoint, at the end of the budget.
         assert "search.round.checkpointed" not in hits
-        assert SearchCheckpoint.load(path).generation == 9
+        assert SearchCheckpoint.load(path).round == 9
 
 
 class TestExperimentRegistry:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import inspect
+import json
 
 import pytest
 
@@ -210,6 +211,52 @@ class TestBaselineCli:
         output = capsys.readouterr().out
         assert "hill climbing on toy saxpy on P100: budget=20, executor=serial" in output
         assert "0 accepted / 20 rejected, 20 evaluations" in output
+
+    @pytest.mark.parametrize("command", [
+        ["search", "toy"], ["baseline", "random", "toy"], ["baseline", "hill", "toy"],
+    ])
+    def test_cache_and_resume_naming_one_file_is_refused(self, command, capsys,
+                                                         tmp_path, monkeypatch):
+        # Sharing one file would let the checkpoint's rename replace the
+        # database and a later open set the checkpoint aside: both lost.
+        monkeypatch.chdir(tmp_path)
+        argv = command + ["--population", "4", "--generations", "2", "--seed", "1",
+                          "--cache", "same.db", "--resume", str(tmp_path / "same.db")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--cache" in captured.err and "--resume" in captured.err
+        assert "same file" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_format_2_checkpoint_is_a_clean_error(self, capsys, tmp_path):
+        checkpoint = tmp_path / "ckpt.json"
+        resume = ["--population", "6", "--generations", "2", "--seed", "3",
+                  "--resume", str(checkpoint)]
+        assert main(["baseline", "random", "toy", *resume]) == 0
+        document = json.loads(checkpoint.read_text())
+        document["version"] = 2
+        checkpoint.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["baseline", "random", "toy", *resume]) == 2
+        error = capsys.readouterr().err
+        assert "version 2 is not supported" in error
+        assert "start a fresh search" in error
+
+    @pytest.mark.parametrize("field", ["results", "round"])
+    def test_checkpoint_missing_a_field_is_a_clean_error(self, field, capsys,
+                                                         tmp_path):
+        checkpoint = tmp_path / "ckpt.json"
+        resume = ["--population", "6", "--generations", "2", "--seed", "3",
+                  "--resume", str(checkpoint)]
+        assert main(["search", "toy", *resume]) == 0
+        document = json.loads(checkpoint.read_text())
+        del document[field]
+        checkpoint.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert main(["search", "toy", *resume]) == 2
+        error = capsys.readouterr().err
+        assert f"no '{field}' field" in error and "start a fresh search" in error
 
     def test_jobs_flag_selects_the_process_pool(self, capsys):
         assert main(["baseline", "random", "toy", "--population", "6",

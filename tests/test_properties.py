@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import json
 import math
 import random
 
@@ -159,31 +158,27 @@ class TestCanonicalKeyProperties:
         assert canonical_edit_hash(rebuilt) == canonical_edit_hash(edits)
 
     def test_json_and_sqlite_tiers_agree_on_keys(self, tmp_path):
-        # A permuted edit list stored in a JSON cache document is found
-        # under the SQLite tier after migration: both index by the same
-        # canonical key.
+        # The disk tier indexes by the same canonical key as the memory
+        # tier: every permutation of an edit list stored through one
+        # cache is found after the file is reopened.
         from repro.gevo.fitness import CaseResult, FitnessResult
-        from repro.runtime import (
-            CacheKey, FitnessCache, canonical_edit_hash, result_to_dict)
-        from repro.runtime.cache import CACHE_FORMAT_VERSION
+        from repro.runtime import CacheKey, FitnessCache, canonical_edit_hash
 
         edit_lists = [self._random_edits(seed, 6) for seed in range(8)]
-        path = str(tmp_path / "cache.json")
-        entries = {}
+        path = str(tmp_path / "cache.sqlite")
+        writer = FitnessCache(path)
         for index, edits in enumerate(edit_lists):
-            key = CacheKey("toy", "P100", canonical_edit_hash(edits))
-            entries[key.to_string()] = result_to_dict(FitnessResult.from_cases(
-                [CaseResult("c", True, float(index))]))
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"version": CACHE_FORMAT_VERSION, "entries": entries}, handle)
+            writer.put(CacheKey("toy", "P100", canonical_edit_hash(edits)),
+                       FitnessResult.from_cases([CaseResult("c", True, float(index))]))
+        writer.close()
 
-        sqlite_tier = FitnessCache(path)
+        reopened = FitnessCache(path)
         for index, edits in enumerate(edit_lists):
             permuted = list(edits)
             random.Random(index + 99).shuffle(permuted)
             key = CacheKey("toy", "P100", canonical_edit_hash(permuted))
-            assert sqlite_tier.peek(key).runtime_ms == float(index)
-        sqlite_tier.close()
+            assert reopened.peek(key).runtime_ms == float(index)
+        reopened.close()
 
 
 class TestEditRobustness:
