@@ -110,7 +110,8 @@ class HillClimber(CheckpointableSearch):
         else:
             self._rejected += 1
             accepted = False
-        self._history.record_generation(self._round, [current], current, self._round)
+        self._history.record_generation(self._round, [current], current,
+                                        len(self._charged))
         self._telemetry.event(
             "search.step", step=self._round, accepted=accepted,
             best_fitness=current.fitness if current.valid else None,
@@ -131,11 +132,11 @@ class HillClimber(CheckpointableSearch):
         })
 
     def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
-        self._budget = int(checkpoint.state.get("budget", 0))
+        self._budget = int(checkpoint.state_field("budget"))
         if self._requested_steps is not None and self._budget != self._requested_steps:
             raise SearchError(
                 f"checkpoint was recorded with a budget of {self._budget} steps, "
                 f"not {self._requested_steps}; resume with the original budget "
                 "(or start fresh)")
-        self._accepted = int(checkpoint.state.get("accepted", 0))
-        self._rejected = int(checkpoint.state.get("rejected", 0))
+        self._accepted = int(checkpoint.state_field("accepted"))
+        self._rejected = int(checkpoint.state_field("rejected"))

@@ -67,7 +67,7 @@ class RandomSearch(CheckpointableSearch):
                     or (individual.fitness or math.inf) < (self._best.fitness or math.inf)):
                 self._best = individual
         record = self._history.record_generation(
-            self._round, batch, self._best, self._round * self.config.population_size)
+            self._round, batch, self._best, len(self._charged))
         self._telemetry.event(
             "search.generation", generation=self._round,
             best_fitness=record.best_fitness, mean_fitness=record.mean_fitness,

@@ -27,6 +27,8 @@ class GenerationRecord:
     valid_count: int
     population_size: int
     best_edit_keys: Tuple[Tuple, ...] = ()
+    #: Distinct edit sets the search has been charged for so far, the
+    #: baseline included (the run's evaluation count after this round).
     evaluations: int = 0
 
     def speedup_over(self, baseline_runtime: float) -> Optional[float]:

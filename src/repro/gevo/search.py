@@ -144,7 +144,7 @@ class GevoSearch(CheckpointableSearch):
 
     def _restore_state(self, checkpoint: SearchCheckpoint) -> None:
         self._population = checkpoint.restore_population()
-        self._stagnation = int(checkpoint.state.get("stagnation", 0))
+        self._stagnation = int(checkpoint.state_field("stagnation"))
 
 
 def run_repeated_searches(adapter: WorkloadAdapter, config: GevoConfig, runs: int,

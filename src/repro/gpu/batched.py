@@ -260,22 +260,18 @@ def _transactions_full(adj: np.ndarray, segment_size: int) -> np.ndarray:
     return tx
 
 
-def _transactions_masked(act: np.ndarray, starts: np.ndarray,
+def _transactions_masked(act: np.ndarray, mask: np.ndarray,
                          segment_size: int) -> np.ndarray:
-    rows = starts.shape[0] - 1
-    tx = np.zeros(rows, dtype=np.int64)
-    for row in range(rows):
-        part = act[starts[row]:starts[row + 1]]
-        if not part.size:
-            continue
-        lo = int(part.min())
-        hi = int(part.max())
-        span = hi // segment_size - lo // segment_size
-        if span <= 1:
-            tx[row] = span + 1
-        else:
-            segments = np.sort(part // segment_size)
-            tx[row] = int(np.count_nonzero(segments[1:] != segments[:-1])) + 1
+    """Per-row coalesced transaction counts: the distinct segments a
+    row's active lanes touch, 0 for a row with none."""
+    segments = np.full(mask.shape, -1, dtype=np.int64)
+    segments[mask] = act // segment_size
+    # Inactive lanes repeat a segment their row touches, which leaves the
+    # row's distinct count unchanged.
+    segments = np.where(mask, segments, segments.max(axis=1)[:, None])
+    segments.sort(axis=1)
+    tx = np.count_nonzero(segments[:, 1:] != segments[:, :-1], axis=1) + 1
+    tx[~mask.any(axis=1)] = 0
     return tx
 
 
@@ -297,19 +293,7 @@ def _build_arith(d, lanes: int):
     dest = instruction.dest
     getters = [_numeric_getter(op, d.uid, i, lanes)
                for i, op in enumerate(instruction.operands)]
-    # The shared handlers broadcast (lanes,) / (rows, 1) operands
-    # natively; only the division-by-zero scan indexes an operand with
-    # the full (rows, lanes) mask and needs an explicit broadcast.
-    if instruction.opcode in ("div", "rem"):
-
-        def execute(group, mask, full):
-            operands = [get(group) for get in getters]
-            operands[1] = _rows(np.asarray(operands[1]), mask.shape)
-            result = handler(group, instruction, operands)
-            group.write(dest, result, mask)
-
-        return execute
-
+    # The shared handlers broadcast (lanes,) / (rows, 1) operands natively.
     def execute(group, mask, full):
         operands = [get(group) for get in getters]
         result = handler(group, instruction, operands)
@@ -349,7 +333,7 @@ def _build_load(d, lanes: int):
             rr = np.nonzero(mask)[0]
             result[rr, cols] = handle.flat[slots[rr] * stride + act]
             group.write(dest, result, mask)
-            tx = _transactions_masked(act, starts, group.arch.memory_segment_size)
+            tx = _transactions_masked(act, mask, group.arch.memory_segment_size)
             active = np.count_nonzero(mask, axis=1)
         _price_global(group, tx, active, False, False)
 
@@ -376,7 +360,7 @@ def _build_store(d, lanes: int):
             rr = np.nonzero(mask)[0]
             handle.flat[slots[rr] * stride + act] = \
                 value[rr, cols].astype(handle.dtype)
-            tx = _transactions_masked(act, starts, group.arch.memory_segment_size)
+            tx = _transactions_masked(act, mask, group.arch.memory_segment_size)
             active = np.count_nonzero(mask, axis=1)
         _price_global(group, tx, active, True, False)
 
@@ -411,7 +395,7 @@ def _build_atomic(d, lanes: int):
             tx = _transactions_full(adj, group.arch.memory_segment_size)
             active = np.full(len(slots), lanes, dtype=np.int64)
         else:
-            tx = _transactions_masked(act, starts, group.arch.memory_segment_size)
+            tx = _transactions_masked(act, mask, group.arch.memory_segment_size)
             active = np.count_nonzero(mask, axis=1)
         collision_free = False
         if full and lanes > 1:

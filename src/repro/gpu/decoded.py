@@ -87,7 +87,7 @@ class Segment:
     instruction).
     """
 
-    __slots__ = ("kind", "start", "body", "static_cycles", "exact", "jit_fns",
+    __slots__ = ("kind", "start", "body", "static_cycles", "exact",
                  "local_registers")
 
     def __init__(self, start: int):
@@ -96,15 +96,11 @@ class Segment:
         self.body: List[DecodedInstruction] = []
         self.static_cycles = 0.0
         self.exact = True
-        #: JIT record whose ``(full-mask, masked)`` whole-segment kernels
-        #: compile on first call (see :mod:`repro.gpu.jitted`), attached by
-        #: the JIT tier and only for ``exact`` segments.
-        self.jit_fns = None
         #: Registers this segment writes that no instruction reads except
         #: after a write in the same segment or its folded terminator, and
         #: no cross-lane opcode reads: their inactive lanes are never
         #: observed, so the JIT's masked shape stores them unmerged.  Set
-        #: with the JIT record by :func:`repro.gpu.jitted.attach_jit`.
+        #: by :func:`repro.gpu.jitted.attach_jit`.
         self.local_registers: frozenset = frozenset()
 
     def finalize(self) -> None:
@@ -121,7 +117,7 @@ class ControlStep:
     """A control-flow or barrier instruction (one step on its own)."""
 
     __slots__ = ("kind", "start", "instruction", "static_cost", "target",
-                 "true_target", "false_target", "reconvergence", "jit_fns")
+                 "true_target", "false_target", "reconvergence")
 
     def __init__(self, kind: int, start: int, instruction: Instruction,
                  static_cost: float):
@@ -134,12 +130,6 @@ class ControlStep:
         self.true_target: Optional[str] = None
         self.false_target: Optional[str] = None
         self.reconvergence: Optional[str] = None
-        #: JIT record of a single-instruction kernel pair used when this
-        #: BR/CONDBR/RET step runs on its own -- a block with no preceding
-        #: straight-line segment, or an entry landing on the terminator
-        #: (see :func:`repro.gpu.jitted.attach_jit`); barrier steps leave
-        #: it ``None``.
-        self.jit_fns = None
 
 
 class DecodedBlock:
@@ -152,8 +142,8 @@ class DecodedBlock:
         self.label = label
         self.length = length
         self.steps = steps
-        #: Instruction index -> position in ``steps`` (for mid-block entry
-        #: after a barrier or an instruction run on the oracle).
+        #: Instruction index -> position in ``steps`` (read by the run
+        #: loop of :mod:`repro.gpu.batched`).
         self.step_of_index = step_of_index
 
 
@@ -166,18 +156,18 @@ class DecodedFunction:
     would pin every decoded variant for the life of the process.
     """
 
-    __slots__ = ("blocks", "postdominators", "warp_size", "jit_ready")
+    __slots__ = ("blocks", "postdominators", "warp_size", "records")
 
     def __init__(self, blocks: Dict[str, DecodedBlock],
                  postdominators: Dict[str, Optional[str]], warp_size: int):
         self.blocks = blocks
         self.postdominators = postdominators
         self.warp_size = warp_size
-        #: Set once :func:`repro.gpu.jitted.attach_jit` has given the exact
-        #: segments their JIT records; lives (and dies) with the decoded
-        #: program in ``Function.cached_decoding``, so a mutation that
-        #: re-decodes the function also recompiles its segments.
-        self.jit_ready = False
+        #: The JIT tier's ``(label, index) -> record`` map, ``None`` until
+        #: :func:`repro.gpu.jitted.attach_jit` builds it; lives (and dies)
+        #: with the decoded program in ``Function.cached_decoding``, so a
+        #: mutation that re-decodes the function also recompiles its kernels.
+        self.records = None
 
 
 def _const_array(value, warp_size: int) -> np.ndarray:

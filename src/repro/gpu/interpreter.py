@@ -10,9 +10,12 @@ Section VI-A finding.
 
 The executor is both tiers of the simulator: the tree-walking *oracle*
 (:meth:`WarpExecutor._run_reference`) and the run loop of the segment JIT
-(:mod:`repro.gpu.jitted`), which hands the instructions it does not
+(:mod:`repro.gpu.jitted`), one lookup per step in the decoded program's
+pc-keyed map of compiled kernels.  The JIT hands what it does not
 compile -- atomics, unknown opcodes, the last partial segment of a warp
-that runs out of budget -- to the oracle's own handlers.  Only the oracle
+that runs out of budget -- to the oracle: a pc with no kernel runs one
+instruction through the oracle's own loop body
+(:meth:`WarpExecutor._step`), traps included.  Only the oracle
 reports cost-model counters and per-instruction profiles; the launch
 hands a JIT run a disabled profiler and drops its counters, so the
 oracle steps inside a JIT run leave no partial report.
@@ -54,8 +57,8 @@ class WarpExecutor:
     the IR tree, re-dispatching on string opcodes for every executed
     instruction.  When a decoded program carrying JIT records
     (:func:`repro.gpu.jitted.jit_function`) is supplied, :meth:`run`
-    instead executes its compiled segment kernels as single calls and
-    runs the few steps they do not cover on the oracle.  Both tiers are
+    instead executes its compiled kernels as single calls and runs the
+    few steps they do not cover on the oracle.  Both tiers are
     bit-for-bit equivalent in cycles, instruction counts, buffers, RNG
     streams and traps.
 
@@ -151,125 +154,87 @@ class WarpExecutor:
         if warp.status is WarpStatus.DONE:
             return warp.status
         warp.status = WarpStatus.RUNNING
-        blocks = self.function.blocks
         while True:
             warp.pop_reconverged()
-            if warp.status is WarpStatus.DONE or not warp.stack:
-                warp.status = WarpStatus.DONE
-                return warp.status
-            top = warp.stack[-1]
-            label, index = top.pc
-            block = blocks.get(label)
-            if block is None:
-                self._trap(f"branch to unknown block {label!r}")
-            if index >= len(block.instructions):
-                self._trap(f"execution fell off the end of block {label!r}")
-            instruction = block.instructions[index]
-            warp.instructions_executed += 1
-            if warp.instructions_executed > self.max_instructions:
-                self._trap(
-                    f"dynamic instruction budget exceeded "
-                    f"({self.max_instructions}); probable runaway loop", instruction)
-            at_barrier = self._execute(instruction, top)
-            if at_barrier:
+            if not warp.stack:
+                return warp.status  # DONE, set by pop_reconverged
+            if self._step(warp.stack[-1]):
                 warp.status = WarpStatus.AT_BARRIER
-                return warp.status
-            if warp.status is WarpStatus.DONE:
                 return warp.status
 
     def _run_decoded(self) -> WarpStatus:
         """Execution of the JIT-compiled program.
 
         Mirrors :meth:`_run_reference` effect for effect -- same dynamic
-        instruction sequence, cycle arithmetic and trap messages -- but
-        pays the block lookup and reconvergence check once per control
-        transfer instead of once per instruction.  A step whose JIT record
-        fits the instruction budget runs as one compiled call (a whole
-        segment, optionally with its folded terminator, or a lone
-        terminator) and a barrier charges its baked cost.  Every other
-        step -- a segment entered past its start, one that straddles the
-        budget, a non-exact one -- runs the single instruction at the pc
-        on the oracle (:meth:`_execute`).
+        instruction sequence, cycle arithmetic and trap messages.  Every
+        compiled kernel leaves ``top.pc`` where execution continues, so
+        the loop is one map lookup per step: the JIT record at the pc
+        (:func:`repro.gpu.jitted.attach_jit`), if it fits the instruction
+        budget, runs as one call -- a segment with its folded terminator
+        or barrier, or a lone terminator or barrier -- and returns True
+        when it stops at a barrier; a kernel compiles on the first
+        execution of its activation shape.  Any other pc -- inside a
+        segment, a segment that would straddle the budget, a step with a
+        non-integer cost, an unknown block or a pc past a block's end --
+        runs one instruction on the oracle (:meth:`_step`).
         """
         warp = self.warp
         if warp.status is WarpStatus.DONE:
             return warp.status
         warp.status = WarpStatus.RUNNING
-        decoded_blocks = self._decoded.blocks
-        blocks = self.function.blocks
+        record_at = self._decoded.records.get
         max_instructions = self.max_instructions
         stack = warp.stack
         count_nonzero = np.count_nonzero
         warp_size = self.warp_size
-        while True:
-            # Inlined warp.pop_reconverged() (hot: once per control
-            # transfer); keep in sync with the method.
-            while stack:
-                top = stack[-1]
-                reconvergence = top.reconvergence
-                if reconvergence is not None:
-                    pc = top.pc
-                    if pc[1] == 0 and pc[0] == reconvergence:
-                        stack.pop()
-                        continue
-                break
-            if warp.status is WarpStatus.DONE or not stack:
-                warp.status = WarpStatus.DONE
-                return warp.status
+        while stack:
             top = stack[-1]
-            label, index = top.pc
-            dblock = decoded_blocks.get(label)
-            if dblock is None:
-                self._trap(f"branch to unknown block {label!r}")
-            length = dblock.length
-            steps = dblock.steps
-            step_of_index = dblock.step_of_index
-            while True:
-                if index >= length:
-                    self._trap(f"execution fell off the end of block {label!r}")
-                step = steps[step_of_index[index]]
-                jit_fns = step.jit_fns
-                if (jit_fns is not None and index == step.start
-                        and warp.instructions_executed + jit_fns[2]
-                        <= max_instructions):
-                    # The common case: one call executes the whole step
-                    # (charging its aggregated statics and pricing its
-                    # memory accesses itself) and, in the combined form,
-                    # the block terminator too.  Masks are immutable and
-                    # rebound on every change, so fullness is cached on
-                    # the stack entry by object identity.
-                    mask = top.mask
-                    if mask is not top.mask_obj:
-                        top.mask_obj = mask
-                        top.mask_full = count_nonzero(mask) == warp_size
-                    (jit_fns[0] if top.mask_full else jit_fns[1])(
-                        self, warp, top, mask)
-                    if jit_fns[3]:
-                        break
-                    index += jit_fns[2]
-                    top.pc = (label, index)
-                    continue
-                instruction = (blocks[label].instructions[index]
-                               if step.kind == STEP_SEGMENT else step.instruction)
-                warp.instructions_executed += 1
-                if warp.instructions_executed > max_instructions:
-                    self._trap(
-                        f"dynamic instruction budget exceeded "
-                        f"({max_instructions}); probable runaway loop",
-                        instruction)
-                if step.kind == STEP_BARRIER:
-                    # Charge the baked cost instead of re-pricing the
-                    # barrier on the oracle (every warp meets it).
-                    warp.cycles += step.static_cost
-                    top.pc = (label, index + 1)
-                    warp.status = WarpStatus.AT_BARRIER
-                    return warp.status
-                self._execute(instruction, top)
-                if step.kind != STEP_SEGMENT:
-                    break
-                index += 1
+            pc = top.pc
+            # Inlined warp.pop_reconverged(); keep in sync with the method.
+            if pc[1] == 0 and pc[0] == top.reconvergence:
+                stack.pop()
+                continue
+            record = record_at(pc)
+            if (record is not None
+                    and warp.instructions_executed + record[2] <= max_instructions):
+                # Masks are immutable and rebound on every change, so
+                # fullness is cached on the stack entry by object identity.
+                mask = top.mask
+                if mask is not top.mask_obj:
+                    top.mask_obj = mask
+                    top.mask_full = count_nonzero(mask) == warp_size
+                shape = 0 if top.mask_full else 1
+                kernel = record[shape]
+                if kernel is None:  # first execution in this shape
+                    kernel = record[shape] = record[3](shape == 0)
+                at_barrier = kernel(self, warp, top, mask)
+            else:
+                at_barrier = self._step(top)
+            if at_barrier:
+                warp.status = WarpStatus.AT_BARRIER
+                return warp.status
+        warp.status = WarpStatus.DONE
+        return warp.status
 
     # -- single instruction -------------------------------------------------------
+    def _step(self, entry: StackEntry) -> bool:
+        """Run the instruction at *entry*'s pc on the oracle, charging it
+        to the instruction budget; True when it is a barrier."""
+        label, index = entry.pc
+        block = self.function.blocks.get(label)
+        if block is None:
+            self._trap(f"branch to unknown block {label!r}")
+        if index >= len(block.instructions):
+            self._trap(f"execution fell off the end of block {label!r}")
+        instruction = block.instructions[index]
+        warp = self.warp
+        warp.instructions_executed += 1
+        if warp.instructions_executed > self.max_instructions:
+            self._trap(
+                f"dynamic instruction budget exceeded "
+                f"({self.max_instructions}); probable runaway loop", instruction)
+        return self._execute(instruction, entry)
+
     def _charge(self, instruction: Instruction, mask: np.ndarray,
                 memory: Optional[MemoryAccessInfo] = None) -> None:
         active = int(np.count_nonzero(mask))
@@ -483,11 +448,10 @@ def _binary(op):
 def _division(mode):
     def handler(executor: WarpExecutor, instruction: Instruction, operands):
         numerator, denominator = operands
-        mask = executor.warp.active_mask
-        denom_active = np.asarray(denominator)[mask]
-        if denom_active.size and np.any(denom_active == 0):
+        zero = np.asarray(denominator) == 0
+        if np.any(zero & executor.warp.active_mask):
             executor._trap("division by zero", instruction)
-        safe = np.where(np.asarray(denominator) == 0, 1, denominator)
+        safe = np.where(zero, 1, denominator)
         if mode == "div":
             if numerator.dtype.kind == "f" or np.asarray(denominator).dtype.kind == "f":
                 return numerator / safe

@@ -20,7 +20,12 @@ activation shape (fully active warp / partial mask):
   with the dtype promotion of a
   :meth:`~repro.gpu.warp.WarpState.write_register` under a full mask;
   the masked variant defers that method's per-write ``np.where`` merge
-  to the flush.  The deferral is sound because the mask is constant
+  to the flush, where it is a masked store into a copy of the
+  pre-segment value (``np.putmask``; the two share one dtype by
+  construction).  No register array is ever written in place --
+  writes rebind, and parameters, constants and thread identities are
+  read-only -- so ``mov`` and identity reads store the source array
+  uncopied.  The deferral is sound because the mask is constant
   inside a segment and every inlined operation is element-wise, so
   unmerged inactive lanes can never leak into active lanes (the
   cross-lane ``shfl`` opcodes explicitly merge their operands first, and
@@ -34,14 +39,15 @@ activation shape (fully active warp / partial mask):
   under the same mask earlier in the same execution, and every consumer
   but a cross-lane one looks at active lanes only.  Such registers are
   stored unmerged, with the same dtype promotion as a merged write;
-* when the segment is directly followed by its block's
-  ``br``/``condbr``/``ret`` terminator, the control transfer -- including
-  the divergence stack discipline -- is folded into the compiled function
-  (the ROADMAP's "segment mega-closures"), eliminating one interpreter
-  round-trip per executed block; control steps are *also* compiled on
-  their own (an empty segment + folded terminator), so single-control
-  blocks -- loop latches, header tests, bare returns -- execute through
-  the same scheme;
+* the ``br``/``condbr``/``ret`` terminator or ``syncthreads`` barrier
+  that follows a segment is folded into its compiled function (the
+  ROADMAP's "segment mega-closures"), including the divergence stack
+  discipline, and every kernel leaves ``top.pc`` where execution
+  continues (a kernel that stops at a barrier returns True); control
+  steps and barriers are *also* compiled on their own (an empty segment
+  + folded step), so single-control blocks -- loop latches, header
+  tests, bare returns, a join block's leading barrier -- execute
+  through the same scheme;
 * the segment's pre-aggregated static cycles are charged in one step;
 * load/store memory pricing is inlined: the bounds check returns the
   index extrema it already computes (``check_bounds_stats``), the
@@ -63,8 +69,8 @@ activation shape (fully active warp / partial mask):
 
 Compilation is lazy and content-addressed.  :func:`attach_jit` compiles
 nothing: each activation shape of a segment compiles on its first
-execution and then replaces its first-call stub, so a shape that never
-runs (most segments of most kernels never see a partial mask) is never
+execution into its record's empty slot, so a shape that never runs
+(most segments of most kernels never see a partial mask) is never
 generated.  Generated functions take every clone-varying value
 (instruction objects, constants, branch targets) through one bound
 tuple, so a *structural key* of the segment and shape -- opcodes, operand
@@ -81,10 +87,12 @@ decodes and compiles afresh.
 
 Atomics and opcodes this compiler does not know run inside the compiled
 function on the oracle's :meth:`~WarpExecutor._execute_straightline`.
-A compiled segment runs only from its start, with exact aggregated costs
-and when it cannot straddle the instruction budget; everything else --
-a non-exact segment, the last partial segment of a runaway warp -- runs
-instruction by instruction on the oracle (see
+:func:`attach_jit` keys each step's JIT record by the pc it starts at
+(``DecodedFunction.records``), so a compiled segment runs only from its
+start, with exact aggregated costs and when it cannot straddle the
+instruction budget; every other pc -- inside a non-exact segment, in
+the last partial segment of a runaway warp -- runs instruction by
+instruction on the oracle (see
 :meth:`~repro.gpu.interpreter.WarpExecutor._run_decoded`), so traps and
 budget exhaustion behave identically.  Equivalence with the oracle --
 cycles, instruction and warp counts, output buffers, RNG streams and
@@ -119,8 +127,8 @@ from .decoded import (
 from .interpreter import (
     _ARITHMETIC,
     _int_like,
+    STEP_BARRIER,
     STEP_BR,
-    STEP_CONDBR,
     STEP_RET,
     STEP_SEGMENT,
 )
@@ -225,10 +233,12 @@ _BASE_ENV: Dict[str, object] = {
     "_SE": StackEntry,
     "_INT": _INT,
     "_FLOAT": _FLOAT,
+    "_BOOL": np.dtype(bool),
     "_np_minimum": np.minimum,
     "_np_maximum": np.maximum,
     "_np_abs": np.abs,
     "_np_where": np.where,
+    "_np_putmask": np.putmask,
     "_np_full": np.full,
     "_np_zeros": np.zeros,
     "_np_packbits": np.packbits,
@@ -299,6 +309,8 @@ def _resolve_plan(plan: tuple, segment: Segment,
             values.append((terminator.reconvergence, 0))
         elif kind == "pc_after":
             values.append((label, segment.start + len(body)))
+        elif kind == "pc_next":
+            values.append((label, segment.start + len(body) + 1))
         elif kind == "lanes":
             lanes = np.arange(warp_size)
             lanes.flags.writeable = False
@@ -346,8 +358,10 @@ def _segment_signature(segment: Segment, terminator: Optional[ControlStep],
         for d in segment.body)
     term_sig = None
     if terminator is not None:
-        term_sig = (terminator.kind, terminator.static_cost,
-                    terminator.reconvergence,
+        reconvergence = terminator.reconvergence
+        term_sig = (terminator.kind, terminator.static_cost, reconvergence,
+                    terminator.true_target == reconvergence,
+                    terminator.false_target == reconvergence,
                     operand_shape(terminator.instruction))
     return (warp_size, pricing, segment.static_cycles, body_sig, term_sig)
 
@@ -416,6 +430,10 @@ class _SegmentCompiler:
                 "_I", ("inst", source_index))
         return name
 
+    def as_bool(self, value: str) -> str:
+        """Expression for *value* as a bool array, uncopied when it is one."""
+        return f"({value} if {value}.dtype is _BOOL else {value}.astype(bool))"
+
     def active_lanes(self) -> str:
         """Expression for the active lane count (memory pricing)."""
         if self.full:
@@ -441,8 +459,7 @@ class _SegmentCompiler:
                     if (merged and shadow.base is not None
                             and not self.rebinds(name)):
                         out = self.temp("_mv")
-                        self.emit(f"{out} = _np_where(mask, {shadow.var}, "
-                                  f"{shadow.base})")
+                        self.merge(out, shadow.var, shadow.base)
                         return out
                     return shadow.var
                 # A buffer handle where a numeric value is required: trap.
@@ -585,11 +602,18 @@ class _SegmentCompiler:
                 self.emit(f"R[{name!r}] = {shadow.var}")
             else:
                 merged = self.temp("_m")
-                self.emit(f"{merged} = _np_where(mask, {shadow.var}, "
-                          f"{shadow.base})")
+                self.merge(merged, shadow.var, shadow.base)
                 self.emit(f"R[{name!r}] = {merged}")
                 self.emit(f"{shadow.var} = {merged}")
             shadow.base = None
+
+    def merge(self, out: str, value: str, base: str) -> None:
+        """``out = np.where(mask, value, base)`` as a masked store into a
+        copy of *base*: the two have one dtype by construction (a masked
+        write promotes them in lockstep), and the store is the cheaper
+        call on one warp."""
+        self.emit(f"{out} = {base}.copy()")
+        self.emit(f"_np_putmask({out}, mask, {value})")
 
     def drop_shadow(self, name: Optional[str]) -> None:
         if name is not None:
@@ -723,13 +747,16 @@ class _SegmentCompiler:
             elif opcode == "abs":
                 self.emit(f"{value} = _np_abs({operands[0]})")
             elif opcode == "mov":
-                self.emit(f"{value} = {operands[0]}.copy()")
+                # Register arrays are never written in place (writes
+                # rebind; parameters, constants and identities are
+                # read-only), so the copy the oracle makes is not needed.
+                self.emit(f"{value} = {operands[0]}")
             elif opcode == "ftoi":
                 self.emit(f"{value} = {operands[0]}.astype(_INT)")
             elif opcode == "itof":
                 self.emit(f"{value} = {operands[0]}.astype(_FLOAT)")
             elif opcode == "select":
-                self.emit(f"{value} = _np_where({operands[0]}.astype(bool), "
+                self.emit(f"{value} = _np_where({self.as_bool(operands[0])}, "
                           f"{operands[1]}, {operands[2]})")
             elif opcode == "fma":
                 self.emit(f"{value} = {operands[0]} * {operands[1]} + {operands[2]}")
@@ -769,13 +796,9 @@ class _SegmentCompiler:
             return
 
         if opcode in _IDENTITY_OPCODES:
+            # Identity arrays are read-only, so they are stored uncopied.
             value = self.temp("_v")
-            if self.rebinds(instruction.dest):
-                self.emit(f"{value} = _idn[{opcode!r}].copy()")
-            else:
-                # The masked write merges into a fresh array, so the
-                # defensive copy the direct-store path needs is dropped.
-                self.emit(f"{value} = _idn[{opcode!r}]")
+            self.emit(f"{value} = _idn[{opcode!r}]")
             self.write(instruction.dest, value)
             return
 
@@ -919,72 +942,63 @@ class _SegmentCompiler:
 
     # -- the folded terminator ----------------------------------------------
     def compile_terminator(self) -> None:
-        """Emit the block terminator inline (after the register flush):
-        the same transfer/divergence discipline as the oracle's
-        :meth:`~WarpExecutor._branch`, minus one loop round-trip per
-        block."""
+        """Emit the step that ends the kernel (after the register flush)
+        and leave ``top.pc`` where execution continues: past the segment,
+        or the folded terminator's transfer -- the same divergence
+        discipline as the oracle's :meth:`~WarpExecutor._branch` -- or
+        past a folded barrier, where the kernel returns True."""
         step = self.terminator
-        kind = step.kind
-        if kind == STEP_BR:
-            target = self.bind("_pc", ("pc_target",))
-            self.emit(f"top.pc = {target}")
+        if step is None or step.kind == STEP_RET:
+            self.emit(f"top.pc = {self.bind('_pc', ('pc_after',))}")
+            if step is not None:
+                self.emit("warp.retire_lanes(mask)")
             return
-        if kind == STEP_RET:
-            after = self.bind("_pc", ("pc_after",))
-            self.emit(f"top.pc = {after}")
-            self.emit("warp.retire_lanes(mask.copy())")
+        if step.kind == STEP_BR:
+            self.emit(f"top.pc = {self.bind('_pc', ('pc_target',))}")
             return
-        # condbr
-        cond_expr = self.numeric(step.instruction.operands[0], -1, 0)
+        if step.kind == STEP_BARRIER:
+            self.emit(f"top.pc = {self.bind('_pc', ('pc_next',))}")
+            self.emit("return True")
+            return
+        # condbr: the uniform outcomes are decided by comparing the taken
+        # lanes' bytes (bools are 0/1 bytes) with all-zeros and with the
+        # mask's (all-ones in the full shape); the warp size is part of
+        # the structural key, so both literals are baked.
         cond = self.temp("_cond")
-        self.emit(f"{cond} = {cond_expr}.astype(bool)")
+        self.emit(f"{cond} = "
+                  f"{self.as_bool(self.numeric(step.instruction.operands[0], -1, 0))}")
         pc_true = self.bind("_pc", ("pc_true",))
         pc_false = self.bind("_pc", ("pc_false",))
-        taken = self.temp("_tk")
-        not_taken = self.temp("_nt")
         if self.full:
-            # mask is all-true: taken == cond, not_taken == ~cond, and the
-            # two uniform outcomes resolve from one count of cond (the
-            # warp size is part of the structural key, so it is baked).
-            count = self.temp("_n")
-            self.emit(f"{count} = _np_cnz({cond})")
-            self.emit(f"if {count} == {self.warp_size}:")
-            self.emit(f"    top.pc = {pc_true}")
-            self.emit(f"elif not {count}:")
-            self.emit(f"    top.pc = {pc_false}")
-            self.emit("else:")
-            self.emit(f"    {taken} = {cond}")
-            self.emit(f"    {not_taken} = ~{cond}")
-            self._emit_divergence(pc_true, pc_false, taken, not_taken,
-                                  step.reconvergence, indent="    ")
+            taken, everyone = cond, repr(b"\x01" * self.warp_size)
         else:
+            taken, everyone = self.temp("_tk"), self.mask_bytes()
             self.emit(f"{taken} = mask & {cond}")
-            self.emit(f"{not_taken} = mask & ~{cond}")
-            self.emit(f"if not _np_cnz({not_taken}):")
-            self.emit(f"    top.pc = {pc_true}")
-            self.emit(f"elif not _np_cnz({taken}):")
-            self.emit(f"    top.pc = {pc_false}")
-            self.emit("else:")
-            self._emit_divergence(pc_true, pc_false, taken, not_taken,
-                                  step.reconvergence, indent="    ")
-
-    def _emit_divergence(self, pc_true: str, pc_false: str, taken: str,
-                         not_taken: str, reconvergence: Optional[str],
-                         indent: str) -> None:
+        outcome = self.temp("_tb")
+        self.emit(f"{outcome} = {taken}.tobytes()")
+        self.emit(f"if {outcome} == {everyone}:")
+        self.emit(f"    top.pc = {pc_true}")
+        self.emit(f"elif {outcome} == {bytes(self.warp_size)!r}:")
+        self.emit(f"    top.pc = {pc_false}")
+        self.emit("else:")
+        not_taken = f"~{cond}" if self.full else f"mask ^ {taken}"
+        reconvergence = step.reconvergence
         if reconvergence is None:
             # No common post-dominator: run each side to completion under
             # its own mask.
-            self.emit(f"{indent}top.pc = {pc_false}")
-            self.emit(f"{indent}top.mask = {not_taken}")
-            self.emit(f"{indent}warp.stack.append(_SE({pc_true}, {taken}, None))")
+            self.emit(f"    top.pc = {pc_false}")
+            self.emit(f"    top.mask = {not_taken}")
+            self.emit(f"    warp.stack.append(_SE({pc_true}, {taken}, None))")
             return
-        pc_rc = self.bind("_pc", ("pc_rc",))
-        self.emit(f"{indent}top.pc = {pc_rc}")
-        self.emit(f"{indent}_stk = warp.stack")
-        self.emit(f"{indent}_stk.append(_SE({pc_false}, {not_taken}, "
-                  f"{reconvergence!r}))")
-        self.emit(f"{indent}_stk.append(_SE({pc_true}, {taken}, "
-                  f"{reconvergence!r}))")
+        # Wait at the reconvergence block.  A side whose target is that
+        # block would be popped before it runs, so it is not pushed.
+        self.emit(f"    top.pc = {self.bind('_pc', ('pc_rc',))}")
+        if step.false_target != reconvergence:
+            self.emit(f"    warp.stack.append(_SE({pc_false}, {not_taken}, "
+                      f"{reconvergence!r}))")
+        if step.true_target != reconvergence:
+            self.emit(f"    warp.stack.append(_SE({pc_true}, {taken}, "
+                      f"{reconvergence!r}))")
 
     # -- whole segment ------------------------------------------------------
     def generate(self) -> Tuple[str, tuple]:
@@ -1010,8 +1024,7 @@ class _SegmentCompiler:
         if self._needs_dynamic_cycles:
             self.emit("warp.cycles += _dyn")
         self.flush_dirty()
-        if terminator is not None:
-            self.compile_terminator()
+        self.compile_terminator()
 
         if any(inst.opcode in _IDENTITY_OPCODES
                for inst in (d.instruction for d in body)):
@@ -1031,8 +1044,7 @@ class _SegmentCompiler:
             + ["    " + line for line in unpack]
             + ["    def _segment_kernel(ex, warp, top, mask):"]
             + ["        " + line for line in prelude + self.lines]
-            + ["        return None",
-               "    return _segment_kernel"])
+            + ["    return _segment_kernel"])
         return source, tuple(item for _, item in self.plan)
 
 
@@ -1067,32 +1079,26 @@ def compile_segment(segment: Segment, warp_size: int, label: str,
 def _jit_record(segment: Segment, warp_size: int, label: str, arch: GpuArch,
                 terminator: Optional[ControlStep]) -> list:
     """The JIT record of one step: ``[full-mask kernel, masked kernel,
-    instruction count, combined]``, where *combined* records whether the
-    block terminator is folded in (the interpreter then treats the call as
-    the control transfer).  Each kernel slot starts as a first call that
-    compiles its shape through :func:`compile_segment`, stores the kernel
-    in its slot and runs it, so later executions call the kernel directly
-    and a shape that never runs is never generated."""
-    def first_call(slot: int):
-        def compile_and_run(*args):
-            kernel = record[slot] = compile_segment(
-                segment, warp_size, label, arch, terminator, slot == 0)
-            return kernel(*args)
-        return compile_and_run
+    instruction count, compile]``, the count including the folded
+    terminator or barrier.  Both kernel slots start as ``None``; the run
+    loop fills a slot on its first execution with ``compile(full)``
+    (:func:`compile_segment`), so a shape that never runs is never
+    generated.  Nothing in a record refers back to it, so a discarded
+    variant's decoded program is freed by reference counting, not left
+    to the cyclic garbage collector."""
+    def compile_shape(full: bool):
+        return compile_segment(segment, warp_size, label, arch, terminator, full)
 
-    record = [first_call(0), first_call(1),
-              len(segment.body) + (1 if terminator is not None else 0),
-              terminator is not None]
-    return record
+    return [None, None, len(segment.body) + (1 if terminator is not None else 0),
+            compile_shape]
 
 
 def _folded_terminator(steps: list, position: int) -> Optional[ControlStep]:
-    """The block terminator compiled together with the exact segment at
-    *position* (the mega-closure form), or ``None``."""
+    """The step compiled together with the exact segment at *position*
+    (the mega-closure form): the control step or barrier that follows
+    it (segments are maximal), unless its cost is not an integer."""
     following = steps[position + 1] if position + 1 < len(steps) else None
-    if (following is not None
-            and following.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
-            and float(following.static_cost).is_integer()):
+    if following is not None and float(following.static_cost).is_integer():
         return following
     return None
 
@@ -1135,44 +1141,45 @@ def _observed_registers(decoded: DecodedFunction) -> set:
 
 
 def attach_jit(decoded: DecodedFunction, arch: GpuArch) -> None:
-    """Give every exact segment of *decoded* a JIT record (idempotent).
+    """Give *decoded* its pc-keyed map of JIT records (idempotent).
 
     Nothing is compiled here: each record's two activation shapes compile
-    on their first execution (:func:`_jit_record`).  A segment directly
-    followed by its block's ``br``/``condbr``/``ret`` terminator is
-    compiled together with it (the mega-closure form), and every such
-    control step additionally gets a *single-instruction* record of its
-    own -- an empty segment with the terminator folded in -- so blocks with
-    no preceding straight-line segment (loop latches, header tests, bare
-    returns) and entries landing on the terminator execute compiled too;
-    barriers charge their baked cost in the run loop.  Each
-    exact segment also learns its local registers
-    (:func:`_observed_registers`), which its masked shape stores
-    unmerged.  *arch* supplies the memory pricing the generated source
-    bakes in (covered by the structural cache key).
+    on their first execution (:func:`_jit_record`).  Every exact segment
+    gets a record at its start, compiled together with the control step
+    or barrier that directly follows it (the mega-closure form); every
+    control step and barrier with an integer cost also gets a
+    single-instruction record of its own -- an empty segment with the
+    step folded in -- so blocks with no preceding straight-line segment
+    (loop latches, header tests, bare returns) and entries landing on the
+    step execute compiled too.  Each exact segment also learns its local
+    registers (:func:`_observed_registers`), which its masked shape
+    stores unmerged.  *arch* supplies the memory pricing the generated
+    source bakes in (covered by the structural cache key).
     """
+    if decoded.records is not None:
+        return
     warp_size = decoded.warp_size
     observed = _observed_registers(decoded)
+    records = {}
     for label, block in decoded.blocks.items():
         steps = block.steps
         for position, step in enumerate(steps):
             if step.kind == STEP_SEGMENT:
-                if step.exact and step.jit_fns is None:
-                    step.local_registers = frozenset(
-                        d.instruction.dest for d in step.body
-                        if d.instruction.dest is not None
-                        and d.instruction.dest not in observed)
-                    step.jit_fns = _jit_record(
-                        step, warp_size, label, arch,
-                        _folded_terminator(steps, position))
-            elif (step.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
-                    and step.jit_fns is None
-                    and float(step.static_cost).is_integer()):
-                # An empty segment starting at the control step: the
-                # folded terminator's pc_after is the step's own index.
-                step.jit_fns = _jit_record(Segment(step.start), warp_size,
-                                           label, arch, step)
-    decoded.jit_ready = True
+                if not step.exact:
+                    continue
+                step.local_registers = frozenset(
+                    d.instruction.dest for d in step.body
+                    if d.instruction.dest is not None
+                    and d.instruction.dest not in observed)
+                records[(label, step.start)] = _jit_record(
+                    step, warp_size, label, arch,
+                    _folded_terminator(steps, position))
+            elif float(step.static_cost).is_integer():
+                # An empty segment starting at the step: the folded
+                # terminator's pc_after is the step's own index.
+                records[(label, step.start)] = _jit_record(
+                    Segment(step.start), warp_size, label, arch, step)
+    decoded.records = records
 
 
 def jit_function(function: Function, arch: GpuArch) -> DecodedFunction:
@@ -1181,8 +1188,7 @@ def jit_function(function: Function, arch: GpuArch) -> DecodedFunction:
     a GEVO mutation invalidates exactly the touched function's decoding,
     and the compiled segments die with it."""
     decoded = decode_function(function, arch)
-    if not decoded.jit_ready:
-        attach_jit(decoded, arch)
+    attach_jit(decoded, arch)
     return decoded
 
 

@@ -429,31 +429,25 @@ class GpuDevice:
                            warps=num_warps, instructions=instructions)
 
     def _run_warps_to_completion(self, executors: Sequence[WarpExecutor]) -> None:
-        """Round-robin warps of one block between barriers until all finish."""
+        """Round-robin warps of one block between barriers until all finish.
+
+        Each round runs every live warp, in warp order, until it finishes
+        or reaches a barrier; the warps at the barrier are the next
+        round's live warps.
+        """
         barrier_cost = float(self.arch.barrier_latency)
-        while True:
-            statuses = [executor.warp.status for executor in executors]
-            if all(status is WarpStatus.DONE for status in statuses):
-                return
-            ran_any = False
-            for executor in executors:
-                if executor.warp.status is WarpStatus.RUNNING:
-                    executor.run()
-                    ran_any = True
-            waiting = [executor.warp for executor in executors
-                       if executor.warp.status is WarpStatus.AT_BARRIER]
-            if waiting:
+        live = list(executors)
+        while live:
+            live = [executor for executor in live
+                    if executor.run() is WarpStatus.AT_BARRIER]
+            if live:
                 # Barrier release: every waiting warp resumes at the cycle count
                 # of the slowest participant (this round-up is what makes the
                 # redundant-init + __syncthreads pattern of ADEPT-V0 so costly).
-                release_cycle = max(w.cycles for w in waiting) + barrier_cost
-                for warp in waiting:
-                    warp.cycles = release_cycle
-                    warp.status = WarpStatus.RUNNING
-                continue
-            if not ran_any:
-                # No warp could make progress and none is at a barrier: done.
-                return
+                release_cycle = (max(executor.warp.cycles for executor in live)
+                                 + barrier_cost)
+                for executor in live:
+                    executor.warp.cycles = release_cycle
 
     def _schedule_blocks(self, block_results: Sequence[BlockResult]) -> float:
         """Fill the device in waves of ``concurrent_blocks`` blocks."""

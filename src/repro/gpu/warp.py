@@ -35,27 +35,33 @@ class WarpStatus(enum.Enum):
     DONE = "done"
 
 
-@dataclass
 class StackEntry:
-    """One entry of the SIMT reconvergence stack."""
+    """One entry of the SIMT reconvergence stack (slotted: the JIT builds
+    one per divergent branch side)."""
 
-    pc: ProgramCounter
-    mask: np.ndarray
-    reconvergence: Optional[str]
-    #: JIT-tier cache of "every lane active": masks are immutable and
-    #: rebound on every change, so fullness is memoised by object identity
-    #: (``mask_obj is mask``) instead of re-reducing per segment execution.
-    mask_obj: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    mask_full: bool = field(default=False, repr=False, compare=False)
+    __slots__ = ("pc", "mask", "reconvergence", "mask_obj", "mask_full")
+
+    def __init__(self, pc: ProgramCounter, mask: np.ndarray,
+                 reconvergence: Optional[str]):
+        self.pc = pc
+        self.mask = mask
+        self.reconvergence = reconvergence
+        #: JIT-tier cache of "every lane active": masks are immutable and
+        #: rebound on every change, so fullness is memoised by object
+        #: identity (``mask_obj is mask``) instead of re-reducing per
+        #: kernel call.
+        self.mask_obj: Optional[np.ndarray] = None
+        self.mask_full = False
 
 
 @dataclass
 class ThreadIdentity:
     """Per-lane thread/block coordinates for one warp.
 
-    Identities are immutable (consumers copy before mutating), so one
-    instance can be shared by every launch with the same geometry -- see
-    :meth:`GpuDevice._thread_identity`.
+    Identities are immutable -- their arrays are read-only and register
+    writes rebind, never mutate in place -- so one instance can be shared
+    by every launch with the same geometry (see
+    :meth:`GpuDevice._thread_identity`) and stored in registers uncopied.
     """
 
     tid_x: np.ndarray
@@ -132,11 +138,9 @@ def build_thread_identity(
     linear = warp_index * warp_size + lanes
     valid = linear < total_threads
     safe_linear = np.where(valid, linear, 0)
-    tid_x = safe_linear % bx
-    tid_y = safe_linear // bx
-    return ThreadIdentity(
-        tid_x=tid_x.astype(np.int64),
-        tid_y=tid_y.astype(np.int64),
+    arrays = dict(
+        tid_x=safe_linear % bx,
+        tid_y=safe_linear // bx,
         bid_x=np.full(warp_size, block_coords[0], dtype=np.int64),
         bid_y=np.full(warp_size, block_coords[1], dtype=np.int64),
         bdim_x=np.full(warp_size, bx, dtype=np.int64),
@@ -147,6 +151,9 @@ def build_thread_identity(
         warp_id=np.full(warp_size, warp_index, dtype=np.int64),
         valid=valid,
     )
+    for array in arrays.values():
+        array.flags.writeable = False
+    return ThreadIdentity(**arrays)
 
 
 @dataclass

@@ -205,7 +205,15 @@ class SearchCheckpoint:
 
     def restore_population(self) -> List[Individual]:
         return [deserialize_individual(item)
-                for item in self.state.get("population", [])]
+                for item in self.state_field("population")]
+
+    def state_field(self, name: str):
+        """One field of the search's ``state`` payload; a missing one
+        fails like a missing top-level field."""
+        if name not in self.state:
+            raise SearchError(
+                f"checkpoint state has no {name!r} field; start a fresh search")
+        return self.state[name]
 
     # -- persistence -------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

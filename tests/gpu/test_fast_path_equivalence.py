@@ -286,6 +286,84 @@ def test_out_of_bounds_trap_equivalent():
     assert "out-of-bounds" in outcomes["oracle"][2]
 
 
+def _run_loop_trap_module(case):
+    """A segment, then a ``br`` to a block the function does not have
+    (``"unknown-block"``) or nothing at all: the block's terminator was
+    deleted (``"no-terminator"``)."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("trapk", params=[Param("out", "buffer")])
+    b.block("entry")
+    b.store(b.reg("out"), b.tid_x(), 1.0)
+    if case == "unknown-block":
+        b.branch("removed")
+    else:
+        b.ret()
+    module = build_module("trapm", b.build())
+    if case == "no-terminator":
+        module.get_function("trapk").blocks["entry"].instructions.pop()
+    return module
+
+
+@pytest.mark.parametrize("case,message", [
+    ("unknown-block", "branch to unknown block 'removed'"),
+    ("no-terminator", "execution fell off the end of block 'entry'"),
+])
+@pytest.mark.parametrize("block", [32, 48])
+def test_run_loop_traps_equivalent(case, message, block):
+    """The run loop's own traps: a pc in no block and a pc past its
+    block's end trap with the oracle's type and message, after a
+    compiled segment ran, in a full warp and in a partial one."""
+    outcomes = launch_tiers(_run_loop_trap_module(case), 1, block,
+                            {"out": np.zeros(block)}, get_arch("P100"),
+                            kernel_name="trapk")
+    assert outcomes["jit"] == outcomes["oracle"] == ("error", "KernelTrap", message)
+
+
+def test_mov_source_unchanged_by_a_masked_write_of_its_copy():
+    """``mov`` of a parameter, an identity and a constant register, then
+    a write of each copy under a partial mask: every source keeps its
+    value.  The JIT's ``mov`` shares the source array, which is sound
+    only because no register array is ever written in place (and these
+    three are read-only, so such a write would raise)."""
+    from repro.ir import KernelBuilder, Param, build_module
+
+    b = KernelBuilder("movk", params=[Param("out", "buffer"), Param("n", "scalar")])
+    b.block("entry")
+    b.tid_x(dest="tid")
+    b.mov(5, dest="five")
+    b.mov(b.reg("n"), dest="n_copy")
+    b.mov(b.reg("tid"), dest="tid_copy")
+    b.mov(b.reg("five"), dest="five_copy")
+    b.cbranch(b.lt(b.reg("tid"), 16), "write", "read")
+    b.block("write")
+    for copy in ("n_copy", "tid_copy", "five_copy"):
+        b.add(b.reg(copy), 100, dest=copy)
+    b.branch("read")
+    b.block("read")
+    lanes = b.mul(b.reg("tid"), 6)
+    for offset, name in enumerate(("n", "tid", "five",
+                                   "n_copy", "tid_copy", "five_copy")):
+        b.store(b.reg("out"), b.add(lanes, offset), b.reg(name))
+    b.ret()
+    module = build_module("movm", b.build())
+    outcomes = launch_tiers(module, 1, 32, {"out": np.zeros(6 * 32), "n": 7},
+                            get_arch("P100"), kernel_name="movk")
+    for tier in TIERS[1:]:
+        assert_same_outcome(outcomes[tier], outcomes["oracle"], tier)
+    for tier, (status, _, buffers) in outcomes.items():
+        assert status == "ok", tier
+        out = buffers["out"].reshape(32, 6)
+        tid = np.arange(32)
+        bump = np.where(tid < 16, 100, 0)
+        np.testing.assert_array_equal(out[:, 0], 7, err_msg=tier)
+        np.testing.assert_array_equal(out[:, 1], tid, err_msg=tier)
+        np.testing.assert_array_equal(out[:, 2], 5, err_msg=tier)
+        np.testing.assert_array_equal(out[:, 3], 7 + bump, err_msg=tier)
+        np.testing.assert_array_equal(out[:, 4], tid + bump, err_msg=tier)
+        np.testing.assert_array_equal(out[:, 5], 5 + bump, err_msg=tier)
+
+
 # --------------------------------------------------------------------------- decode-cache hygiene
 def test_decode_cache_invalidated_by_edits():
     """Editing a function after a launch must invalidate its decoding."""
@@ -624,7 +702,7 @@ def test_jit_cache_invalidated_by_edits():
                   kernel_name="saxpy_wasteful")
     function = module.get_function("saxpy_wasteful")
     before = decode_function(function, arch)
-    assert before.jit_ready
+    assert before.records is not None
 
     # A structural edit (delete) and an in-place operand edit (uid kept)
     # must both re-decode and re-compile.
@@ -638,7 +716,7 @@ def test_jit_cache_invalidated_by_edits():
                   kernel_name="saxpy_wasteful")
     after = decode_function(function, arch)
     assert after is not before
-    assert after.jit_ready
+    assert after.records is not None
     np.testing.assert_array_equal(out_jit, 7.0 * x + y)
 
     # And the recompiled program still matches the oracle exactly.
@@ -1242,19 +1320,18 @@ def _generated_kernels(module, arch):
     gives out JIT records."""
     from repro.gpu import jit_function
     from repro.gpu.decoded import Segment
-    from repro.gpu.interpreter import STEP_BR, STEP_CONDBR, STEP_RET, STEP_SEGMENT
+    from repro.gpu.interpreter import STEP_SEGMENT
     from repro.gpu.jitted import _folded_terminator, _SegmentCompiler
 
     for name in module.function_order():
         decoded = jit_function(module.get_function(name), arch)
         for label, block in decoded.blocks.items():
             for position, step in enumerate(block.steps):
-                if step.jit_fns is None:
+                if (label, step.start) not in decoded.records:
                     continue
                 if step.kind == STEP_SEGMENT:
                     segment, terminator = step, _folded_terminator(block.steps, position)
                 else:
-                    assert step.kind in (STEP_BR, STEP_CONDBR, STEP_RET)
                     segment, terminator = Segment(step.start), step
                 for full in (True, False):
                     source, _ = _SegmentCompiler(segment, decoded.warp_size, full,

@@ -12,6 +12,7 @@ from repro.runtime import (
     EvaluationEngine,
     FitnessCache,
     SearchCheckpoint,
+    Telemetry,
     result_to_dict,
 )
 from repro.workloads import ToyWorkloadAdapter
@@ -248,3 +249,42 @@ class TestFormat3:
         checkpoint = SearchCheckpoint.load(path)
         assert checkpoint.round == result.history.records[-1].generation
         assert checkpoint.restore_best().edit_keys() == result.best.edit_keys()
+
+    @pytest.mark.parametrize("search_class,field", [
+        (search_class, field) for search_class, keys in STATE_KEYS.items()
+        for field in sorted(keys)])
+    def test_state_without_field_is_rejected(self, adapter, tmp_path,
+                                             search_class, field):
+        # A default would resume a different search (a hill climb with a
+        # budget of 0 steps), so a missing state field fails cleanly, as
+        # a missing top-level field does.
+        path = str(tmp_path / "ckpt.json")
+        config = GevoConfig.quick(**dict(CONFIG, generations=3))
+        search_class(adapter, config).run(checkpoint_path=path)
+        document = json.loads(open(path).read())
+        del document["state"][field]
+        open(path, "w").write(json.dumps(document))
+        with pytest.raises(SearchError,
+                           match=f"state has no '{field}' field.*start a fresh search"):
+            search_class(adapter, config).run(resume_from=path)
+
+    @pytest.mark.parametrize("search_class", [GevoSearch, RandomSearch, HillClimber])
+    def test_history_counts_the_charged_results(self, adapter, tmp_path,
+                                                search_class):
+        # A history record's ``evaluations`` is the run's evaluation
+        # count after that round, in every search.
+        path = str(tmp_path / "ckpt.json")
+        events = []
+        telemetry = Telemetry(enabled=True)
+        telemetry.add_sink(events.append)
+        engine = EvaluationEngine(adapter, telemetry=telemetry)
+        config = GevoConfig.quick(**dict(CONFIG, generations=3))
+        result = search_class(adapter, config, engine=engine).run(checkpoint_path=path)
+        with open(path) as handle:
+            results = json.load(handle)["results"]
+        assert result.history.records[-1].evaluations == len(results)
+        assert result.evaluations == len(results)
+        generations = [event.fields["evaluations"] for event in events
+                       if event.name == "search.generation"]
+        if search_class is not HillClimber:  # it emits count-free search.step
+            assert generations[-1] == len(results)

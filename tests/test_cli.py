@@ -212,6 +212,20 @@ class TestBaselineCli:
         assert "hill climbing on toy saxpy on P100: budget=20, executor=serial" in output
         assert "0 accepted / 20 rejected, 20 evaluations" in output
 
+    def test_checkpoint_state_without_budget_is_a_clean_error(self, capsys, tmp_path):
+        checkpoint = tmp_path / "ckpt.json"
+        resume = ["--seed", "1", "--resume", str(checkpoint)]
+        assert main(["baseline", "hill", "toy", "--steps", "15", *resume]) == 0
+        document = json.loads(checkpoint.read_text())
+        del document["state"]["budget"]
+        checkpoint.write_text(json.dumps(document))
+        capsys.readouterr()
+        # Not a climb with a budget of 0 steps that "finishes" at once.
+        assert main(["baseline", "hill", "toy", *resume]) == 2
+        captured = capsys.readouterr()
+        assert "checkpoint state has no 'budget' field" in captured.err
+        assert "budget=" not in captured.out
+
     @pytest.mark.parametrize("command", [
         ["search", "toy"], ["baseline", "random", "toy"], ["baseline", "hill", "toy"],
     ])
