@@ -98,9 +98,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="DIR",
         help="record a structured telemetry trace under DIR: events.jsonl "
-             "(engine batches, executor dispatch/faults, per-generation "
-             "search progress) plus metrics.json; inspect with "
-             "'repro trace summarize DIR'")
+             "(engine batches with their busy time, executor faults, "
+             "per-generation search progress) plus metrics.json; inspect "
+             "with 'repro trace summarize DIR'")
     parser.add_argument(
         "--metrics", action="store_true",
         help="print the metrics snapshot (counters/gauges/histograms) as "
@@ -244,9 +244,7 @@ def _make_telemetry(arguments: argparse.Namespace) -> Telemetry:
 
     Always enabled for CLI runs: the console reporter renders progress
     from the event stream, so the events must flow even without
-    ``--trace`` (no trace dir means no files are written -- and pool
-    workers fall back to :data:`~repro.runtime.telemetry.NULL_TELEMETRY`,
-    keeping the evaluation path un-instrumented).
+    ``--trace`` (no trace dir means no files are written).
     """
     configure_console(quiet=arguments.quiet, verbose=arguments.verbose)
     telemetry = Telemetry(arguments.trace, enabled=True)
@@ -255,7 +253,7 @@ def _make_telemetry(arguments: argparse.Namespace) -> Telemetry:
 
 
 def _finish_telemetry(arguments: argparse.Namespace, telemetry: Telemetry) -> None:
-    """Merge/flush the trace and honour ``--metrics``."""
+    """Close the trace and honour ``--metrics``."""
     telemetry.close()
     if arguments.metrics:
         print(json.dumps(telemetry.metrics_snapshot(), indent=2, sort_keys=True))
@@ -427,7 +425,7 @@ def _command_trace(arguments: argparse.Namespace) -> int:
     summary = summarize_trace(trace_dir)
     if not summary.event_count:
         print(f"error: no trace events under {trace_dir} "
-              "(expected events.jsonl or events-*.jsonl)", file=sys.stderr)
+              "(expected events.jsonl)", file=sys.stderr)
         return 2
     print(summary.render())
     return 0

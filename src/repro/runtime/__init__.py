@@ -26,7 +26,7 @@ orchestrator behind ``repro sweep``).
 Observability lives in :mod:`repro.runtime.telemetry` (the run-scoped
 :class:`Telemetry` handle: structured event log + metrics registry,
 a true no-op when disabled), :mod:`repro.runtime.trace_format` (the
-JSONL schema, deterministic multi-process merge and trace summaries)
+JSONL schema and trace summaries)
 and :mod:`repro.runtime.console` (the logging-based console reporter
 that renders telemetry events).  A fuller guide lives in
 ``docs/runtime.md`` and ``docs/observability.md``.
@@ -82,8 +82,6 @@ from .trace_format import (
     TraceSummary,
     load_metrics,
     load_trace,
-    merge_events,
-    merge_trace_dir,
     read_events,
     summarize_trace,
 )
@@ -124,8 +122,6 @@ __all__ = [
     "load_trace",
     "make_adapter",
     "make_executor",
-    "merge_events",
-    "merge_trace_dir",
     "new_run_id",
     "read_events",
     "resolve_checkpoint",

@@ -118,7 +118,8 @@ class Executor:
     fault-handling batteries in ``tests/runtime/``):
 
     * :meth:`run_batch` returns one :class:`FitnessResult` per edit set,
-      **in input order**, regardless of internal completion order;
+      **in input order**, regardless of internal completion order, and
+      the seconds its lanes spent evaluating them;
     * results are **bit-for-bit identical** across executors -- the
       simulated GPU is deterministic, so serial and process-pool
       execution must agree exactly;
@@ -130,48 +131,15 @@ class Executor:
     * :meth:`close` releases resources and is idempotent; an executor
       must remain usable for a fresh batch after a failed one.
 
-    Implementations override :meth:`_run_batch`; the public
-    :meth:`run_batch` is a template that additionally emits
-    ``executor.dispatch`` / ``executor.complete`` / ``executor.fault``
-    telemetry events when a :class:`~repro.runtime.telemetry.Telemetry`
-    handle is bound (see :meth:`bind_telemetry`) -- a single attribute
-    check when telemetry is disabled.
+    Executors record no telemetry: the engine's ``engine.batch`` span
+    reports the busy seconds, and the engine reports a raising batch.
     """
 
     name = "executor"
-    #: Bound by the owning engine; the null handle is a true no-op.
-    telemetry: Telemetry = NULL_TELEMETRY
-
-    def bind_telemetry(self, telemetry: Telemetry) -> None:
-        """Attach the run's telemetry handle (events + worker plumbing)."""
-        self.telemetry = telemetry
 
     def run_batch(self, adapter: WorkloadAdapter, original,
-                  edit_sets: Sequence[Sequence[Edit]]) -> List[FitnessResult]:
-        telemetry = self.telemetry
-        if not telemetry.enabled:
-            return self._run_batch(adapter, original, edit_sets)
-        telemetry.event("executor.dispatch", executor=self.name,
-                        batch=len(edit_sets), jobs=getattr(self, "jobs", 1))
-        start = time.monotonic()
-        try:
-            results = self._run_batch(adapter, original, edit_sets)
-        except Exception as exc:
-            cause = exc.__cause__
-            telemetry.event("executor.fault", executor=self.name,
-                            batch=len(edit_sets), error=str(exc),
-                            error_type=type(exc).__name__,
-                            cause_type=(type(cause).__name__
-                                        if cause is not None else None))
-            telemetry.counter("executor.faults").inc()
-            raise
-        telemetry.event("executor.complete", executor=self.name,
-                        batch=len(edit_sets),
-                        seconds=time.monotonic() - start)
-        return results
-
-    def _run_batch(self, adapter: WorkloadAdapter, original,
-                   edit_sets: Sequence[Sequence[Edit]]) -> List[FitnessResult]:
+                  edit_sets: Sequence[Sequence[Edit]]
+                  ) -> Tuple[List[FitnessResult], float]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -183,65 +151,30 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def _run_batch(self, adapter, original, edit_sets):
-        return [_evaluate_one(adapter, original, edits) for edits in edit_sets]
+    def run_batch(self, adapter, original, edit_sets):
+        start = time.perf_counter()
+        results = [_evaluate_one(adapter, original, edits) for edits in edit_sets]
+        return results, time.perf_counter() - start
 
 
 # Worker-side state for ParallelExecutor.  Each worker unpickles the adapter
 # exactly once (in the pool initializer) instead of once per task.
 _worker_adapter: Optional[WorkloadAdapter] = None
 _worker_original = None
-_worker_telemetry: Telemetry = NULL_TELEMETRY
 
 
-def _prewarm_worker_caches(adapter, module) -> None:
-    """Pre-decode and JIT *module* unless the adapter runs on the oracle.
-
-    The per-function decode cache is a ``WeakKeyDictionary`` of unpicklable
-    artifacts, so it never travels to pool workers: without this, every
-    worker decodes the original module on its first evaluation.  Decoding
-    once in the initializer gives the original's kernels -- which every
-    variant borrows except the ones its edits write -- their decodings and
-    JIT records up front.  It compiles nothing: a JIT kernel compiles on
-    its first execution.  Purely an optimization: any failure is ignored
-    and the first evaluation decodes on demand instead.
-    """
-    arch = getattr(adapter, "arch", None)
-    functions = getattr(module, "functions", None)
-    if arch is None or not functions:
-        return
-    try:
-        if arch.fast_path == "oracle":
-            return
-        from ..gpu.batched import batched_program
-        from ..gpu.jitted import jit_function
-
-        for function in functions.values():
-            jit_function(function, arch)
-            # Also warm the batched launch factories so a pool worker
-            # handed a batch group does not recompile them per group.
-            batched_program(function, arch)
-    except Exception:  # noqa: BLE001 - best-effort warm-up only
-        pass
-
-
-def _init_worker(adapter_payload: bytes,
-                 telemetry_config: Optional[Dict[str, str]] = None) -> None:
-    global _worker_adapter, _worker_original, _worker_telemetry
+def _init_worker(adapter_payload: bytes) -> None:
+    global _worker_adapter, _worker_original
     _worker_adapter = pickle.loads(adapter_payload)
     _worker_original = _worker_adapter.original_module()
-    # Each worker appends to its own events-worker-<pid>.jsonl stream;
-    # the owning run's Telemetry.close() merges the parts.
-    _worker_telemetry = Telemetry.from_worker_config(telemetry_config)
-    _prewarm_worker_caches(_worker_adapter, _worker_original)
 
 
-def _worker_evaluate(edit_dicts: List[Dict[str, object]]) -> FitnessResult:
+def _worker_evaluate(edit_dicts: List[Dict[str, object]]) -> Tuple[FitnessResult, float]:
+    """One pool task: the variant's fitness and the seconds it took."""
+    start = time.perf_counter()
     edits = [edit_from_dict(data) for data in edit_dicts]
-    if not _worker_telemetry.enabled:
-        return _evaluate_one(_worker_adapter, _worker_original, edits)
-    with _worker_telemetry.span("worker.evaluate", edits=len(edits)):
-        return _evaluate_one(_worker_adapter, _worker_original, edits)
+    result = _evaluate_one(_worker_adapter, _worker_original, edits)
+    return result, time.perf_counter() - start
 
 
 class ParallelExecutor(Executor):
@@ -277,12 +210,11 @@ class ParallelExecutor(Executor):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=(pickle.dumps(adapter),
-                          self.telemetry.worker_config()),
+                initargs=(pickle.dumps(adapter),),
             )
         return self._pool
 
-    def _run_batch(self, adapter, original, edit_sets):
+    def run_batch(self, adapter, original, edit_sets):
         if len(edit_sets) <= 1 or self.jobs == 1:
             # Not worth shipping to workers; keeps single lookups cheap.
             return SerialExecutor().run_batch(adapter, original, edit_sets)
@@ -290,7 +222,8 @@ class ParallelExecutor(Executor):
         serialised = [[edit.to_dict() for edit in edits] for edits in edit_sets]
         chunksize = max(1, len(serialised) // (self.jobs * 4))
         try:
-            return list(pool.map(_worker_evaluate, serialised, chunksize=chunksize))
+            outcomes = list(pool.map(_worker_evaluate, serialised,
+                                     chunksize=chunksize))
         except BrokenProcessPool as exc:
             # A worker died (OOM kill, hard crash).  The pool is unusable:
             # tear it down so the *next* batch starts a fresh one, and
@@ -306,6 +239,8 @@ class ParallelExecutor(Executor):
             raise ExecutorError(
                 f"process-pool evaluation batch failed: "
                 f"{type(exc).__name__}: {exc}") from exc
+        return ([result for result, _ in outcomes],
+                sum(seconds for _, seconds in outcomes))
 
     def close(self) -> None:
         if self._pool is not None:
@@ -384,8 +319,9 @@ class EvaluationEngine:
         repeated-search experiment) or a disk-backed one to persist them.
     telemetry:
         A :class:`~repro.runtime.telemetry.Telemetry` handle; batch
-        spans, cache counters and executor events flow through it.
-        Defaults to the disabled null handle (a true no-op).
+        spans (with the seconds the executor's lanes were busy), cache
+        counters and executor faults flow through it.  Defaults to the
+        disabled null handle (a true no-op).
     batch_launches:
         Population batching: stack co-batchable cache misses (same
         structural JIT key) into one :class:`BatchPlanner` group and
@@ -405,7 +341,6 @@ class EvaluationEngine:
         self.executor = executor or SerialExecutor()
         self.cache = cache if cache is not None else FitnessCache()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.executor.bind_telemetry(self.telemetry)
         self.original = adapter.original_module()
         arch = getattr(adapter, "arch", None)
         self.batch_launches = batch_launches
@@ -471,8 +406,20 @@ class EvaluationEngine:
                                 arch=self.arch_name, executor=self.executor.name,
                                 jobs=getattr(self.executor, "jobs", 1),
                                 batch=len(edit_sets),
-                                fresh=len(pending_sets)):
-                fresh = self._run_pending(pending_sets)
+                                fresh=len(pending_sets)) as span:
+                try:
+                    fresh, span["busy"] = self._run_pending(pending_sets)
+                except Exception as exc:
+                    if telemetry.enabled:
+                        cause = exc.__cause__
+                        telemetry.event(
+                            "executor.fault", executor=self.executor.name,
+                            batch=len(pending_sets), error=str(exc),
+                            error_type=type(exc).__name__,
+                            cause_type=(type(cause).__name__
+                                        if cause is not None else None))
+                        telemetry.counter("executor.faults").inc()
+                    raise
             self.batch_seconds += time.perf_counter() - start
             self.evaluations += len(fresh)
             telemetry.counter("engine.evaluations").inc(len(fresh))
@@ -498,26 +445,27 @@ class EvaluationEngine:
             return self.batch_launches
         return isinstance(self.executor, SerialExecutor)
 
-    def _run_pending(self, pending_sets: Sequence[Sequence[Edit]]) -> List[FitnessResult]:
+    def _run_pending(self, pending_sets: Sequence[Sequence[Edit]]
+                     ) -> Tuple[List[FitnessResult], float]:
         """Run the deduplicated cache misses of one wave.
 
-        With population batching off (or nothing to group) this is exactly
-        the executor dispatch it always was.  With it on, the wave's
-        variants are applied, partitioned by :class:`BatchPlanner`, and
-        each group evaluated through the adapter's stacked
-        ``evaluate_batched`` launch; singletons keep the executor path.
-        Results are bit-for-bit identical either way and come back in
-        input order.
+        Returns their results in input order and the seconds the
+        executor's lanes spent on them.  With population batching off
+        this is exactly the executor dispatch it always was.  With it on,
+        the wave's variants are applied, partitioned by
+        :class:`BatchPlanner`, and each group evaluated through the
+        adapter's stacked ``evaluate_batched`` launch; singletons keep
+        the executor path.  Planning and the groups run in the calling
+        process, so their time counts as busy too.  Results are
+        bit-for-bit identical either way.
         """
         if len(pending_sets) < 2 or not self.batch_launches_enabled:
             return self.executor.run_batch(self.adapter, self.original,
                                            pending_sets)
+        start = time.perf_counter()
         modules = [apply_edits(self.original, edits).module
                    for edits in pending_sets]
         groups, singles = self._planner.plan(modules)
-        if not groups:
-            return self.executor.run_batch(self.adapter, self.original,
-                                           pending_sets)
         telemetry = self.telemetry
         fresh: List[Optional[FitnessResult]] = [None] * len(pending_sets)
         for members in groups:
@@ -530,13 +478,15 @@ class EvaluationEngine:
                 telemetry.counter("engine.batched_launches").inc(len(members))
                 telemetry.histogram("engine.batch_size").observe(
                     float(len(members)))
+        busy = time.perf_counter() - start
         if singles:
-            solo = self.executor.run_batch(
+            solo, lane_seconds = self.executor.run_batch(
                 self.adapter, self.original,
                 [pending_sets[index] for index in singles])
+            busy += lane_seconds
             for index, result in zip(singles, solo):
                 fresh[index] = result
-        return fresh  # type: ignore[return-value]
+        return fresh, busy  # type: ignore[return-value]
 
     def baseline(self) -> FitnessResult:
         """Fitness of the unmodified program (cached like any other set)."""

@@ -3,12 +3,10 @@
 Every layer of the evaluation runtime that used to narrate itself with
 ad-hoc ``print()`` lines now emits through one :class:`Telemetry` handle:
 
-* **events** -- point events and spans written as JSONL records (see
-  :mod:`repro.runtime.trace_format` for the schema and merge rules) to a
-  per-emitter stream under a trace directory, and fanned out to any
-  attached *sinks* (the console reporter in
-  :mod:`repro.runtime.console`, later the service arc's progress
-  stream);
+* **events** -- point events and spans appended as JSONL records (see
+  :mod:`repro.runtime.trace_format` for the schema) to ``events.jsonl``
+  under a trace directory, and fanned out to any attached *sinks* (the
+  console reporter in :mod:`repro.runtime.console`);
 * **metrics** -- counters, gauges and histograms in a
   :class:`MetricsRegistry`, snapshotted to ``metrics.json`` on close.
 
@@ -18,13 +16,13 @@ Design constraints (pinned by ``tests/runtime/test_telemetry.py``):
   check (``self.enabled``), nothing allocates, no file is ever touched.
   The module-level :data:`NULL_TELEMETRY` is the default everywhere, so
   library callers that never ask for tracing pay one ``if`` per
-  *batch/generation/leg* -- instrumentation sits at engine / executor /
-  search granularity, never inside the simulator's hot loops (the
+  *batch/generation/leg* -- instrumentation sits at engine / search
+  granularity, never inside the simulator's hot loops (the
   ``repro.gpu`` interpreter tiers do not import this module at all).
-* **Multi-process streams merge deterministically**: every record
-  carries the run id, the emitter id (main process or pool worker) and
-  a per-emitter sequence number; :func:`~repro.runtime.trace_format.merge_trace_dir`
-  folds the per-worker part files into one total order on close.
+* **One process writes the trace**: the process that owns the run.
+  Pool workers record nothing; each task hands its evaluation time back
+  with its result, and the engine reports it as the ``busy`` field of
+  its ``engine.batch`` span.
 """
 
 from __future__ import annotations
@@ -39,12 +37,11 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from .cache import atomic_write_text
 from .trace_format import (
-    EVENT_PART_PREFIX,
+    EVENTS_FILE,
     METRICS_FILE,
     TRACE_FORMAT_VERSION,
     TraceEvent,
     format_event_line,
-    merge_trace_dir,
 )
 
 __all__ = [
@@ -201,7 +198,7 @@ class Telemetry:
     Parameters
     ----------
     trace_dir:
-        Directory for the JSONL event stream and ``metrics.json``.
+        Directory for ``events.jsonl`` and ``metrics.json``.
         ``None`` keeps everything off disk (events still reach attached
         sinks and metrics still accumulate when *enabled*).
     enabled:
@@ -209,22 +206,17 @@ class Telemetry:
         disabled handle never opens a file, never allocates a record and
         never calls a sink -- the hot-path guard is the single
         ``self.enabled`` attribute check at the top of every method.
-    run_id / emitter:
-        Stamped into every record.  The default emitter is ``"main"``;
-        pool workers use ``worker-<pid>`` (see :meth:`worker_config`).
+    run_id:
+        Stamped into every record.
     """
 
     def __init__(self, trace_dir: Optional[str] = None, *,
                  run_id: Optional[str] = None,
-                 emitter: str = "main",
-                 enabled: Optional[bool] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 enabled: Optional[bool] = None):
         self.enabled = bool(trace_dir is not None if enabled is None else enabled)
         self.trace_dir = trace_dir
-        self.emitter = emitter
         self.run_id = run_id or (new_run_id() if self.enabled else "")
-        self.metrics = metrics if metrics is not None else (
-            MetricsRegistry() if self.enabled else None)
+        self.metrics = MetricsRegistry() if self.enabled else None
         self._seq = 0
         self._lock = threading.Lock()
         self._sinks: List[Callable[[TraceEvent], None]] = []
@@ -232,9 +224,8 @@ class Telemetry:
         self._closed = False
         if self.enabled and trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
-            path = os.path.join(trace_dir,
-                                f"{EVENT_PART_PREFIX}{self.emitter}.jsonl")
-            self._handle = open(path, "a", encoding="utf-8")
+            self._handle = open(os.path.join(trace_dir, EVENTS_FILE), "a",
+                                encoding="utf-8")
 
     # -- sinks -------------------------------------------------------------------------
     def add_sink(self, sink: Callable[[TraceEvent], None]) -> None:
@@ -268,11 +259,10 @@ class Telemetry:
               fields: Dict[str, object]) -> TraceEvent:
         with self._lock:
             self._seq += 1
-            event = TraceEvent(run_id=self.run_id, emitter=self.emitter,
-                               seq=self._seq, kind=kind, name=name, t=t,
-                               dur=dur, fields=fields)
+            event = TraceEvent(run_id=self.run_id, seq=self._seq, kind=kind,
+                               name=name, t=t, dur=dur, fields=fields)
             if self._handle is not None:
-                # Flushed per record so a killed worker loses at most the
+                # Flushed per record so a killed run loses at most the
                 # line being written (readers skip a torn tail).
                 self._handle.write(format_event_line(event) + "\n")
                 self._handle.flush()
@@ -282,17 +272,17 @@ class Telemetry:
 
     # -- metrics -----------------------------------------------------------------------
     def counter(self, name: str):
-        if not self.enabled or self.metrics is None:
+        if not self.enabled:
             return _NULL_METRIC
         return self.metrics.counter(name)
 
     def gauge(self, name: str):
-        if not self.enabled or self.metrics is None:
+        if not self.enabled:
             return _NULL_METRIC
         return self.metrics.gauge(name)
 
     def histogram(self, name: str):
-        if not self.enabled or self.metrics is None:
+        if not self.enabled:
             return _NULL_METRIC
         return self.metrics.histogram(name)
 
@@ -316,41 +306,16 @@ class Telemetry:
                              sort_keys=True) + "\n")
         return path
 
-    # -- multi-process plumbing --------------------------------------------------------
-    def worker_config(self) -> Optional[Dict[str, str]]:
-        """Picklable config for a pool worker's own handle, or ``None``.
-
-        ``None`` (tracing disabled, or no trace dir to share) tells the
-        worker to use :data:`NULL_TELEMETRY`.
-        """
-        if not self.enabled or self.trace_dir is None:
-            return None
-        return {"trace_dir": self.trace_dir, "run_id": self.run_id}
-
-    @classmethod
-    def from_worker_config(cls, config: Optional[Dict[str, str]]) -> "Telemetry":
-        if not config:
-            return NULL_TELEMETRY
-        return cls(config["trace_dir"], run_id=config["run_id"],
-                   emitter=f"worker-{os.getpid()}")
-
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:
-        """Flush, merge the per-emitter streams and snapshot the metrics.
-
-        Only the main emitter merges (workers just close their part
-        file; their records fold in when the owning run closes).
-        Idempotent.
-        """
+        """Close the event log and snapshot the metrics; idempotent."""
         if self._closed:
             return
         self._closed = True
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        if self.enabled and self.trace_dir is not None and self.emitter == "main":
-            merge_trace_dir(self.trace_dir)
-            self.write_metrics()
+        self.write_metrics()
 
     def __enter__(self) -> "Telemetry":
         return self

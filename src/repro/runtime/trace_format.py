@@ -1,37 +1,24 @@
-"""The on-disk trace format: JSONL events, deterministic merge, summaries.
+"""The on-disk trace format: JSONL events and their summary.
 
 A *trace directory* is the run-scoped record a
 :class:`~repro.runtime.telemetry.Telemetry` handle writes:
 
-* ``events-<emitter>.jsonl`` -- one stream per emitter (the main process
-  plus one per pool worker), each line one event record, appended in
-  emission order;
-* ``events.jsonl`` -- the merged stream, produced on close (or lazily by
-  the readers here): every per-emitter part folded into one
-  deterministic total order;
+* ``events.jsonl`` -- one line per event record, appended in emission
+  order by the one process that owns the run (pool workers hand their
+  busy time back to it instead of writing records of their own);
 * ``metrics.json`` -- the final snapshot of the run's metrics registry
   (counters / gauges / histograms), tagged with the run id.
 
 Every event record carries::
 
-    {"v": 1,                  # TRACE_FORMAT_VERSION
+    {"v": 2,                  # TRACE_FORMAT_VERSION
      "run": "<run id>",       # one id per Telemetry run
-     "emitter": "main",       # process/worker identity of the writer
-     "seq": 17,               # per-emitter sequence number, from 1
+     "seq": 17,               # sequence number within the run, from 1
      "kind": "event",         # "event" (point) or "span"
      "name": "engine.batch",  # dotted event name
      "t": 12345.678,          # monotonic-clock timestamp (span: start)
      "dur": 0.042,            # spans only: seconds
      "fields": {...}}         # JSON-serialisable payload
-
-Merging is **deterministic under interleaving**: the total order is
-``(t, emitter, seq)``, so however the per-emitter streams were cut into
-files (or in which order the files are read), the merged log is
-byte-for-byte identical.  Within one emitter ``t`` is monotone with
-``seq`` (one clock, sequential emission), so per-emitter order is always
-preserved.  The property test in ``tests/runtime/test_telemetry.py``
-pins this down; the future service arc streams exactly these records to
-clients, ordering concurrent workers the same way.
 """
 
 from __future__ import annotations
@@ -39,22 +26,18 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-from .cache import atomic_write_text
+from typing import Dict, List, Optional
 
 #: Bump when a record's required keys or their meaning change.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 #: File names inside a trace directory.
-MERGED_EVENTS_FILE = "events.jsonl"
-EVENT_PART_PREFIX = "events-"
+EVENTS_FILE = "events.jsonl"
 METRICS_FILE = "metrics.json"
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
-    "MERGED_EVENTS_FILE",
-    "EVENT_PART_PREFIX",
+    "EVENTS_FILE",
     "METRICS_FILE",
     "TraceEvent",
     "event_to_dict",
@@ -62,8 +45,6 @@ __all__ = [
     "format_event_line",
     "parse_event_line",
     "read_events",
-    "merge_events",
-    "merge_trace_dir",
     "load_trace",
     "load_metrics",
     "summarize_trace",
@@ -76,18 +57,12 @@ class TraceEvent:
     """One record of the event log (a point event or a completed span)."""
 
     run_id: str
-    emitter: str
     seq: int
     kind: str           # "event" | "span"
     name: str
     t: float            # monotonic timestamp (span start for spans)
     dur: Optional[float] = None   # spans only
     fields: Dict[str, object] = field(default_factory=dict, hash=False)
-
-    @property
-    def sort_key(self) -> Tuple[float, str, int]:
-        """The deterministic merge order: time, then emitter, then seq."""
-        return (self.t, self.emitter, self.seq)
 
     @property
     def end(self) -> float:
@@ -98,7 +73,6 @@ def event_to_dict(event: TraceEvent) -> Dict[str, object]:
     record: Dict[str, object] = {
         "v": TRACE_FORMAT_VERSION,
         "run": event.run_id,
-        "emitter": event.emitter,
         "seq": event.seq,
         "kind": event.kind,
         "name": event.name,
@@ -126,7 +100,6 @@ def event_from_dict(record: Dict[str, object]) -> TraceEvent:
     try:
         return TraceEvent(
             run_id=str(record["run"]),
-            emitter=str(record["emitter"]),
             seq=int(record["seq"]),
             kind=str(kind),
             name=str(record["name"]),
@@ -151,7 +124,7 @@ def parse_event_line(line: str) -> TraceEvent:
 def read_events(path: str) -> List[TraceEvent]:
     """Events of one JSONL stream, in file order.
 
-    Tolerant of a torn tail: a worker killed mid-write leaves at most one
+    Tolerant of a torn tail: a process killed mid-write leaves at most one
     truncated last line, which is skipped rather than poisoning the whole
     stream (the preceding lines were flushed per event).
     """
@@ -170,60 +143,9 @@ def read_events(path: str) -> List[TraceEvent]:
     return events
 
 
-def merge_events(streams: Iterable[Sequence[TraceEvent]]) -> List[TraceEvent]:
-    """Fold per-emitter streams into one deterministic total order.
-
-    The result is independent of how the events were partitioned into
-    *streams* and of the iteration order of *streams*: duplicates (the
-    same ``(run, emitter, seq)`` read from both a part file and an
-    earlier merge) collapse to one record, and the order is
-    ``(t, emitter, seq)``.
-    """
-    seen: Dict[Tuple[str, str, int], TraceEvent] = {}
-    for stream in streams:
-        for event in stream:
-            seen.setdefault((event.run_id, event.emitter, event.seq), event)
-    return sorted(seen.values(), key=lambda event: event.sort_key)
-
-
-def _part_paths(trace_dir: str) -> List[str]:
-    if not os.path.isdir(trace_dir):
-        return []
-    return sorted(
-        os.path.join(trace_dir, name)
-        for name in os.listdir(trace_dir)
-        if name.startswith(EVENT_PART_PREFIX) and name.endswith(".jsonl"))
-
-
-def merge_trace_dir(trace_dir: str) -> str:
-    """Merge every per-emitter part (plus any prior merge) into
-    ``events.jsonl``, remove the parts and return the merged file's path.
-
-    Idempotent: re-merging an already merged directory is a no-op, and a
-    directory holding both a previous merge and fresh parts folds them
-    together without duplicating records.
-    """
-    merged_path = os.path.join(trace_dir, MERGED_EVENTS_FILE)
-    parts = _part_paths(trace_dir)
-    streams = [read_events(merged_path)] + [read_events(path) for path in parts]
-    merged = merge_events(streams)
-    atomic_write_text(
-        merged_path,
-        "".join(format_event_line(event) + "\n" for event in merged))
-    for path in parts:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    return merged_path
-
-
 def load_trace(trace_dir: str) -> List[TraceEvent]:
-    """All events of a trace directory, merged (without rewriting files)."""
-    merged_path = os.path.join(trace_dir, MERGED_EVENTS_FILE)
-    streams = [read_events(merged_path)]
-    streams.extend(read_events(path) for path in _part_paths(trace_dir))
-    return merge_events(streams)
+    """All events of a trace directory, in emission order."""
+    return read_events(os.path.join(trace_dir, EVENTS_FILE))
 
 
 def load_metrics(trace_dir: str) -> Optional[Dict[str, object]]:
@@ -257,7 +179,6 @@ class TraceSummary:
     """Digest of one trace directory, renderable as a human report."""
 
     run_id: str
-    emitters: List[str]
     event_count: int
     duration_seconds: float
     phases: List[PhaseStat]
@@ -265,8 +186,8 @@ class TraceSummary:
     cache_misses: int
     evaluations: int
     executor_busy_seconds: float
-    worker_busy_seconds: float
-    worker_jobs: int
+    lane_busy_seconds: float
+    lane_capacity_seconds: float
     hotspots: List[Dict[str, object]]
     counters: Dict[str, float]
 
@@ -282,24 +203,15 @@ class TraceSummary:
 
     @property
     def executor_utilization(self) -> float:
-        """Fraction of the executor-busy window its lanes spent evaluating.
-
-        With per-worker task spans present this is ``worker busy /
-        (jobs x batch wall)``; without them (serial executor, whose lane
-        is busy whenever a batch runs) it degrades to 1.0 for any run
-        that executed batches.
-        """
-        if self.executor_busy_seconds <= 0:
+        """Fraction of the executor's lane capacity (``jobs x`` the wall
+        time of every ``engine.batch``) its lanes spent evaluating."""
+        if self.lane_capacity_seconds <= 0:
             return 0.0
-        if self.worker_busy_seconds <= 0:
-            return 1.0
-        capacity = self.executor_busy_seconds * max(1, self.worker_jobs)
-        return min(1.0, self.worker_busy_seconds / capacity)
+        return min(1.0, self.lane_busy_seconds / self.lane_capacity_seconds)
 
     def render(self) -> str:
         lines = [
-            f"run {self.run_id or '<unknown>'}: {self.event_count} events "
-            f"from {len(self.emitters)} emitter(s), "
+            f"run {self.run_id or '<unknown>'}: {self.event_count} events, "
             f"{self.duration_seconds:.2f}s",
         ]
         if self.phases:
@@ -340,7 +252,7 @@ def _counter_value(counters: Dict[str, float], name: str) -> float:
 
 
 def summarize_trace(trace_dir: str) -> TraceSummary:
-    """Digest *trace_dir* (merged events + metrics snapshot) into a summary."""
+    """Digest *trace_dir* (events + metrics snapshot) into a summary."""
     events = load_trace(trace_dir)
     metrics = load_metrics(trace_dir) or {}
     counters_raw = metrics.get("counters", {})
@@ -349,8 +261,8 @@ def summarize_trace(trace_dir: str) -> TraceSummary:
 
     phases: Dict[str, PhaseStat] = {}
     executor_busy = 0.0
-    worker_busy = 0.0
-    worker_jobs = 0
+    lane_busy = 0.0
+    lane_capacity = 0.0
     hotspots: List[Dict[str, object]] = []
     run_id = str(metrics.get("run_id", ""))
     for event in events:
@@ -361,12 +273,17 @@ def summarize_trace(trace_dir: str) -> TraceSummary:
             stat.count += 1
             stat.total_seconds += event.dur or 0.0
             if event.name == "engine.batch":
-                executor_busy += event.dur or 0.0
+                wall = event.dur or 0.0
+                executor_busy += wall
                 jobs = event.fields.get("jobs")
-                if isinstance(jobs, int):
-                    worker_jobs = max(worker_jobs, jobs)
-            elif event.name == "worker.evaluate":
-                worker_busy += event.dur or 0.0
+                busy = event.fields.get("busy")
+                if isinstance(jobs, int) and jobs > 1:
+                    lane_capacity += wall * jobs
+                    lane_busy += busy if isinstance(busy, (int, float)) else 0.0
+                else:
+                    # One lane: the calling process, busy for the whole batch.
+                    lane_capacity += wall
+                    lane_busy += wall
         elif event.name == "profile.hotspots":
             spots = event.fields.get("hotspots")
             if isinstance(spots, list):
@@ -381,7 +298,6 @@ def summarize_trace(trace_dir: str) -> TraceSummary:
 
     return TraceSummary(
         run_id=run_id,
-        emitters=sorted({event.emitter for event in events}),
         event_count=len(events),
         duration_seconds=duration,
         phases=list(phases.values()),
@@ -389,8 +305,8 @@ def summarize_trace(trace_dir: str) -> TraceSummary:
         cache_misses=int(_counter_value(counters, "cache.misses")),
         evaluations=int(_counter_value(counters, "engine.evaluations")),
         executor_busy_seconds=executor_busy,
-        worker_busy_seconds=worker_busy,
-        worker_jobs=worker_jobs,
+        lane_busy_seconds=lane_busy,
+        lane_capacity_seconds=lane_capacity,
         hotspots=hotspots,
         counters=counters,
     )

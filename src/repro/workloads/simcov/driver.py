@@ -341,7 +341,9 @@ class SimCovWorkloadAdapter(WorkloadAdapter):
         try:
             result = self.driver.run(params, module=module)
         except (KernelTrap, LaunchError) as exc:
-            result = exc
+            # Built here: a local holding the trap would form a cycle
+            # through its traceback, which holds this frame.
+            return self._case_from_outcome(exc, reference, name)
         return self._case_from_outcome(result, reference, name)
 
     def _case_from_outcome(self, outcome, reference: SimCovState,

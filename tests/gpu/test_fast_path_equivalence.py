@@ -20,6 +20,7 @@ lanes or other blocks read.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -34,6 +35,8 @@ from repro.gevo import apply_edits
 from repro.gevo.mutation import EditGenerator
 from repro.gpu import EVALUATION_ORDER, INTERPRETER_TIERS, GpuDevice, get_arch
 from repro.workloads.toy import ToyWorkloadAdapter, build_toy_kernel, toy_discovered_edits
+
+from ..test_properties import generated_edits
 
 #: Oracle first: the comparisons below treat position 0 as the reference.
 TIERS = tuple(INTERPRETER_TIERS)
@@ -1418,3 +1421,69 @@ def test_random_workload_mutants_equivalent(workload, count):
     ("simcov", "P100", 3, 60), ("simcov", "G80", 4, 24)])
 def test_many_random_workload_mutants_equivalent(workload, arch_name, seed, count):
     assert_random_mutants_equivalent(workload, arch_name, seed, count)
+
+
+# --------------------------------------------------------------------------- generated edit lists
+#: The smallest per-warp instruction budget each original, as
+#: ``make_adapter`` builds it on the P100, runs under; one less traps.  The
+#: property below draws its budgets around these, so some variants trap on
+#: the budget and others stop just under it.
+ORIGINAL_WARP_BUDGET = {"toy": 17, "adept-v1": 5154, "simcov": 103}
+
+
+@functools.lru_cache(maxsize=None)
+def _search_adapters(workload):
+    """One adapter per tier, each built the way ``repro search`` builds it."""
+    from repro.runtime.sweep import make_adapter
+
+    return {tier: make_adapter(workload, "P100", interpreter_tier=tier)
+            for tier in TIERS}
+
+
+def _fitness_on_every_tier(adapters, module, budget):
+    """*module*'s fitness on every tier under a per-warp *budget*; the
+    others must equal the oracle's, which is returned."""
+    results = {}
+    for tier, adapter in adapters.items():
+        adapter.device.max_instructions_per_warp = budget
+        results[tier] = adapter.evaluate(module)
+    for tier in TIERS[1:]:
+        assert_same_fitness(results[tier], results["oracle"], tier)
+    return results["oracle"]
+
+
+@pytest.mark.parametrize("workload", sorted(ORIGINAL_WARP_BUDGET))
+def test_original_runs_exactly_within_its_warp_budget(workload):
+    adapters = _search_adapters(workload)
+    module = adapters["jit"].original_module()
+    budget = ORIGINAL_WARP_BUDGET[workload]
+    assert _fitness_on_every_tier(adapters, module, budget).valid
+    trapped = _fitness_on_every_tier(adapters, module, budget - 1)
+    assert f"budget exceeded ({budget - 1})" in trapped.cases[0].message
+
+
+def assert_generated_variant_equivalent(data):
+    """Draw a workload, an edit list from its own original (inapplicable
+    edits included) and a per-warp budget near the original's; the
+    variant's fitness must agree on every tier."""
+    workload = data.draw(st.sampled_from(sorted(ORIGINAL_WARP_BUDGET)))
+    adapters = _search_adapters(workload)
+    original = adapters["jit"].original_module()
+    edits = data.draw(generated_edits(original, max_edits=3))
+    need = ORIGINAL_WARP_BUDGET[workload]
+    budget = data.draw(st.integers(need - 2, need + 2)
+                       | st.integers(max(1, need // 2), 2 * need))
+    _fitness_on_every_tier(adapters, apply_edits(original, edits).module, budget)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_generated_edit_lists_agree_under_tight_budgets(data):
+    assert_generated_variant_equivalent(data)
+
+
+@pytest.mark.slow
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_many_generated_edit_lists_agree_under_tight_budgets(data):
+    assert_generated_variant_equivalent(data)

@@ -131,55 +131,3 @@ class TestEvaluatorIntegration:
         stats = engine.stats()
         assert stats.evaluations == 1 and stats.executor == "serial"
         assert "1 evaluations" in stats.summary()
-
-
-class TestWorkerPrewarm:
-    """The pool initializer pre-decodes (and JIT-compiles) the original
-    module, so worker processes never pay first-touch decode for the
-    baseline/unmodified evaluations of a batch."""
-
-    def test_init_worker_prewarms_decode_and_jit(self):
-        import pickle
-
-        from repro.gpu import decode_function, get_arch
-        from repro.runtime import engine as engine_module
-
-        # Simulate exactly what a pool worker runs, in-process.
-        adapter = ToyWorkloadAdapter(get_arch("P100"))
-        engine_module._init_worker(pickle.dumps(adapter))
-        try:
-            module = engine_module._worker_original
-            assert module is not None
-            for function in module.functions.values():
-                decoded = decode_function(function, engine_module._worker_adapter.arch)
-                # decode_function returns the cached decoding; pre-warm means
-                # its JIT records are attached before any evaluation ran.
-                assert decoded.records is not None
-        finally:
-            engine_module._worker_adapter = None
-            engine_module._worker_original = None
-
-    def test_prewarm_respects_the_oracle_tier(self):
-        import pickle
-
-        from repro.gpu import get_arch
-        from repro.ir.function import _DECODE_CACHES
-        from repro.runtime import engine as engine_module
-
-        adapter = ToyWorkloadAdapter(get_arch("P100").with_overrides(fast_path="oracle"))
-        engine_module._init_worker(pickle.dumps(adapter))
-        try:
-            module = engine_module._worker_original
-            for function in module.functions.values():
-                assert function not in _DECODE_CACHES
-        finally:
-            engine_module._worker_adapter = None
-            engine_module._worker_original = None
-
-    def test_prewarm_tolerates_adapters_without_arch(self):
-        from repro.runtime.engine import _prewarm_worker_caches
-
-        class Bare:
-            pass
-
-        _prewarm_worker_caches(Bare(), None)  # must not raise

@@ -189,6 +189,40 @@ class TestFaultHandling:
         with open(log_path, encoding="utf-8") as handle:
             assert len(handle.readlines()) < len(sets)
 
+    def test_worker_exception_is_reported_once_by_the_engine(self, tmp_path, capsys):
+        """A raising pool batch: one ``executor.fault`` event naming the
+        error and its cause, one ``executor.faults`` count, the console
+        warning, and nothing cached."""
+        from repro.runtime import ConsoleReporter, Telemetry, configure_console
+        from repro.runtime.trace_format import load_metrics, load_trace
+
+        adapter = self._failing_adapter()
+        sets = self._batch(adapter, healthy=3)
+        trace_dir = str(tmp_path / "trace")
+        configure_console()
+        telemetry = Telemetry(trace_dir, run_id="fault")
+        telemetry.add_sink(ConsoleReporter())
+        engine = EvaluationEngine(adapter, executor=ParallelExecutor(2),
+                                  telemetry=telemetry)
+        try:
+            with pytest.raises(ExecutorError, match="injected failure"):
+                engine.evaluate_many(sets)
+        finally:
+            engine.close()
+            telemetry.close()
+        assert len(engine.cache) == 0 and engine.evaluations == 0
+        faults = [event for event in load_trace(trace_dir)
+                  if event.name == "executor.fault"]
+        assert len(faults) == 1
+        fields = faults[0].fields
+        assert fields["executor"] == "parallel" and fields["batch"] == len(sets)
+        assert fields["error_type"] == "ExecutorError"
+        assert fields["cause_type"] == "RuntimeError"
+        assert "injected failure" in fields["error"]
+        assert load_metrics(trace_dir)["counters"]["executor.faults"] == 1
+        assert (f"executor fault (parallel): {fields['error']}"
+                in capsys.readouterr().out)
+
     def test_process_failure_does_not_corrupt_the_cache(self, tmp_path):
         adapter = self._failing_adapter()
         good_sets = self._batch(adapter)[1:]

@@ -1,4 +1,4 @@
-"""The telemetry subsystem: schema, no-op guarantee, merge determinism.
+"""The telemetry subsystem: schema, no-op guarantee, one writer.
 
 Four contracts are pinned here:
 
@@ -7,9 +7,9 @@ Four contracts are pinned here:
 * a disabled :class:`~repro.runtime.telemetry.Telemetry` handle is a true
   no-op -- zero events, zero files, null metrics -- so un-traced runs pay
   one attribute check and nothing else;
-* merging per-emitter event streams is deterministic regardless of how
-  the part files interleave (the multi-process ordering property the
-  service arc will build on), pinned by a hypothesis property test;
+* the process that owns the run is the trace's only writer: a process
+  pool's workers hand their busy time back, and the engine's
+  ``engine.batch`` spans carry it;
 * a traced sweep's per-leg counters match its ``report.json`` exactly
   (the acceptance criterion of the observability PR).
 """
@@ -19,8 +19,6 @@ import logging
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.runtime import EvaluationEngine, ParallelExecutor
 from repro.runtime.console import ConsoleReporter, configure_console
@@ -33,15 +31,14 @@ from repro.runtime.telemetry import (
     new_run_id,
 )
 from repro.runtime.trace_format import (
-    MERGED_EVENTS_FILE,
+    EVENTS_FILE,
+    METRICS_FILE,
     TraceEvent,
     event_from_dict,
     event_to_dict,
     format_event_line,
     load_metrics,
     load_trace,
-    merge_events,
-    merge_trace_dir,
     parse_event_line,
     read_events,
     summarize_trace,
@@ -61,14 +58,14 @@ def edits(adapter):
 
 class TestSchemaRoundTrip:
     def test_event_round_trips_through_dict_and_line(self):
-        event = TraceEvent(run_id="r", emitter="main", seq=3, kind="span",
+        event = TraceEvent(run_id="r", seq=3, kind="span",
                            name="engine.batch", t=1.5, dur=0.25,
                            fields={"batch": 4, "label": "x"})
         assert event_from_dict(event_to_dict(event)) == event
         assert parse_event_line(format_event_line(event)) == event
 
     def test_point_event_omits_duration(self):
-        event = TraceEvent(run_id="r", emitter="w", seq=1, kind="event",
+        event = TraceEvent(run_id="r", seq=1, kind="event",
                            name="cache.flush", t=0.0)
         record = event_to_dict(event)
         assert "dur" not in record
@@ -79,20 +76,20 @@ class TestSchemaRoundTrip:
         {"kind": "trace"},      # unknown record kind
         {"seq": "three"},       # non-integer sequence number
         {"name": None},         # unnamed event
+        {"v": 1},               # format 1 named the emitter of each record
     ])
     def test_malformed_records_are_rejected(self, mutation):
-        record = event_to_dict(TraceEvent(run_id="r", emitter="m", seq=1,
+        record = event_to_dict(TraceEvent(run_id="r", seq=1,
                                           kind="event", name="x", t=0.0))
         record.update(mutation)
         with pytest.raises(ValueError):
             event_from_dict(record)
 
     def test_reader_skips_a_torn_tail(self, tmp_path):
-        path = tmp_path / "events-main.jsonl"
-        whole = format_event_line(TraceEvent(run_id="r", emitter="main",
-                                             seq=1, kind="event", name="a",
-                                             t=0.0))
-        path.write_text(whole + "\n" + '{"v": 1, "torn')
+        path = tmp_path / EVENTS_FILE
+        whole = format_event_line(TraceEvent(run_id="r", seq=1, kind="event",
+                                             name="a", t=0.0))
+        path.write_text(whole + "\n" + '{"v": 2, "torn')
         events = read_events(str(path))
         assert [event.name for event in events] == ["a"]
 
@@ -122,54 +119,11 @@ class TestDisabledIsANoOp:
         assert os.listdir(tmp_path) == []
 
 
-EMITTERS = ("main", "worker-1", "worker-2")
-
-
-@st.composite
-def emitter_streams(draw):
-    """Per-emitter streams with ordered sequence numbers and random clocks."""
-    streams = []
-    for emitter in EMITTERS:
-        count = draw(st.integers(min_value=0, max_value=6))
-        times = draw(st.lists(
-            st.floats(min_value=0.0, max_value=10.0,
-                      allow_nan=False, allow_infinity=False),
-            min_size=count, max_size=count))
-        streams.append([
-            TraceEvent(run_id="r", emitter=emitter, seq=index + 1,
-                       kind="event", name=f"{emitter}.e{index}", t=t)
-            for index, t in enumerate(times)])
-    return streams
-
-
-class TestMergeDeterminism:
-    @settings(max_examples=50, deadline=None)
-    @given(streams=emitter_streams(), data=st.data())
-    def test_merge_order_is_independent_of_interleaving(self, streams, data):
-        reference = merge_events(streams)
-        permutation = data.draw(st.permutations(streams))
-        assert merge_events(permutation) == reference
-        # Re-merging a prior merge with a subset of the parts (what an
-        # idempotent merge_trace_dir does) changes nothing either.
-        assert merge_events([reference] + list(streams)) == reference
-        # The total order is the documented sort key.
-        keys = [event.sort_key for event in reference]
-        assert keys == sorted(keys)
-
-    def test_merge_trace_dir_folds_worker_parts(self, tmp_path):
-        trace_dir = str(tmp_path)
-        main = Telemetry(trace_dir, run_id="r", emitter="main")
-        main.event("a")
-        worker = Telemetry(trace_dir, run_id="r", emitter="worker-9")
-        worker.event("b")
-        worker.close()  # workers only close their part file
-        main.close()    # the main emitter merges the directory
-        assert sorted(os.listdir(trace_dir)) == [MERGED_EVENTS_FILE,
-                                                 "metrics.json"]
-        assert {event.emitter for event in load_trace(trace_dir)} == {
-            "main", "worker-9"}
-
-    def test_parallel_engine_merges_worker_events(self, adapter, edits, tmp_path):
+class TestSingleWriter:
+    def test_pool_batches_report_busy_time(self, adapter, edits, tmp_path):
+        """Pool workers write nothing: the directory holds the one event
+        log and the metrics, and every batch span carries the busy
+        seconds the workers handed back."""
         trace_dir = str(tmp_path / "trace")
         telemetry = Telemetry(trace_dir, run_id="mp")
         engine = EvaluationEngine(adapter, executor=ParallelExecutor(2),
@@ -177,13 +131,33 @@ class TestMergeDeterminism:
         engine.evaluate_many([[edit] for edit in edits[:4]])
         engine.close()
         telemetry.close()
-        events = load_trace(trace_dir)
-        workers = {event.emitter for event in events
-                   if event.name == "worker.evaluate"}
-        assert workers, "worker evaluation spans missing from the merged trace"
-        assert all(emitter.startswith("worker-") for emitter in workers)
-        assert not [name for name in os.listdir(trace_dir)
-                    if name.startswith("events-")], "part files not folded in"
+        assert sorted(os.listdir(trace_dir)) == [EVENTS_FILE, METRICS_FILE]
+        with open(os.path.join(trace_dir, EVENTS_FILE), encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert records and all(record["v"] == 2 and "emitter" not in record
+                               for record in records)
+        spans = [event for event in load_trace(trace_dir)
+                 if event.name == "engine.batch"]
+        assert len(spans) == 1 and spans[0].fields["jobs"] == 2
+        assert spans[0].fields["busy"] > 0
+        summary = summarize_trace(trace_dir)
+        assert 0 < summary.executor_utilization <= 1
+        assert "executor utilization:" in summary.render()
+
+    def test_serial_run_is_fully_utilized(self, adapter, edits, tmp_path):
+        """The serial executor's one lane is the calling process, busy for
+        the whole of every batch."""
+        trace_dir = str(tmp_path)
+        with Telemetry(trace_dir, run_id="serial") as telemetry:
+            engine = EvaluationEngine(adapter, telemetry=telemetry)
+            engine.evaluate_many([[edit] for edit in edits])
+            engine.evaluate_many([list(edits)])
+            engine.close()
+        spans = [event for event in load_trace(trace_dir)
+                 if event.name == "engine.batch"]
+        assert len(spans) == 2
+        assert all(span.fields["busy"] > 0 for span in spans)
+        assert "executor utilization: 100%" in summarize_trace(trace_dir).render()
 
 
 class TestMetricsRegistry:
@@ -322,7 +296,7 @@ class TestSweepAcceptance:
 
         names = {event.name for event in load_trace(trace_dir)}
         assert {"sweep.start", "sweep.leg", "sweep.end", "search.generation",
-                "engine.batch", "executor.dispatch"} <= names
+                "engine.batch"} <= names
         rendered = summarize_trace(trace_dir).render()
         assert "cache:" in rendered and "phase timing:" in rendered
 
@@ -348,7 +322,7 @@ class TestConsoleReporter:
     def test_sweep_leg_event_renders_at_info(self, capsys):
         configure_console()
         reporter = ConsoleReporter()
-        reporter(TraceEvent(run_id="r", emitter="main", seq=1, kind="span",
+        reporter(TraceEvent(run_id="r", seq=1, kind="span",
                             name="sweep.leg", t=0.0, dur=1.25,
                             fields={"status": "completed", "leg_id": "leg-0",
                                     "speedup": 1.5, "evaluations": 10,
@@ -359,7 +333,7 @@ class TestConsoleReporter:
     def test_resume_replay_event_renders_at_info(self, capsys):
         configure_console()
         reporter = ConsoleReporter()
-        reporter(TraceEvent(run_id="r", emitter="main", seq=1, kind="event",
+        reporter(TraceEvent(run_id="r", seq=1, kind="event",
                             name="search.resume_replay", t=0.0,
                             fields={"algorithm": "gevo", "round": 3,
                                     "evaluations": 12,
@@ -371,11 +345,11 @@ class TestConsoleReporter:
         configure_console(quiet=True)
         try:
             reporter = ConsoleReporter()
-            reporter(TraceEvent(run_id="r", emitter="main", seq=1, kind="span",
+            reporter(TraceEvent(run_id="r", seq=1, kind="span",
                                 name="sweep.leg", t=0.0, dur=0.0,
                                 fields={"status": "completed"}))
             assert capsys.readouterr().out == ""
-            reporter(TraceEvent(run_id="r", emitter="main", seq=2,
+            reporter(TraceEvent(run_id="r", seq=2,
                                 kind="event", name="executor.fault", t=0.0,
                                 fields={"executor": "parallel",
                                         "error": "boom"}))
@@ -387,7 +361,7 @@ class TestConsoleReporter:
         configure_console(verbose=True)
         try:
             reporter = ConsoleReporter()
-            reporter(TraceEvent(run_id="r", emitter="main", seq=1,
+            reporter(TraceEvent(run_id="r", seq=1,
                                 kind="event", name="search.generation", t=0.0,
                                 fields={"generation": 3, "best_fitness": 0.5,
                                         "evaluations": 12, "stagnation": 1}))

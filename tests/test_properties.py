@@ -241,18 +241,16 @@ WRITTEN_UIDS = {
 
 
 @st.composite
-def edit_lists(draw):
-    """An original module and an edit list from its ``EditGenerator``,
-    mixed with edits that cannot apply: repeats of earlier edits (a repeated
+def generated_edits(draw, module, max_edits=12):
+    """Up to *max_edits* edits from *module*'s ``EditGenerator``, mixed
+    with edits that cannot apply: repeats of earlier edits (a repeated
     delete has lost its target), edits with one uid pointing nowhere (the
     other uid still locates, so a cross-kernel move or swap fails midway),
     deletes of pinned terminators and out-of-range operand indices."""
-    name = draw(st.sampled_from(sorted(FORK_ORIGINALS)))
-    module = FORK_ORIGINALS[name]()
     generator = EditGenerator(module, random.Random(draw(st.integers(0, 2 ** 32 - 1))))
     pinned = [inst.uid for inst in module.instructions() if inst.info.pinned]
     edits = []
-    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+    for _ in range(draw(st.integers(min_value=1, max_value=max_edits))):
         roll = draw(st.integers(min_value=0, max_value=7))
         edit = generator.random_edit()
         if roll == 0 and edits:
@@ -267,7 +265,14 @@ def edit_lists(draw):
             edit = OperandReplace(edit.target_uid, 99, edit.new_value)
         if edit is not None:
             edits.append(edit)
-    return module, edits
+    return edits
+
+
+@st.composite
+def edit_lists(draw):
+    """An original module and a :func:`generated_edits` list of it."""
+    module = FORK_ORIGINALS[draw(st.sampled_from(sorted(FORK_ORIGINALS)))]()
+    return module, draw(generated_edits(module))
 
 
 def replay(module, edits):
