@@ -43,13 +43,13 @@ class DiscoverySequence:
         ]
 
 
-def discovery_sequence(history: SearchHistory, edits_of_interest: Dict[str, Edit],
-                       *, in_best: bool = True) -> DiscoverySequence:
+def discovery_sequence(history: SearchHistory,
+                       edits_of_interest: Dict[str, Edit]) -> DiscoverySequence:
     """Extract the Figure-8 data for *edits_of_interest* from *history*."""
     speedups = history.speedup_series()
     events: List[DiscoveryEvent] = []
     for label, edit in edits_of_interest.items():
-        generation = history.discovery_generation(edit.key(), in_best=in_best)
+        generation = history.discovery_generation(edit.key())
         speedup = None
         if generation is not None and 1 <= generation <= len(speedups):
             speedup = speedups[generation - 1]

@@ -355,7 +355,7 @@ def _command_search(arguments: argparse.Namespace) -> int:
     _log.info(f"best speedup: {result.speedup:.3f}x with {len(result.best_edits())} edits "
               f"({tallies}{result.evaluations} evaluations, "
               f"{result.wall_clock_seconds:.1f}s)")
-    _log.info(f"runtime: {engine.stats().summary()}")
+    _log.info(f"runtime: {engine.summary()}")
     if result.validation is not None:
         _log.info(f"held-out validation: {'pass' if result.validation.valid else 'FAIL'}")
     if method == "gevo":

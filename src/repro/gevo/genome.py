@@ -69,13 +69,11 @@ class Individual:
     fitness: Optional[float] = None
     #: Whether every test case passed; ``None`` until evaluated.
     valid: Optional[bool] = None
-    #: Generation in which this individual was created.
-    birth_generation: int = 0
     identifier: int = field(default_factory=lambda: next(_individual_ids))
 
     def copy(self) -> "Individual":
         """A fresh (unevaluated) copy with the same edit list."""
-        return Individual(edits=list(self.edits), birth_generation=self.birth_generation)
+        return Individual(edits=list(self.edits))
 
     def edit_keys(self) -> Tuple[Tuple, ...]:
         return tuple(edit.key() for edit in self.edits)

@@ -43,10 +43,6 @@ class SearchHistory:
 
     baseline_runtime: float
     records: List[GenerationRecord] = field(default_factory=list)
-    #: Edit key -> generation at which the edit first appeared in the best individual.
-    first_seen_in_best: Dict[Tuple, int] = field(default_factory=dict)
-    #: Edit key -> generation at which the edit first appeared anywhere in the population.
-    first_seen_in_population: Dict[Tuple, int] = field(default_factory=dict)
 
     def record_generation(self, generation: int, population: Sequence[Individual],
                           best: Optional[Individual], evaluations: int) -> GenerationRecord:
@@ -62,12 +58,6 @@ class SearchHistory:
             evaluations=evaluations,
         )
         self.records.append(record)
-        for individual in population:
-            for key in individual.edit_keys():
-                self.first_seen_in_population.setdefault(key, generation)
-        if best is not None:
-            for key in best.edit_keys():
-                self.first_seen_in_best.setdefault(key, generation)
         return record
 
     # -- queries -----------------------------------------------------------------------
@@ -81,16 +71,19 @@ class SearchHistory:
         """Per-generation speedup of the best individual over the baseline."""
         return [record.speedup_over(self.baseline_runtime) for record in self.records]
 
-    def discovery_generation(self, edit_key: Tuple, *, in_best: bool = True) -> Optional[int]:
-        """Generation at which an edit was first discovered (None if never)."""
-        table = self.first_seen_in_best if in_best else self.first_seen_in_population
-        return table.get(edit_key)
+    @property
+    def first_seen_in_best(self) -> Dict[Tuple, int]:
+        """Edit key -> generation at which the edit first appeared in the
+        best individual, replayed from the records."""
+        first_seen: Dict[Tuple, int] = {}
+        for record in self.records:
+            for key in record.best_edit_keys:
+                first_seen.setdefault(key, record.generation)
+        return first_seen
 
-    def discovery_sequence(self, edit_keys: Sequence[Tuple],
-                           *, in_best: bool = True) -> List[Tuple[Tuple, Optional[int]]]:
-        """Discovery generations for *edit_keys*, sorted by generation (Figure 8)."""
-        pairs = [(key, self.discovery_generation(key, in_best=in_best)) for key in edit_keys]
-        return sorted(pairs, key=lambda item: (item[1] is None, item[1]))
+    def discovery_generation(self, edit_key: Tuple) -> Optional[int]:
+        """Generation at which an edit was first discovered (None if never)."""
+        return self.first_seen_in_best.get(edit_key)
 
 
 @dataclass

@@ -11,9 +11,9 @@ and converts the resulting cycle counts into milliseconds.
 Both tiers return the same cycles, times, instruction and warp counts,
 buffers, RNG streams and traps.  Cost-model counters and per-instruction
 profiles are reports of the oracle tier only: an oracle launch fills
-``LaunchResult.counters``, ``LaunchResult.profile`` and
-:attr:`GpuDevice.last_profile`, while a JIT launch -- the tier every
-search evaluation runs on -- leaves them empty.
+``LaunchResult.counters`` and ``LaunchResult.profile`` (the collector
+held as :attr:`GpuDevice.profile`, when one is), while a JIT launch --
+the tier every search evaluation runs on -- leaves them empty.
 
 This module is the stand-in for the paper's physical P100 / 1080Ti / V100
 machines.
@@ -70,7 +70,8 @@ class LaunchResult:
     warps_executed: int
     instructions_executed: int
     #: Per-instruction profile and cost-model counters: oracle reports,
-    #: empty after a JIT launch.
+    #: empty after a JIT launch.  An oracle launch's profile is the
+    #: device's held collector when one is set.
     profile: ProfileCollector = field(
         default_factory=lambda: ProfileCollector(enabled=False))
     counters: Dict[str, float] = field(default_factory=dict)
@@ -110,6 +111,10 @@ class GpuDevice:
         #: to the architecture's ``fast_path``.
         self.interpreter_tier = check_interpreter_tier(
             arch.fast_path if fast_path is None else fast_path)
+        #: A collector that every oracle launch records into while it is
+        #: held here, so one profile spans all launches of an evaluation
+        #: (the hotspot report holds one for a single evaluation).
+        self.profile: Optional[ProfileCollector] = None
         #: Shared read-only scalar-parameter broadcast arrays, built once
         #: per distinct scalar-argument tuple instead of once per warp per
         #: launch (drivers re-launch the same kernel with the same scalars
@@ -170,11 +175,8 @@ class GpuDevice:
         # Only the oracle reports: a JIT launch hands its executors a
         # disabled profiler and drops the counters its oracle steps bump.
         oracle = decoded is None
-        profiler = ProfileCollector(enabled=oracle)
-        #: Most recent launch's profile (empty after a JIT launch); read
-        #: back by the hotspot report without threading the collector
-        #: through every fitness result.
-        self.last_profile = profiler
+        profiler = (self.profile if oracle and self.profile is not None
+                    else ProfileCollector(enabled=oracle))
         cost_model = CostModel(self.arch)
         budget = max_instructions_per_warp or self.max_instructions_per_warp
 
@@ -300,9 +302,6 @@ class GpuDevice:
                 warps_executed=warps_executed,
                 instructions_executed=int(outcome["instructions"][row]),
             ))
-        # Sequential solo launches leave the last row's (empty) profile on
-        # the device; mirror that.
-        self.last_profile = results[-1].profile
         return results
 
     def _solo_rows(self, rows, grid, block, kernel_name,

@@ -24,9 +24,9 @@ baselines with crash-exact checkpoint/resume) and
 ``repro search``/``baseline``, and the multi-architecture sweep
 orchestrator behind ``repro sweep``).
 Observability lives in :mod:`repro.runtime.telemetry` (the run-scoped
-:class:`Telemetry` handle: structured event log + metrics registry,
-a true no-op when disabled), :mod:`repro.runtime.trace_format` (the
-JSONL schema and trace summaries)
+:class:`Telemetry` handle: structured event log + counters, gauges and
+histograms as plain numbers, a true no-op when disabled),
+:mod:`repro.runtime.trace_format` (the JSONL schema and trace summaries)
 and :mod:`repro.runtime.console` (the logging-based console reporter
 that renders telemetry events).  A fuller guide lives in
 ``docs/runtime.md`` and ``docs/observability.md``.
@@ -34,7 +34,6 @@ that renders telemetry events).  A fuller guide lives in
 
 from .cache import (
     CacheKey,
-    CacheStats,
     FitnessCache,
     canonical_edit_hash,
     canonical_edit_key,
@@ -52,7 +51,6 @@ from .checkpoint import (
 )
 from .faultpoints import SimulatedCrash, kill_point
 from .engine import (
-    EngineStats,
     EvaluationEngine,
     Executor,
     ParallelExecutor,
@@ -72,7 +70,6 @@ from .sweep import (
 )
 from .telemetry import (
     NULL_TELEMETRY,
-    MetricsRegistry,
     Telemetry,
     emit_module_hotspots,
     new_run_id,
@@ -88,15 +85,12 @@ from .trace_format import (
 
 __all__ = [
     "CacheKey",
-    "CacheStats",
     "CheckpointableSearch",
     "ConsoleReporter",
-    "EngineStats",
     "EvaluationEngine",
     "Executor",
     "FitnessCache",
     "LegOutcome",
-    "MetricsRegistry",
     "NULL_TELEMETRY",
     "ParallelExecutor",
     "SearchCheckpoint",

@@ -173,29 +173,6 @@ def result_from_dict(data: Dict[str, object]) -> FitnessResult:
 
 # -- the cache ------------------------------------------------------------------------
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting for one :class:`FitnessCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    #: Entries that were already present when the disk tier was loaded.
-    loaded: int = 0
-    stores: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def summary(self) -> str:
-        return (f"{self.hits} hits / {self.misses} misses "
-                f"({self.hit_rate:.0%} hit rate, {self.loaded} preloaded)")
-
-
 class FitnessCache:
     """In-memory fitness cache with an optional persistent disk tier.
 
@@ -214,7 +191,11 @@ class FitnessCache:
         from .sqlite_store import SqliteCacheStore
 
         self._store = SqliteCacheStore(path) if path is not None else None
-        self.stats = CacheStats()
+        #: Lookups answered and missed by :meth:`get`, and entries loaded
+        #: from the disk tier.
+        self.hits = 0
+        self.misses = 0
+        self.loaded = 0
         self._entries: Dict[CacheKey, FitnessResult] = {}
         self._dirty_keys: Set[CacheKey] = set()
         if self._store is not None:
@@ -233,9 +214,9 @@ class FitnessCache:
     def get(self, key: CacheKey) -> Optional[FitnessResult]:
         result = self._entries.get(key)
         if result is None:
-            self.stats.misses += 1
+            self.misses += 1
         else:
-            self.stats.hits += 1
+            self.hits += 1
         return result
 
     def peek(self, key: CacheKey) -> Optional[FitnessResult]:
@@ -245,7 +226,6 @@ class FitnessCache:
     def put(self, key: CacheKey, result: FitnessResult) -> None:
         existing = self._entries.get(key)
         if existing is None:
-            self.stats.stores += 1
             self._dirty_keys.add(key)
         elif existing != result:
             # Overwriting with a different result must persist too -- the
@@ -279,7 +259,7 @@ class FitnessCache:
             if key not in self._entries:
                 self._entries[key] = result
                 loaded += 1
-        self.stats.loaded += loaded
+        self.loaded += loaded
         return loaded
 
     def save(self) -> bool:

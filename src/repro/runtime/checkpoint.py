@@ -96,15 +96,11 @@ def serialize_individual(individual: Individual) -> Dict[str, object]:
         "edits": [edit.to_dict() for edit in individual.edits],
         "fitness": individual.fitness,
         "valid": individual.valid,
-        "birth_generation": individual.birth_generation,
     }
 
 
 def deserialize_individual(data: Dict[str, object]) -> Individual:
-    individual = Individual(
-        edits=[edit_from_dict(edit) for edit in data["edits"]],
-        birth_generation=data.get("birth_generation", 0),
-    )
+    individual = Individual(edits=[edit_from_dict(edit) for edit in data["edits"]])
     individual.fitness = data.get("fitness")
     individual.valid = data.get("valid")
     return individual
@@ -125,14 +121,6 @@ def serialize_history(history: SearchHistory) -> Dict[str, object]:
             }
             for record in history.records
         ],
-        "first_seen_in_best": [
-            [_to_jsonable(key), generation]
-            for key, generation in history.first_seen_in_best.items()
-        ],
-        "first_seen_in_population": [
-            [_to_jsonable(key), generation]
-            for key, generation in history.first_seen_in_population.items()
-        ],
     }
 
 
@@ -148,10 +136,6 @@ def deserialize_history(data: Dict[str, object]) -> SearchHistory:
             best_edit_keys=_to_tuple(record.get("best_edit_keys", [])),
             evaluations=record.get("evaluations", 0),
         ))
-    for key, generation in data.get("first_seen_in_best", []):
-        history.first_seen_in_best[_to_tuple(key)] = generation
-    for key, generation in data.get("first_seen_in_population", []):
-        history.first_seen_in_population[_to_tuple(key)] = generation
     return history
 
 

@@ -27,7 +27,6 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutorError
@@ -40,7 +39,6 @@ from .telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "BatchPlanner",
-    "EngineStats",
     "EvaluationEngine",
     "Executor",
     "ParallelExecutor",
@@ -269,41 +267,6 @@ def make_executor(jobs: int, kind: Optional[str] = None) -> Executor:
 
 # -- the engine ----------------------------------------------------------------------
 
-@dataclass
-class EngineStats:
-    """Snapshot of one engine's accounting."""
-
-    evaluations: int
-    cache_hits: int
-    cache_misses: int
-    executor: str
-    jobs: int
-    cache_size: int
-    #: Seconds since the engine was created (the run's wall clock).
-    wall_clock_seconds: float = 0.0
-    #: Fresh evaluations per second of *executor-busy* time (time spent
-    #: inside batch dispatch), the engine's throughput headline.
-    evaluations_per_second: float = 0.0
-
-    def summary(self) -> str:
-        return (f"{self.evaluations} evaluations, {self.cache_hits} cache hits "
-                f"({self.executor}, jobs={self.jobs}, {self.cache_size} cached, "
-                f"{self.evaluations_per_second:.1f} evals/s, "
-                f"{self.wall_clock_seconds:.1f}s wall)")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "executor": self.executor,
-            "jobs": self.jobs,
-            "cache_size": self.cache_size,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "evaluations_per_second": self.evaluations_per_second,
-        }
-
-
 class EvaluationEngine:
     """Cached, batched fitness evaluation for one workload adapter.
 
@@ -397,8 +360,8 @@ class EvaluationEngine:
         telemetry = self.telemetry
         if telemetry.enabled:
             misses = sum(1 for result in results if result is None)
-            telemetry.counter("cache.hits").inc(len(results) - misses)
-            telemetry.counter("cache.misses").inc(misses)
+            telemetry.count("cache.hits", len(results) - misses)
+            telemetry.count("cache.misses", misses)
 
         if pending_sets:
             start = time.perf_counter()
@@ -418,19 +381,19 @@ class EvaluationEngine:
                             error_type=type(exc).__name__,
                             cause_type=(type(cause).__name__
                                         if cause is not None else None))
-                        telemetry.counter("executor.faults").inc()
+                        telemetry.count("executor.faults")
                     raise
             self.batch_seconds += time.perf_counter() - start
             self.evaluations += len(fresh)
-            telemetry.counter("engine.evaluations").inc(len(fresh))
-            telemetry.counter("engine.batches").inc()
+            telemetry.count("engine.evaluations", len(fresh))
+            telemetry.count("engine.batches")
             for key, slot in pending.items():
                 self.cache.put(key, fresh[slot])
             for index, key in enumerate(keys):
                 if results[index] is None:
                     results[index] = fresh[pending[key]]
             if self.cache.maybe_save():
-                telemetry.counter("cache.flushes").inc()
+                telemetry.count("cache.flushes")
             # The nastiest crash window for resume determinism: results
             # are flushed to the persistent cache, but the round that
             # produced them has not been checkpointed yet.
@@ -473,11 +436,9 @@ class EvaluationEngine:
                 [modules[index] for index in members])
             for member, result in zip(members, group_results):
                 fresh[member] = result
-            if telemetry.enabled:
-                telemetry.counter("engine.batch_groups").inc()
-                telemetry.counter("engine.batched_launches").inc(len(members))
-                telemetry.histogram("engine.batch_size").observe(
-                    float(len(members)))
+            telemetry.count("engine.batch_groups")
+            telemetry.count("engine.batched_launches", len(members))
+            telemetry.observe("engine.batch_size", float(len(members)))
         busy = time.perf_counter() - start
         if singles:
             solo, lane_seconds = self.executor.run_batch(
@@ -494,36 +455,31 @@ class EvaluationEngine:
 
     # -- bookkeeping -------------------------------------------------------------------
     @property
-    def cache_hits(self) -> int:
-        return self.cache.stats.hits
+    def wall_clock_seconds(self) -> float:
+        """Seconds since the engine was created (the run's wall clock)."""
+        return time.perf_counter() - self._created
 
     @property
-    def cache_misses(self) -> int:
-        return self.cache.stats.misses
+    def evaluations_per_second(self) -> float:
+        """Fresh evaluations per second of executor-busy time (time spent
+        inside batch dispatch), the engine's throughput headline."""
+        return (self.evaluations / self.batch_seconds
+                if self.batch_seconds > 0 else 0.0)
 
-    def stats(self) -> EngineStats:
-        return EngineStats(
-            evaluations=self.evaluations,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            executor=self.executor.name,
-            jobs=getattr(self.executor, "jobs", 1),
-            cache_size=len(self.cache),
-            wall_clock_seconds=time.perf_counter() - self._created,
-            evaluations_per_second=(self.evaluations / self.batch_seconds
-                                    if self.batch_seconds > 0 else 0.0),
-        )
+    def summary(self) -> str:
+        """The CLI's ``runtime:`` line."""
+        return (f"{self.evaluations} evaluations, {self.cache.hits} cache hits "
+                f"({self.executor.name}, jobs={getattr(self.executor, 'jobs', 1)}, "
+                f"{len(self.cache)} cached, "
+                f"{self.evaluations_per_second:.1f} evals/s, "
+                f"{self.wall_clock_seconds:.1f}s wall)")
 
     def record_stats_metrics(self) -> None:
-        """Snapshot :meth:`stats` into the telemetry metrics registry."""
-        if not self.telemetry.enabled:
-            return
-        stats = self.stats()
-        self.telemetry.gauge("engine.wall_clock_seconds").set(
-            stats.wall_clock_seconds)
-        self.telemetry.gauge("engine.evaluations_per_second").set(
-            stats.evaluations_per_second)
-        self.telemetry.gauge("engine.cache_size").set(stats.cache_size)
+        """Set the engine's wall clock, rate and cache size gauges."""
+        self.telemetry.gauge("engine.wall_clock_seconds", self.wall_clock_seconds)
+        self.telemetry.gauge("engine.evaluations_per_second",
+                             self.evaluations_per_second)
+        self.telemetry.gauge("engine.cache_size", len(self.cache))
 
     def close(self) -> None:
         """Flush the cache, release its disk tier and stop the executor."""

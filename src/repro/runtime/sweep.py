@@ -404,12 +404,10 @@ def _leg_fields(leg: SweepLeg, outcome: LegOutcome) -> Dict[str, object]:
 def _record_leg_metrics(telemetry: Telemetry, leg: SweepLeg,
                         outcome: LegOutcome) -> None:
     """Per-leg evaluation totals, matching the report row bit-for-bit."""
-    if not telemetry.enabled:
-        return
     prefix = f"sweep.leg.{leg.leg_id}"
-    telemetry.counter(prefix + ".evaluations").inc(outcome.evaluations)
-    telemetry.counter(prefix + ".fresh_evaluations").inc(outcome.fresh_evaluations)
-    telemetry.counter(prefix + ".cache_hits").inc(outcome.cache_hits)
+    telemetry.count(prefix + ".evaluations", outcome.evaluations)
+    telemetry.count(prefix + ".fresh_evaluations", outcome.fresh_evaluations)
+    telemetry.count(prefix + ".cache_hits", outcome.cache_hits)
 
 
 def run_search(method: str, adapter, config: GevoConfig, cache: FitnessCache, *,
@@ -456,7 +454,7 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache,
     reset_uid_namespace()
     adapter = make_adapter(leg.workload, leg.arch,
                            interpreter_tier=interpreter_tier)
-    hits_before = cache.stats.hits
+    hits_before = cache.hits
     start = time.perf_counter()
     result, engine = run_search(leg.method, adapter, spec.leg_config(leg), cache,
                                 label=leg.leg_id, **options)
@@ -474,6 +472,6 @@ def _run_leg(spec: SweepSpec, leg: SweepLeg, cache: FitnessCache,
         best_edits=len(result.best_edits()),
         evaluations=result.evaluations,
         fresh_evaluations=engine.evaluations,
-        cache_hits=cache.stats.hits - hits_before,
+        cache_hits=cache.hits - hits_before,
         wall_clock_seconds=time.perf_counter() - start,
     )

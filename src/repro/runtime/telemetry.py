@@ -1,4 +1,4 @@
-"""Run-scoped telemetry: a structured event log plus a metrics registry.
+"""Run-scoped telemetry: a structured event log plus run metrics.
 
 Every layer of the evaluation runtime that used to narrate itself with
 ad-hoc ``print()`` lines now emits through one :class:`Telemetry` handle:
@@ -7,8 +7,9 @@ ad-hoc ``print()`` lines now emits through one :class:`Telemetry` handle:
   :mod:`repro.runtime.trace_format` for the schema) to ``events.jsonl``
   under a trace directory, and fanned out to any attached *sinks* (the
   console reporter in :mod:`repro.runtime.console`);
-* **metrics** -- counters, gauges and histograms in a
-  :class:`MetricsRegistry`, snapshotted to ``metrics.json`` on close.
+* **metrics** -- counters, gauges and histogram summaries, plain
+  numbers in the handle's ``counters``, ``gauges`` and ``histograms``
+  dicts, snapshotted to ``metrics.json`` on close.
 
 Design constraints (pinned by ``tests/runtime/test_telemetry.py``):
 
@@ -35,6 +36,7 @@ import uuid
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
+from ..gpu.profiler import ProfileCollector
 from .cache import atomic_write_text
 from .trace_format import (
     EVENTS_FILE,
@@ -45,10 +47,6 @@ from .trace_format import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Telemetry",
     "NULL_TELEMETRY",
     "new_run_id",
@@ -66,128 +64,6 @@ def new_run_id() -> str:
     """
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     return f"{stamp}-{uuid.uuid4().hex[:8]}"
-
-
-# -- metrics --------------------------------------------------------------------------
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def snapshot(self):
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def snapshot(self):
-        return self.value
-
-
-class Histogram:
-    """Streaming summary of an observed distribution (no samples kept)."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        return {"count": self.count, "total": self.total, "mean": self.mean,
-                "min": self.min if self.min is not None else 0.0,
-                "max": self.max if self.max is not None else 0.0}
-
-
-class _NullMetric:
-    """Accepts every update and records nothing (the disabled tier)."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot(self):
-        return 0
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class MetricsRegistry:
-    """Named counters / gauges / histograms with a JSON snapshot."""
-
-    def __init__(self):
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
-        self._lock = threading.Lock()
-
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            metric = self.counters.get(name)
-            if metric is None:
-                metric = self.counters[name] = Counter()
-            return metric
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self.gauges.get(name)
-            if metric is None:
-                metric = self.gauges[name] = Gauge()
-            return metric
-
-    def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            metric = self.histograms.get(name)
-            if metric is None:
-                metric = self.histograms[name] = Histogram()
-            return metric
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        with self._lock:
-            return {
-                "counters": {name: metric.snapshot()
-                             for name, metric in sorted(self.counters.items())},
-                "gauges": {name: metric.snapshot()
-                           for name, metric in sorted(self.gauges.items())},
-                "histograms": {name: metric.snapshot()
-                               for name, metric in sorted(self.histograms.items())},
-            }
 
 
 # -- the handle -----------------------------------------------------------------------
@@ -216,7 +92,11 @@ class Telemetry:
         self.enabled = bool(trace_dir is not None if enabled is None else enabled)
         self.trace_dir = trace_dir
         self.run_id = run_id or (new_run_id() if self.enabled else "")
-        self.metrics = MetricsRegistry() if self.enabled else None
+        #: Metric name -> value, or -> ``count``/``total``/``min``/``max``
+        #: for a histogram; filled only when *enabled*.
+        self.counters: Dict[str, int] = {}
+        self.gauges: Dict[str, float] = {}
+        self.histograms: Dict[str, Dict[str, float]] = {}
         self._seq = 0
         self._lock = threading.Lock()
         self._sinks: List[Callable[[TraceEvent], None]] = []
@@ -271,20 +151,31 @@ class Telemetry:
         return event
 
     # -- metrics -----------------------------------------------------------------------
-    def counter(self, name: str):
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add *amount* to counter *name* (created at 0 on first use)."""
         if not self.enabled:
-            return _NULL_METRIC
-        return self.metrics.counter(name)
+            return
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
-    def gauge(self, name: str):
+    def gauge(self, name: str, value: float) -> None:
+        """Set gauge *name* to *value* (last write wins)."""
         if not self.enabled:
-            return _NULL_METRIC
-        return self.metrics.gauge(name)
+            return
+        with self._lock:
+            self.gauges[name] = value
 
-    def histogram(self, name: str):
+    def observe(self, name: str, value: float) -> None:
+        """Fold *value* into histogram *name*'s summary (no samples kept)."""
         if not self.enabled:
-            return _NULL_METRIC
-        return self.metrics.histogram(name)
+            return
+        with self._lock:
+            summary = self.histograms.setdefault(
+                name, {"count": 0, "total": 0.0, "min": value, "max": value})
+            summary["count"] += 1
+            summary["total"] += value
+            summary["min"] = min(summary["min"], value)
+            summary["max"] = max(summary["max"], value)
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """The metrics document (also what ``metrics.json`` holds)."""
@@ -292,8 +183,13 @@ class Telemetry:
             "version": TRACE_FORMAT_VERSION,
             "run_id": self.run_id,
         }
-        if self.metrics is not None:
-            document.update(self.metrics.snapshot())
+        if self.enabled:
+            with self._lock:
+                document["counters"] = dict(sorted(self.counters.items()))
+                document["gauges"] = dict(sorted(self.gauges.items()))
+                document["histograms"] = {
+                    name: dict(summary, mean=summary["total"] / summary["count"])
+                    for name, summary in sorted(self.histograms.items())}
         return document
 
     def write_metrics(self) -> Optional[str]:
@@ -335,12 +231,15 @@ def emit_module_hotspots(telemetry: Telemetry, adapter, module, *,
     Runs ``adapter.evaluate(module)`` on the adapter's own device switched
     to the oracle tier for that one evaluation (per-instruction profiles
     are oracle reports; the JIT every search evaluation runs on records
-    none), then restores the device's tier -- also when the evaluation
-    raises -- and emits a ``profile.hotspots`` event with the top
-    instructions by attributed cycles.  Strictly opt-in -- callers invoke
-    this once per run/leg when tracing is on, so the extra evaluation
-    never taxes an untraced run.  Best-effort: adapters without an
-    in-process device (or a trapped evaluation) simply emit nothing.
+    none), with a :class:`~repro.gpu.profiler.ProfileCollector` held as
+    the device's ``profile`` so every launch of the evaluation records
+    into it.  The device's tier is restored and its profile released --
+    also when the evaluation raises -- and a ``profile.hotspots`` event
+    names the top instructions by attributed cycles.  Strictly opt-in -- callers
+    invoke this once per run/leg when tracing is on, so the extra
+    evaluation never taxes an untraced run.  Best-effort: adapters
+    without an in-process device (or a trapped evaluation) simply emit
+    nothing.
     """
     if not telemetry.enabled:
         return False
@@ -349,14 +248,15 @@ def emit_module_hotspots(telemetry: Telemetry, adapter, module, *,
         return False
     previous = device.interpreter_tier
     device.interpreter_tier = "oracle"
+    profile = device.profile = ProfileCollector()
     try:
         adapter.evaluate(module)
     except Exception:  # noqa: BLE001 - profiling must never fail the run
         return False
     finally:
         device.interpreter_tier = previous
-    profile = getattr(device, "last_profile", None)
-    if profile is None or not getattr(profile, "instructions", None):
+        device.profile = None
+    if not profile.instructions:
         return False
     hotspots = [
         {"location": spot.location or "<unknown>", "opcode": spot.opcode,

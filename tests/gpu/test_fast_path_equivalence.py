@@ -33,7 +33,8 @@ from hypothesis import strategies as st
 from repro.errors import KernelTrap, LaunchError
 from repro.gevo import apply_edits
 from repro.gevo.mutation import EditGenerator
-from repro.gpu import EVALUATION_ORDER, INTERPRETER_TIERS, GpuDevice, get_arch
+from repro.gpu import (EVALUATION_ORDER, INTERPRETER_TIERS, GpuDevice,
+                       ProfileCollector, get_arch)
 from repro.workloads.toy import ToyWorkloadAdapter, build_toy_kernel, toy_discovered_edits
 
 from ..test_properties import generated_edits
@@ -491,17 +492,23 @@ def _report_scenarios():
 
 def test_reports_are_oracle_only():
     """A JIT launch returns no counters and an empty profile -- its oracle
-    steps leak no partial report -- and leaves that empty profile on the
+    steps leak no partial report, not even into a collector held on the
     device; an oracle launch returns both reports, with one profile
-    execution per executed instruction."""
+    execution per executed instruction, and a held collector takes the
+    profiles of every oracle launch made while it is held."""
     for name, arch, module, grid, block, args, kernel_name in _report_scenarios():
         results = {}
         for tier in TIERS:
             device = GpuDevice(arch, fast_path=tier)
             status, result, _ = launch_outcome(device, module, grid, block, args,
                                                kernel_name)
-            assert status == "ok" and device.last_profile is result.profile, (name, tier)
+            assert status == "ok" and device.profile is None, (name, tier)
             results[tier] = result
+            device.profile = held = ProfileCollector()
+            for _ in range(2):
+                launch_outcome(device, module, grid, block, args, kernel_name)
+            expected = 2 * result.instructions_executed if tier == "oracle" else 0
+            assert held.total_executions() == expected, (name, tier)
         jit, oracle = results["jit"], results["oracle"]
         assert jit.cycles == oracle.cycles, name
         assert jit.counters == {}, name

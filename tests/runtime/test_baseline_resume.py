@@ -36,7 +36,6 @@ def _history_fingerprint(history):
           r.population_size, r.best_edit_keys, r.evaluations)
          for r in history.records],
         history.first_seen_in_best,
-        history.first_seen_in_population,
     )
 
 

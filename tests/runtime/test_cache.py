@@ -77,7 +77,7 @@ class TestFitnessCache:
         assert cache.get(key) is None
         cache.put(key, FitnessResult.from_cases([CaseResult("c", True, 1.0)]))
         assert cache.get(key).valid
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_persist_reload_hit(self, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -87,10 +87,10 @@ class TestFitnessCache:
 
         second = FitnessCache(path)
         assert len(second) == 1
-        assert second.stats.loaded == 1
+        assert second.loaded == 1
         result = second.get(self._key())
         assert result is not None and result.runtime_ms == 4.5
-        assert second.stats.hits == 1
+        assert second.hits == 1
 
     def test_save_is_noop_when_clean(self, tmp_path):
         path = str(tmp_path / "cache.json")

@@ -42,7 +42,8 @@ class TestCheckpointRoundTrip:
         history = checkpoint.restore_history()
         assert history.generations() == config.generations
         # Edit keys survive the JSON round trip as tuples.
-        for key in history.first_seen_in_population:
+        assert history.first_seen_in_best
+        for key in history.first_seen_in_best:
             assert isinstance(key, tuple)
 
     def test_unsupported_version_rejected(self, tmp_path):
@@ -204,7 +205,7 @@ class TestResume:
         warm = EvaluationEngine(adapter, cache=FitnessCache(cache_path))
         GevoSearch(adapter, config, engine=warm).run()
         assert warm.evaluations == 0
-        assert warm.cache_hits > 0
+        assert warm.cache.hits > 0
 
 
 class RecordingEngine(EvaluationEngine):

@@ -51,7 +51,7 @@ class TestEngineBasics:
         before = engine.evaluations
         engine.evaluate([edits[2], edits[0], edits[1]])
         assert engine.evaluations == before
-        assert engine.cache_hits >= 1
+        assert engine.cache.hits >= 1
 
     def test_workload_and_arch_namespace_keys(self, adapter):
         p100 = EvaluationEngine(adapter)
@@ -128,6 +128,6 @@ class TestEvaluatorIntegration:
     def test_engine_stats_summary(self, adapter):
         engine = EvaluationEngine(adapter)
         engine.baseline()
-        stats = engine.stats()
-        assert stats.evaluations == 1 and stats.executor == "serial"
-        assert "1 evaluations" in stats.summary()
+        assert engine.evaluations == 1 and engine.executor.name == "serial"
+        assert engine.summary().startswith(
+            "1 evaluations, 0 cache hits (serial, jobs=1, 1 cached, ")

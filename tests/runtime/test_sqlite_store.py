@@ -27,7 +27,7 @@ class TestSqliteRoundTrip:
         second = FitnessCache(path)
         assert isinstance(second.store, SqliteCacheStore)
         assert len(second) == 1
-        assert second.stats.loaded == 1
+        assert second.loaded == 1
         assert second.get(_key()).runtime_ms == 4.5
         second.close()
 

@@ -1,12 +1,13 @@
 """The telemetry subsystem: schema, no-op guarantee, one writer.
 
-Four contracts are pinned here:
+Five contracts are pinned here:
 
 * the JSONL trace schema round-trips exactly (and rejects malformed
   records loudly);
 * a disabled :class:`~repro.runtime.telemetry.Telemetry` handle is a true
-  no-op -- zero events, zero files, null metrics -- so un-traced runs pay
+  no-op -- zero events, zero files, no metrics -- so un-traced runs pay
   one attribute check and nothing else;
+* the metrics document keeps its keys and counter values;
 * the process that owns the run is the trace's only writer: a process
   pool's workers hand their busy time back, and the engine's
   ``engine.batch`` spans carry it;
@@ -20,12 +21,12 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.runtime import EvaluationEngine, ParallelExecutor
 from repro.runtime.console import ConsoleReporter, configure_console
 from repro.runtime.sweep import SweepSpec, run_sweep
 from repro.runtime.telemetry import (
     NULL_TELEMETRY,
-    MetricsRegistry,
     Telemetry,
     emit_module_hotspots,
     new_run_id,
@@ -33,6 +34,7 @@ from repro.runtime.telemetry import (
 from repro.runtime.trace_format import (
     EVENTS_FILE,
     METRICS_FILE,
+    TRACE_FORMAT_VERSION,
     TraceEvent,
     event_from_dict,
     event_to_dict,
@@ -95,19 +97,29 @@ class TestSchemaRoundTrip:
 
 
 class TestDisabledIsANoOp:
-    def test_null_telemetry_emits_nothing(self):
+    def test_null_telemetry_emits_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert not NULL_TELEMETRY.enabled
         assert NULL_TELEMETRY.event("anything", x=1) is None
         with NULL_TELEMETRY.span("work") as fields:
             fields["y"] = 2  # the dict is still usable, just never emitted
-        NULL_TELEMETRY.counter("c").inc()
-        NULL_TELEMETRY.gauge("g").set(3)
-        NULL_TELEMETRY.histogram("h").observe(1.0)
+        NULL_TELEMETRY.count("c")
+        NULL_TELEMETRY.count("zero", 0)
+        NULL_TELEMETRY.gauge("g", 3)
+        NULL_TELEMETRY.observe("h", 1.0)
+        assert (NULL_TELEMETRY.counters, NULL_TELEMETRY.gauges,
+                NULL_TELEMETRY.histograms) == ({}, {}, {})
+        assert NULL_TELEMETRY.metrics_snapshot() == {
+            "version": TRACE_FORMAT_VERSION, "run_id": ""}
+        assert os.listdir(tmp_path) == []
 
     def test_disabled_handle_writes_no_files(self, tmp_path):
         trace_dir = tmp_path / "trace"
         telemetry = Telemetry(str(trace_dir), enabled=False)
         telemetry.event("x")
+        telemetry.count("c")
+        telemetry.gauge("g", 3)
+        telemetry.observe("h", 1.0)
         telemetry.close()
         assert not trace_dir.exists()
 
@@ -160,21 +172,59 @@ class TestSingleWriter:
         assert "executor utilization: 100%" in summarize_trace(trace_dir).render()
 
 
-class TestMetricsRegistry:
+def _metrics_shape(trace_dir):
+    """A metrics document without its timings: gauges by name only."""
+    metrics = load_metrics(trace_dir)
+    return dict(metrics, run_id=None, gauges=sorted(metrics["gauges"]))
+
+
+ENGINE_GAUGES = ["engine.cache_size", "engine.evaluations_per_second",
+                 "engine.wall_clock_seconds"]
+
+
+class TestMetrics:
     def test_counter_gauge_histogram_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("cache.hits").inc()
-        registry.counter("cache.hits").inc(2)
-        registry.gauge("engine.cache_size").set(7)
+        telemetry = Telemetry(run_id="r", enabled=True)
+        telemetry.count("cache.hits")
+        telemetry.count("cache.hits", 2)
+        telemetry.count("cache.misses", 0)  # an update of 0 creates the key
+        telemetry.gauge("engine.cache_size", 7)
         for value in (1.0, 3.0):
-            registry.histogram("batch.seconds").observe(value)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["cache.hits"] == 3
-        assert snapshot["gauges"]["engine.cache_size"] == 7
-        histogram = snapshot["histograms"]["batch.seconds"]
-        assert histogram["count"] == 2
-        assert histogram["total"] == 4.0 and histogram["mean"] == 2.0
-        assert histogram["min"] == 1.0 and histogram["max"] == 3.0
+            telemetry.observe("batch.seconds", value)
+        assert telemetry.metrics_snapshot() == {
+            "version": TRACE_FORMAT_VERSION, "run_id": "r",
+            "counters": {"cache.hits": 3, "cache.misses": 0},
+            "gauges": {"engine.cache_size": 7},
+            "histograms": {"batch.seconds": {"count": 2, "total": 4.0,
+                                             "mean": 2.0, "min": 1.0,
+                                             "max": 3.0}},
+        }
+
+    def test_traced_search_keeps_the_metrics_document(self, capsys, tmp_path):
+        trace_dir = str(tmp_path)
+        assert main(["search", "toy", "--population", "4", "--generations", "2",
+                     "--seed", "1", "--trace", trace_dir]) == 0
+        assert _metrics_shape(trace_dir) == {
+            "version": TRACE_FORMAT_VERSION, "run_id": None,
+            "counters": {"cache.hits": 6, "cache.misses": 3,
+                         "engine.batches": 3, "engine.evaluations": 3},
+            "gauges": ENGINE_GAUGES, "histograms": {}}
+
+    def test_pool_engine_keeps_the_metrics_document(self, adapter, edits,
+                                                    tmp_path):
+        """One all-miss batch on a process pool: ``cache.hits`` was only
+        ever updated by 0 and still appears."""
+        trace_dir = str(tmp_path)
+        with Telemetry(trace_dir, run_id="pool") as telemetry:
+            engine = EvaluationEngine(adapter, executor=ParallelExecutor(2),
+                                      telemetry=telemetry)
+            engine.evaluate_many([[edit] for edit in edits[:4]])
+            engine.close()
+        assert _metrics_shape(trace_dir) == {
+            "version": TRACE_FORMAT_VERSION, "run_id": None,
+            "counters": {"cache.hits": 0, "cache.misses": 3,
+                         "engine.batches": 1, "engine.evaluations": 3},
+            "gauges": ENGINE_GAUGES, "histograms": {}}
 
     def test_run_ids_are_unique_and_sortable(self):
         first, second = new_run_id(), new_run_id()
@@ -229,32 +279,51 @@ class TestEngineInstrumentation:
     def test_stats_carry_wall_clock_and_rate(self, adapter, edits):
         engine = EvaluationEngine(adapter)
         engine.evaluate_many([[edits[0]]])
-        stats = engine.stats()
-        assert stats.wall_clock_seconds > 0
-        assert stats.evaluations_per_second > 0
-        assert "evals/s" in stats.summary()
-        assert stats.summary().startswith(f"{stats.evaluations} evaluations")
+        assert engine.wall_clock_seconds > 0
+        assert engine.evaluations_per_second > 0
+        assert "evals/s" in engine.summary()
+        assert engine.summary().startswith(f"{engine.evaluations} evaluations")
 
-    def test_hotspots_profile_is_opt_in(self, request, tmp_path):
-        for workload in ("adapter", "adept_v1_adapter", "simcov_adapter"):
+    def test_hotspots_profile_is_opt_in(self, request, tmp_path, monkeypatch):
+        """Search evaluations run on the JIT; the hotspot emitter runs its
+        one evaluation on the oracle and profiles every launch of it (the
+        top rows sit in the workload's main kernels, not in its last
+        launch)."""
+        top_rows = {
+            "adapter": ("saxpy_wasteful.cu:6", "load", 150.0, 2),
+            "adept_v1_adapter": ("adept_v1_kernel.cu:42", "syncthreads", 8424.0, 468),
+            "simcov_adapter": ("simcov_spread_virions.cu:8", "load", 1638.0, 18),
+        }
+        for workload, top_row in top_rows.items():
             adapter = request.getfixturevalue(workload)
-            # A search evaluation runs on the JIT, which records no profile ...
-            assert adapter.device.interpreter_tier == "jit", workload
-            assert adapter.evaluate(adapter.original_module()).valid, workload
-            assert not adapter.device.last_profile.instructions, workload
-            # ... and the hotspot emitter runs its one evaluation on the oracle.
+            device = adapter.device
+            assert device.interpreter_tier == "jit" and device.profile is None, workload
+            launches = []
+
+            def recording_launch(*args, _launch=device.launch, **kwargs):
+                launches.append(_launch(*args, **kwargs))
+                return launches[-1]
+
+            monkeypatch.setattr(device, "launch", recording_launch)
             trace_dir = str(tmp_path / workload)
             with Telemetry(trace_dir, run_id="r") as telemetry:
                 assert emit_module_hotspots(telemetry, adapter,
                                             adapter.original_module(),
                                             label="test"), workload
-            assert adapter.device.interpreter_tier == "jit", workload  # restored
+            monkeypatch.undo()
+            # The tier is restored and the collector released ...
+            assert device.interpreter_tier == "jit" and device.profile is None, workload
+            # ... after it took the profile of every launch.
+            profile = launches[0].profile
+            assert all(result.profile is profile for result in launches), workload
+            assert profile.total_executions() == sum(
+                result.instructions_executed for result in launches), workload
             events = [event for event in load_trace(trace_dir)
                       if event.name == "profile.hotspots"]
             assert len(events) == 1, workload
-            hotspots = events[0].fields["hotspots"]
-            assert hotspots and {"location", "opcode", "cycles",
-                                 "executions"} <= set(hotspots[0]), workload
+            top = events[0].fields["hotspots"][0]
+            assert (top["location"], top["opcode"], top["cycles"],
+                    top["executions"]) == top_row, workload
 
     def test_hotspots_restore_the_tier_when_the_evaluation_raises(self, tmp_path):
         tiers = []
